@@ -32,10 +32,17 @@ exponent, because log evaluates to -inf there).
 Evaluation follows IEEE semantics: +-inf and NaN propagate.  The only hard
 evaluation errors are an unbound parameter and log of a strictly negative
 argument, both reported with the offending input.
+
+:func:`evaluate` compiles a tree on its first evaluation into one flat
+numpy function, built once per tree shape (constants are arguments) and kept
+on the node.  Integer powers up to 16 in magnitude are computed by
+multiplies, so they may differ from ``np.power`` in the last bit; ``^2``,
+``^0.5`` and ``^-1`` match it exactly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -87,7 +94,7 @@ class EvalError(ExprError):
     """Evaluation failure (unbound parameter, domain error)."""
 
 
-_FUNCTIONS = ("exp", "log", "abs", "sign", "tanh")
+_FUNCTIONS = {"exp": np.exp, "log": np.log, "abs": np.abs, "sign": np.sign, "tanh": np.tanh}
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,12 @@ class Expr:
 
     def __repr__(self):  # keep test output readable
         return f"Expr({to_string(self)!r})"
+
+    def __getstate__(self):
+        # the compiled function kept by evaluate() is a cache, not state
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
 
 
 def _as_expr(obj) -> Expr:
@@ -419,7 +432,11 @@ def to_string(e: Expr) -> str:
     if e.op == "neg":
         return f"-{_paren(e.args[0], _PREC['neg'])}"
     if e.op == "pow":
-        return f"{_paren(e.args[0], _PREC['pow'] + 1)}^{_fmt_number_exp(e.value)}"
+        base = e.args[0]
+        if base.op == "const" and base.value < 0:
+            # "-2^2" would parse as -(2^2)
+            return f"({to_string(base)})^{_fmt_number_exp(e.value)}"
+        return f"{_paren(base, _PREC['pow'] + 1)}^{_fmt_number_exp(e.value)}"
     if e.op in _FUNCTIONS:
         return f"{e.op}({to_string(e.args[0])})"
     raise ExprError(f"unknown node kind {e.op!r}")
@@ -431,6 +448,142 @@ def _fmt_number_exp(v: float) -> str:
 
 
 # ---- evaluation ---------------------------------------------------------
+#
+# A tree is lowered once into one straight-line Python function over numpy
+# arrays, ``_f(x, c, p)``: one assignment per distinct subtree, in the
+# walker's order (operands left to right, children before parents), so a
+# repeated subtree is computed once and an evaluation error is raised at the
+# same node as a tree walk would raise it.  Constants are not written into
+# the code but passed in ``c``, numbered by distinct value, so trees that
+# differ only in their constants (one per parameter point of a weight family)
+# share one function.  Two constants share a slot only when their values are
+# equal, which is what keeps the subtree merging valid for every tree of the
+# shape.  The generated source is the shape's cache key.
+
+# Integer powers up to this magnitude become multiplies; the relative error
+# grows with the number of roundings, about |n| ulp, far inside 1e-12.
+_MAX_UNROLLED_POWER = 16
+
+
+def _param(params: Mapping[str, float], name: str):
+    try:
+        return np.float64(float(params[name]))
+    except KeyError:
+        raise EvalError(f"unbound parameter {name!r}") from None
+
+
+def _log(u, probe: np.ndarray):
+    u = np.asarray(u, dtype=float)
+    if np.any(u < 0):
+        bad = np.broadcast_to(probe, np.broadcast(u, probe).shape)
+        where = np.broadcast_to(u, bad.shape) < 0
+        x_bad = float(bad[where][0]) if bad[where].size else float("nan")
+        raise EvalError(f"log of negative argument at x = {x_bad}")
+    return np.log(u)  # log(0) -> -inf, propagates
+
+
+class _Lowering:
+    """Straight-line code for one tree.  ``names`` maps each right-hand side
+    to the temporary holding it (value numbering), ``slots`` each constant's
+    bit pattern to its index in ``consts``; ``steps`` holds the assignments
+    with the temporaries each one reads."""
+
+    def __init__(self):
+        self.steps: list[tuple[str, str, tuple[str, ...]]] = []
+        self.names: dict[str, str] = {}
+        self.slots: dict[str, int] = {}
+        self.consts: list[np.float64] = []
+
+    def const(self, v: float) -> str:
+        key = float(v).hex()  # tells -0.0 from 0.0
+        k = self.slots.get(key)
+        if k is None:
+            k = self.slots[key] = len(self.consts)
+            self.consts.append(np.float64(v))
+        return f"c{k}"
+
+    def bind(self, rhs: str, *reads: str) -> str:
+        name = self.names.get(rhs)
+        if name is None:
+            name = self.names[rhs] = f"t{len(self.names)}"
+            self.steps.append((name, rhs, reads))
+        return name
+
+    def source(self, result: str) -> str:
+        """The function's source.  A temporary is deleted after its last
+        read, so no more arrays are alive at once than in a tree walk,
+        apart from the repeated subtrees kept for reuse."""
+        last = {v: i for i, (_, _, reads) in enumerate(self.steps) for v in reads}
+        lines = ["def _f(x, c, p):"]
+        if self.consts:
+            lines.append("    " + "".join(f"c{k}, " for k in range(len(self.consts))) + "= c")
+        for i, (name, rhs, reads) in enumerate(self.steps):
+            lines.append(f"    {name} = {rhs}")
+            dead = [v for v in dict.fromkeys(reads) if v[0] == "t" and last[v] == i and v != result]
+            if dead:
+                lines.append(f"    del {', '.join(dead)}")
+        lines.append(f"    return {result}")
+        return "\n".join(lines) + "\n"
+
+    def node(self, e: Expr) -> str:
+        op = e.op
+        if op == "x":
+            return "x"
+        if op == "const":
+            return self.const(e.value)
+        if op == "param":
+            return self.bind(f"_param(p, {e.name!r})")
+        args = [self.node(a) for a in e.args]
+        if op == "add":
+            return self.bind(" + ".join(args), *args)
+        if op == "mul":
+            return self.bind(" * ".join(args), *args)
+        if op == "div":
+            return self.bind(f"{args[0]} / {args[1]}", *args)
+        if op == "neg":
+            return self.bind(f"-{args[0]}", *args)
+        if op == "pow":
+            return self.power(args[0], float(e.value))
+        if op == "log":
+            return self.bind(f"_log({args[0]}, x)", *args)
+        if op in _FUNCTIONS:
+            return self.bind(f"np.{_FUNCTIONS[op].__name__}({args[0]})", *args)
+        raise ExprError(f"unknown node kind {op!r}")
+
+    def power(self, u: str, c: float) -> str:
+        # numpy's own power already takes these fast paths for 0.5, 1, 2
+        # and -1, so only other integers move from np.power in the last bit
+        if c == 0.5:
+            return self.bind(f"np.sqrt({u})", u)
+        if c.is_integer() and 1 <= abs(c) <= _MAX_UNROLLED_POWER:
+            r = self.int_power(u, int(abs(c)))
+            return r if c > 0 else self.bind(f"1.0 / {r}", r)
+        return self.bind(f"np.power({u}, {self.const(c)})", u)
+
+    def int_power(self, u: str, n: int) -> str:
+        if n == 1:
+            return u
+        half = self.int_power(u, n // 2)
+        sq = self.bind(f"{half} * {half}", half)
+        return sq if n % 2 == 0 else self.bind(f"{sq} * {u}", sq, u)
+
+
+@functools.lru_cache(maxsize=1024)
+def _function(source: str) -> Callable:
+    namespace = {"np": np, "_param": _param, "_log": _log}
+    exec(compile(source, "<diffgap.expr>", "exec"), namespace)
+    return namespace["_f"]
+
+
+def _compiled(e: Expr) -> tuple[Callable, tuple]:
+    """The tree's function and its constants, lowered on first use and kept
+    on the node."""
+    got = e.__dict__.get("_compiled")
+    if got is None:
+        low = _Lowering()
+        got = (_function(low.source(low.node(e))), tuple(low.consts))
+        e.__dict__["_compiled"] = got
+    return got
 
 
 def evaluate(e: Expr, x, params: Mapping[str, float] | None = None):
@@ -438,70 +591,27 @@ def evaluate(e: Expr, x, params: Mapping[str, float] | None = None):
 
     Returns a float for scalar input, an ndarray otherwise.  +-inf and NaN
     propagate; unbound parameters and log of a negative argument raise
-    :class:`EvalError` (the latter reports the offending x).
+    :class:`EvalError` (the latter reports the offending x).  The tree is
+    compiled on its first evaluation (see the module docstring).
     """
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xs = np.asarray(x, dtype=float)
+    scalar = xs.ndim == 0
+    fn, consts = _compiled(e)
     with np.errstate(all="ignore"):
-        out = _eval(e, xs, params or {}, xs)
+        out = fn(xs, consts, params or {})
     out = np.asarray(out, dtype=float)
     if scalar:
         return float(out)
     return np.broadcast_to(out, xs.shape).copy() if out.shape != xs.shape else out
 
 
-def _eval(e: Expr, xs: np.ndarray, params: Mapping[str, float], probe: np.ndarray):
-    op = e.op
-    if op == "const":
-        return e.value
-    if op == "x":
-        return xs
-    if op == "param":
-        try:
-            return float(params[e.name])
-        except KeyError:
-            raise EvalError(f"unbound parameter {e.name!r}") from None
-    if op == "add":
-        acc = _eval(e.args[0], xs, params, probe)
-        for a in e.args[1:]:
-            acc = acc + _eval(a, xs, params, probe)
-        return acc
-    if op == "mul":
-        acc = _eval(e.args[0], xs, params, probe)
-        for a in e.args[1:]:
-            acc = acc * _eval(a, xs, params, probe)
-        return acc
-    if op == "div":
-        return _eval(e.args[0], xs, params, probe) / _eval(e.args[1], xs, params, probe)
-    if op == "neg":
-        return -_eval(e.args[0], xs, params, probe)
-    if op == "pow":
-        return np.power(_eval(e.args[0], xs, params, probe), e.value)
-    if op == "exp":
-        return np.exp(_eval(e.args[0], xs, params, probe))
-    if op == "log":
-        u = np.asarray(_eval(e.args[0], xs, params, probe), dtype=float)
-        if np.any(u < 0):
-            bad = np.broadcast_to(probe, np.broadcast(u, probe).shape)
-            where = np.broadcast_to(u, bad.shape) < 0
-            x_bad = float(bad[where][0]) if bad[where].size else float("nan")
-            raise EvalError(f"log of negative argument at x = {x_bad}")
-        return np.log(u)  # log(0) -> -inf, propagates
-    if op == "abs":
-        return np.abs(_eval(e.args[0], xs, params, probe))
-    if op == "sign":
-        return np.sign(_eval(e.args[0], xs, params, probe))
-    if op == "tanh":
-        return np.tanh(_eval(e.args[0], xs, params, probe))
-    raise ExprError(f"unknown node kind {op!r}")
-
-
 def compile_fn(e: Expr, params: Mapping[str, float] | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind parameters and return a plain ndarray->ndarray callable."""
+    """Bind parameters, compile, and return a plain ndarray->ndarray callable."""
     bound = substitute(e, params) if params else e
     missing = free_params(bound)
     if missing:
         raise EvalError(f"unbound parameters {sorted(missing)!r}")
+    _compiled(bound)
 
     def fn(x):
         return evaluate(bound, x)
@@ -642,11 +752,9 @@ def simplify(e: Expr) -> Expr:
         return Expr("pow", args=(u,), value=c)
 
     (u,) = args
-    if u.op == "const":
-        try:
-            folded = evaluate(Expr(op, args=(u,)), 0.0)
-        except EvalError:
-            folded = float("nan")
+    if u.op == "const" and not (op == "log" and u.value < 0):
+        with np.errstate(all="ignore"):
+            folded = float(_FUNCTIONS[op](u.value))
         if np.isfinite(folded):
             return const(folded)
     return Expr(op, args=(u,))

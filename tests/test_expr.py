@@ -1,11 +1,73 @@
 """Tests for the expression language: parsing, printing, evaluation,
 symbolic differentiation and conservative simplification."""
 
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from diffgap import expr as ex
+from diffgap import model as md
+
+
+def _reference_evaluate(e, x, params=None):
+    """The recursive tree walker that evaluate() replaced, kept as the
+    reference for the compiled form."""
+    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
+    xs = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _reference_eval(e, xs, params or {}, xs)
+    out = np.asarray(out, dtype=float)
+    if scalar:
+        return float(out)
+    return np.broadcast_to(out, xs.shape).copy() if out.shape != xs.shape else out
+
+
+def _reference_eval(e, xs, params, probe):
+    op = e.op
+    if op == "const":
+        return e.value
+    if op == "x":
+        return xs
+    if op == "param":
+        try:
+            return float(params[e.name])
+        except KeyError:
+            raise ex.EvalError(f"unbound parameter {e.name!r}") from None
+    if op == "add":
+        acc = _reference_eval(e.args[0], xs, params, probe)
+        for a in e.args[1:]:
+            acc = acc + _reference_eval(a, xs, params, probe)
+        return acc
+    if op == "mul":
+        acc = _reference_eval(e.args[0], xs, params, probe)
+        for a in e.args[1:]:
+            acc = acc * _reference_eval(a, xs, params, probe)
+        return acc
+    if op == "div":
+        return _reference_eval(e.args[0], xs, params, probe) / _reference_eval(e.args[1], xs, params, probe)
+    if op == "neg":
+        return -_reference_eval(e.args[0], xs, params, probe)
+    if op == "pow":
+        return np.power(_reference_eval(e.args[0], xs, params, probe), e.value)
+    if op == "exp":
+        return np.exp(_reference_eval(e.args[0], xs, params, probe))
+    if op == "log":
+        u = np.asarray(_reference_eval(e.args[0], xs, params, probe), dtype=float)
+        if np.any(u < 0):
+            bad = np.broadcast_to(probe, np.broadcast(u, probe).shape)
+            where = np.broadcast_to(u, bad.shape) < 0
+            x_bad = float(bad[where][0]) if bad[where].size else float("nan")
+            raise ex.EvalError(f"log of negative argument at x = {x_bad}")
+        return np.log(u)
+    if op == "abs":
+        return np.abs(_reference_eval(e.args[0], xs, params, probe))
+    if op == "sign":
+        return np.sign(_reference_eval(e.args[0], xs, params, probe))
+    if op == "tanh":
+        return np.tanh(_reference_eval(e.args[0], xs, params, probe))
+    raise ex.ExprError(f"unknown node kind {op!r}")
 
 
 class TestParseAndPrint:
@@ -104,6 +166,37 @@ class TestEvaluate:
             ex.compile_fn(ex.parse("eps*x"))
         fn = ex.compile_fn(ex.parse("eps*x"), {"eps": 2.0})
         assert fn(3.0) == 6.0
+
+    def test_weight_family_shares_one_compiled_function(self):
+        m = md.build_model(sigma="1", target_potential="x^4/4", name="quartic")
+        spec = md.WeightSpec("z_form", ex.parse("eps*x"))
+        xs = np.linspace(-2, 2, 9)
+        fns = []
+        for eps in (1.1, 1.3):
+            v = md.realize_weight(m, spec, {"eps": eps}).v_expr
+            # V = Z' - Z^2 + U''/2 + (U')^2/4 with Z = eps*x, U = x^4/4
+            npt.assert_allclose(ex.evaluate(v, xs),
+                                eps - eps**2 * xs**2 + 1.5 * xs**2 + 0.25 * xs**6, rtol=1e-14)
+            fns.append(ex._compiled(v)[0])
+        assert fns[0] is fns[1]
+        # shared subtrees are merged only where their constants are equal
+        xs = np.linspace(-1, 1, 5)
+        distinct, repeated, swapped = (ex.parse(s) for s in (
+            "exp(2*x) + exp(3*x)", "exp(2*x) + exp(2*x)", "exp(3*x) + exp(2*x)"))
+        npt.assert_array_equal(ex.evaluate(distinct, xs), np.exp(2 * xs) + np.exp(3 * xs))
+        npt.assert_array_equal(ex.evaluate(repeated, xs), np.exp(2 * xs) + np.exp(2 * xs))
+        npt.assert_array_equal(ex.evaluate(swapped, xs), np.exp(3 * xs) + np.exp(2 * xs))
+        assert ex._compiled(repeated)[0] is not ex._compiled(distinct)[0]
+        assert ex._compiled(swapped)[0] is ex._compiled(distinct)[0]
+
+    def test_compiled_form_is_not_state(self):
+        e = ex.parse("x^3 + beta*x")
+        before = pickle.dumps(e)
+        assert ex.evaluate(e, 2.0, {"beta": 0.5}) == 9.0
+        assert pickle.dumps(e) == before
+        restored = pickle.loads(before)
+        assert restored == e and hash(restored) == hash(e) and repr(restored) == repr(e)
+        assert ex.evaluate(restored, 2.0, {"beta": 0.5}) == 9.0
 
 
 class TestDifferentiate:
@@ -239,6 +332,9 @@ class TestRandomizedProperties:
             v2 = ex.evaluate(e2, xs, params)
             npt.assert_allclose(v2, v1, rtol=1e-12, atol=1e-300)
             checked += 1
+        # a negative constant base keeps its parentheses: (-2)^2, not -(2^2)
+        e = ex.pow_(ex.const(-2.0), 2)
+        assert ex.evaluate(ex.parse(ex.to_string(e)), 0.0) == ex.evaluate(e, 0.0) == 4.0
 
     def test_simplify_preserves_value(self):
         rng = np.random.default_rng(20240818)
@@ -272,3 +368,50 @@ class TestRandomizedProperties:
             fd = (ex.evaluate(e, xs + h, params) - ex.evaluate(e, xs - h, params)) / (2 * h)
             npt.assert_allclose(dv, fd, rtol=1e-5, atol=1e-5)
             checked += 1
+
+    def test_compiled_matches_reference_walker(self):
+        rng = np.random.default_rng(20240820)
+        params = {"p": 0.9}
+        edge = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+        def outcome(evaluate, e, x, params):
+            try:
+                return evaluate(e, x, params)
+            except ex.EvalError as err:
+                return str(err)
+
+        # random trees only raise to the powers 1..3; these cover the others
+        fixed = [ex.parse(s) for s in (
+            "x^-3 + x^-2", "(x - 1)^-1 * x^5", "x^0 + (x^2)^0.5", "abs(x)^1.5 - x^17", "p*x^16")]
+        drawn = (_random_expr(rng, int(rng.integers(1, 7)), smooth_only=False) for _ in range(300))
+        for e in [*fixed, *drawn]:
+            xs = np.concatenate([rng.uniform(-3, 3, size=10), edge])
+            got = ex.evaluate(e, xs, params)
+            want = _reference_evaluate(e, xs, params)
+            npt.assert_array_equal(np.isnan(got), np.isnan(want))
+            npt.assert_array_equal(np.isposinf(got), np.isposinf(want))
+            npt.assert_array_equal(np.isneginf(got), np.isneginf(want))
+            if _has_reduced_power(e):
+                npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            else:
+                assert got.tobytes() == want.tobytes()
+            x0 = float(rng.uniform(-3, 3))
+            scalar = ex.evaluate(e, x0, params)
+            assert type(scalar) is float
+            npt.assert_allclose(scalar, _reference_evaluate(e, x0, params), rtol=1e-12, atol=1e-12)
+            # the same EvalError, reported at the same x
+            for tree, bound in ((e, {}), (ex.log(e), params)):
+                got = outcome(ex.evaluate, tree, xs[:10], bound)
+                want = outcome(_reference_evaluate, tree, xs[:10], bound)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _has_reduced_power(e):
+    """True when evaluate() computes some power of the tree by multiplies
+    where np.power would round differently (integers other than 0, +-1, 2)."""
+    if e.op == "pow" and float(e.value).is_integer() and e.value not in (0.0, 1.0, -1.0, 2.0):
+        return True
+    return any(_has_reduced_power(a) for a in e.args)
