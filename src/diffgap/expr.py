@@ -43,6 +43,7 @@ multiplies, so they may differ from ``np.power`` in the last bit; ``^2``,
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -408,7 +409,7 @@ def to_string(e: Expr) -> str:
     """Render an expression; parse(to_string(e)) evaluates identically to e."""
     if e.op == "const":
         v = e.value
-        if v < 0:
+        if math.copysign(1.0, v) < 0:  # the sign bit, so -0.0 prints as -0
             return f"-{_fmt_number(-v)}"
         return _fmt_number(v)
     if e.op == "x":
@@ -420,7 +421,7 @@ def to_string(e: Expr) -> str:
         for a in e.args[1:]:
             if a.op == "neg":
                 parts.append(" - " + _paren(a.args[0], _PREC["add"] + 1))
-            elif a.op == "const" and a.value < 0:
+            elif a.op == "const" and math.copysign(1.0, a.value) < 0:
                 parts.append(" - " + _fmt_number(-a.value))
             else:
                 parts.append(" + " + _paren(a, _PREC["add"] + 1))
@@ -433,7 +434,7 @@ def to_string(e: Expr) -> str:
         return f"-{_paren(e.args[0], _PREC['neg'])}"
     if e.op == "pow":
         base = e.args[0]
-        if base.op == "const" and base.value < 0:
+        if base.op == "const" and math.copysign(1.0, base.value) < 0:
             # "-2^2" would parse as -(2^2)
             return f"({to_string(base)})^{_fmt_number_exp(e.value)}"
         return f"{_paren(base, _PREC['pow'] + 1)}^{_fmt_number_exp(e.value)}"

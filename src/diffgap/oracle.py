@@ -162,10 +162,23 @@ def discretize(m, R: float | None = None, n: int = 4096,
 # ---- Sturm sequence eigenvalues -----------------------------------------
 
 
-def sturm_count(diag, offdiag, lam: float) -> int:
-    """Number of eigenvalues strictly below lam, via the LDL^T sign count."""
-    d = [float(v) for v in diag]
-    e2 = [float(v) * float(v) for v in offdiag]
+def _sturm_lists(diag, offdiag):
+    """diag and the squared off-diagonal as lists of Python floats, the form
+    the scalar recurrence of ``sturm_count`` runs fastest on."""
+    off = np.asarray(offdiag, dtype=float)
+    return np.asarray(diag, dtype=float).tolist(), (off * off).tolist()
+
+
+def sturm_count(diag, offdiag, lam: float, *, offdiag_sq=None) -> int:
+    """Number of eigenvalues strictly below lam, via the LDL^T sign count.
+
+    ``offdiag_sq``, when given, is the list of squared off-diagonal entries
+    and ``diag`` a list of floats (see ``_sturm_lists``); a caller that
+    counts at many lam converts once instead of on every call.
+    """
+    if offdiag_sq is None:
+        diag, offdiag_sq = _sturm_lists(diag, offdiag)
+    d, e2 = diag, offdiag_sq
     count = 0
     q = d[0] - lam
     if q < 0.0:
@@ -187,13 +200,18 @@ def kth_smallest_eigenvalue(diag, offdiag, k: int, tol: float | None = None) -> 
     operators would waste most bisection steps."""
     if k < 1 or k > len(diag):
         raise OracleError(f"eigenvalue index {k} out of range")
+    d, e2 = _sturm_lists(diag, offdiag)
+
+    def count(lam):
+        return sturm_count(d, None, lam, offdiag_sq=e2)
+
     lo = -1.0
-    while sturm_count(diag, offdiag, lo) >= k:
+    while count(lo) >= k:
         lo *= 4.0
         if lo < -1e200:
             raise OracleError("eigenvalue bracket search diverged (low side)")
     hi = 1.0
-    while sturm_count(diag, offdiag, hi) < k:
+    while count(hi) < k:
         hi *= 4.0
         if hi > 1e200:
             raise OracleError("eigenvalue bracket search diverged (high side)")
@@ -202,7 +220,7 @@ def kth_smallest_eigenvalue(diag, offdiag, k: int, tol: float | None = None) -> 
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if sturm_count(diag, offdiag, mid) >= k:
+        if count(mid) >= k:
             hi = mid
         else:
             lo = mid

@@ -1,10 +1,17 @@
 """Deterministic adaptive quadrature and measure functionals.
 
-The integrator is a 7/15 Gauss-Kronrod pair with bisection of the segment
-carrying the largest error estimate.  It is deliberately self-contained: the
-error budget of every bound downstream leans on the reported ``err_est``, so
-the summation order, the subdivision rule and the tail handling are all fixed
-here rather than delegated.
+The integrator is a 7/15 Gauss-Kronrod pair with round-based bisection.
+Each round sums the panel estimates and errors (``math.fsum``) and stops once
+the error meets max(abs_tol, rel_tol*|value|), the panel count reaches
+``max_subdivisions``, or no panel can be halved above floating resolution.
+Otherwise it bisects the fewest largest-error panels (ties by position)
+whose removal would leave an error sum within the tolerance, at least one
+and no more than the budget left, and evaluates all their children in one
+integrand call.  Integrands must therefore be elementwise in x.  The final
+value and error are summed in position order.  The integrator is
+deliberately self-contained: the error budget of every bound downstream
+leans on the reported ``err_est``, so the summation order, the subdivision
+rule and the tail handling are all fixed here rather than delegated.
 
 Unbounded domains are handled two ways.  Fast-decaying integrands are
 truncated at ``truncation_R`` with an exponential tail envelope fitted from
@@ -22,7 +29,6 @@ module, keeping the dependency one-way.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -121,26 +127,6 @@ def _as_vector_fn(f) -> Callable[[np.ndarray], np.ndarray]:
     raise QuadError(f"integrand must be an Expr or callable, got {type(f)!r}")
 
 
-def _gk15(fn, a: float, b: float):
-    """One Gauss-Kronrod pass on [a, b]: returns (kronrod, |kronrod-gauss|)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = mid + half * _NODES
-    ys = fn(xs)
-    ys = np.asarray(ys, dtype=float)
-    if ys.shape != xs.shape:
-        ys = np.broadcast_to(ys, xs.shape)
-    if np.any(np.isnan(ys)):
-        bad = xs[np.isnan(ys)][0]
-        raise QuadError(f"integrand is NaN at x = {bad}")
-    if np.any(np.isinf(ys)):
-        bad = xs[np.isinf(ys)][0]
-        raise QuadError(f"integrand is infinite at x = {bad}")
-    k = half * float(np.add.reduce(_WK * ys))
-    g = half * float(np.add.reduce(_WGFULL * ys))
-    return k, abs(k - g)
-
-
 def integrate(
     f,
     a: float,
@@ -180,11 +166,11 @@ def integrate(
         tail = 0.0
         fit_ok = True
         if inf_b:
-            t, ok = _tail_envelope(fn, hi, +1)
+            t, ok = _tail_envelope(fn, hi)
             tail += t
             fit_ok = fit_ok and ok
         if inf_a:
-            t, ok = _tail_envelope(fn, lo, -1)
+            t, ok = _tail_envelope(fn, lo)
             tail += t
             fit_ok = fit_ok and ok
         if method == "truncate" or (fit_ok and tail <= cfg.abs_tol):
@@ -216,15 +202,13 @@ def integrate(
     return _integrate_finite(gn, lo_t, hi_t, cfg, bps)
 
 
-def _tail_envelope(fn, R: float, side: int):
+def _tail_envelope(fn, R: float):
     """Exponential tail bound past |R|: fit |f| ~ C e^{-c|x|} on three samples.
 
     Returns (tail_estimate, fit_ok).  A tail of exactly zero (integrand
     underflows) counts as a successful fit.
     """
-    xs = np.array([0.8 * R, 0.9 * R, 1.0 * R]) * (1 if side > 0 else 1)
-    if side < 0:
-        xs = np.array([0.8 * R, 0.9 * R, 1.0 * R])  # R is already negative
+    xs = np.array([0.8 * R, 0.9 * R, 1.0 * R])  # R carries the side's sign
     vals = np.abs(np.asarray(fn(xs), dtype=float))
     if np.any(np.isnan(vals)):
         return math.inf, False
@@ -239,54 +223,71 @@ def _tail_envelope(fn, R: float, side: int):
     return v3 / c, True
 
 
+def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod passes on the panels [lo[i], hi[i]] in one integrand
+    call on the flattened (m, 15) node array: returns (kronrod, |kronrod -
+    gauss|) per panel.  The weighted sums use ``np.add.reduce`` along each
+    row rather than a matrix product, so no value depends on the BLAS
+    kernel."""
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    ys = np.asarray(fn(xs.ravel()), dtype=float)
+    if ys.shape != (xs.size,):
+        ys = np.broadcast_to(ys, (xs.size,))
+    ys = ys.reshape(xs.shape)
+    if not np.all(np.isfinite(ys)):
+        nan = np.isnan(ys)
+        if np.any(nan):
+            raise QuadError(f"integrand is NaN at x = {xs[nan][0]}")
+        raise QuadError(f"integrand is infinite at x = {xs[np.isinf(ys)][0]}")
+    k = half * np.add.reduce(ys * _WK, axis=1)
+    g = half * np.add.reduce(ys * _WGFULL, axis=1)
+    return k, np.abs(k - g)
+
+
 def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> IntegrationResult:
     pts = [a, b]
     for p in breakpoints:
         if a < p < b:
             pts.append(float(p))
-    pts = sorted(set(pts))
+    pts = np.array(sorted(set(pts)), dtype=float)
 
-    heap = []
-    seq = 0
-    neval = 0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        k, err = _gk15(fn, lo, hi)
-        neval += 15
-        heapq.heappush(heap, (-err, seq, lo, hi, k, err))
-        seq += 1
-
-    def totals():
-        v = math.fsum(item[4] for item in heap)
-        e = math.fsum(item[5] for item in heap)
-        return v, e
-
-    value, err = totals()
-    while err > max(cfg.abs_tol, cfg.rel_tol * abs(value)) and len(heap) < cfg.max_subdivisions:
-        neg_err, _, lo, hi, k, e0 = heapq.heappop(heap)
+    # panels in position order
+    lo, hi = pts[:-1], pts[1:]
+    k, e = _gk15_batch(fn, lo, hi)
+    neval = 15 * len(lo)
+    while len(lo) < cfg.max_subdivisions:
+        value, err = math.fsum(k.tolist()), math.fsum(e.tolist())
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        if err <= tol:
+            break
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval at floating resolution
-            heapq.heappush(heap, (0.0, seq, lo, hi, k, e0))
-            seq += 1
-            # resolution reached everywhere there is an error left?
-            if all(item[0] == 0.0 for item in heap):
-                break
-            value, err = totals()
-            continue
-        k1, e1 = _gk15(fn, lo, mid)
-        k2, e2 = _gk15(fn, mid, hi)
-        neval += 30
-        heapq.heappush(heap, (-e1, seq, lo, mid, k1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, k2, e2))
-        seq += 1
-        value, err = totals()
+        pickable = np.flatnonzero((mid > lo) & (mid < hi))  # above floating resolution
+        if not len(pickable):
+            break
+        # fewest largest-error panels whose removal leaves an error sum <= tol
+        order = pickable[np.argsort(-e[pickable], kind="stable")]
+        left = err - np.cumsum(e[order])
+        n_pick = int(np.searchsorted(-left, -tol)) + 1
+        n_pick = min(n_pick, len(order), cfg.max_subdivisions - len(lo))
+        picked = np.zeros(len(lo), dtype=bool)
+        picked[order[:n_pick]] = True
+
+        # each picked panel becomes its two halves, in place
+        rep = 1 + picked
+        lo, hi = np.repeat(lo, rep), np.repeat(hi, rep)
+        first = np.cumsum(rep)[picked] - 2
+        hi[first] = lo[first + 1] = mid[picked]
+        children = np.flatnonzero(np.repeat(picked, rep))
+        k, e = np.repeat(k, rep), np.repeat(e, rep)
+        k[children], e[children] = _gk15_batch(fn, lo[children], hi[children])
+        neval += 15 * len(children)
 
     # deterministic final summation in segment-position order
-    segs = sorted(heap, key=lambda item: item[2])
-    value = float(np.add.reduce(np.array([s[4] for s in segs])))
-    err = float(np.add.reduce(np.array([s[5] for s in segs])))
+    value = float(np.add.reduce(k))
+    err = float(np.add.reduce(e))
     converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return IntegrationResult(value, err, neval, converged, len(segs))
+    return IntegrationResult(value, err, neval, converged, len(lo))
 
 
 # ---- shared grids and cumulative integration ----------------------------

@@ -1,6 +1,7 @@
 """Tests for the expression language: parsing, printing, evaluation,
 symbolic differentiation and conservative simplification."""
 
+import math
 import pickle
 
 import numpy as np
@@ -335,6 +336,12 @@ class TestRandomizedProperties:
         # a negative constant base keeps its parentheses: (-2)^2, not -(2^2)
         e = ex.pow_(ex.const(-2.0), 2)
         assert ex.evaluate(ex.parse(ex.to_string(e)), 0.0) == ex.evaluate(e, 0.0) == 4.0
+        # a negative zero keeps its sign bit: 1/(-0) is -inf, not +inf, and
+        # x + (-0) at x = -0 is -0
+        for e in (ex.div(ex.const(1.0), ex.const(-0.0)), ex.add(ex.X, ex.const(-0.0))):
+            v1 = ex.evaluate(e, -0.0)
+            v2 = ex.evaluate(ex.parse(ex.to_string(e)), -0.0)
+            assert v2 == v1 and math.copysign(1.0, v2) == math.copysign(1.0, v1) == -1.0
 
     def test_simplify_preserves_value(self):
         rng = np.random.default_rng(20240818)

@@ -131,6 +131,60 @@ class TestIntegrate:
         assert float(r) == r.value
 
 
+class TestBatchedRefinement:
+    """Round-based refinement: every panel picked in a round is bisected and
+    all children are evaluated in one integrand call."""
+
+    def test_one_integrand_call_per_round(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.cos(40.0 * x) * np.exp(-x * x)
+
+        r = q.integrate(f, -math.inf, math.inf)
+        assert r.converged
+        # the exact value sqrt(pi) e^{-400} is 0 in double precision
+        assert abs(r.value) < 1e-10
+        assert r.subdivisions >= 40
+        assert len(calls) <= r.subdivisions / 4
+        assert sum(calls) >= r.neval
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 17, 2000])
+    def test_subdivisions_within_budget(self, budget):
+        cfg = q.QuadConfig(max_subdivisions=budget)
+        r = q.integrate(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, cfg)
+        assert 1 <= r.subdivisions <= budget
+        assert r.neval == 15 * (2 * r.subdivisions - 1)
+        assert math.isfinite(r.value)
+        if budget == 3:
+            assert not r.converged
+
+    def test_stops_at_floating_resolution(self):
+        # a step two ulps into a four-ulp interval: no tolerance is reachable
+        # and no panel can be halved below one ulp, so the loop must end
+        a = 1.0
+        step = np.nextafter(np.nextafter(a, 2.0), 2.0)
+        b = np.nextafter(np.nextafter(step, 2.0), 2.0)
+        cfg = q.QuadConfig(abs_tol=0.0, rel_tol=0.0)
+        r = q.integrate(lambda x: (x >= step).astype(float), a, b, cfg)
+        assert 1 <= r.subdivisions <= 4
+        assert math.isfinite(r.value) and 0.0 <= r.value <= b - a
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x * np.exp(-x), 0, 3),  # integer endpoints
+        (lambda x: np.log(x) * np.sqrt(x), 1e-300, 1.0),
+        (lambda x: np.cos(40.0 * x) * np.exp(-x * x), -math.inf, math.inf),
+        (lambda x: (1.0 + x * x) ** -1.5, -math.inf, math.inf),  # tan path
+        (lambda x: (1.0 + x) ** -3, 0.0, math.inf),  # tan path, half line
+    ])
+    def test_against_scipy(self, f, a, b):
+        ref, _ = scipy.integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=500)
+        r = q.integrate(f, a, b)
+        assert r.converged
+        assert abs(r.value - ref) < 1e-9
+
+
 class TestGridsAndCumulative:
     def test_chebyshev_grid_shape(self):
         g = q.chebyshev_grid(12.0, 2049)
