@@ -602,6 +602,19 @@ def rayleigh_upper(
     sig = m.sigma_fn
     anchor = m.anchor
     z = m.normalization(qc)
+    # Each integral continues from its own panels at the previously evaluated
+    # theta (grid, then Nelder-Mead, then theta*); only the first starts cold.
+    # A warm start that does not converge (carried panels can fill
+    # max_subdivisions) is redone cold, and the sweep continues from that.
+    cold = (anchor,)
+    starts = [cold, cold, cold]
+
+    def mu_integral(i, g):
+        r = q._mu_integral(m, g, qc, breakpoints=starts[i])
+        if not r.converged and starts[i] is not cold:
+            r = q._mu_integral(m, g, qc, breakpoints=cold)
+        starts[i] = (anchor, *r.edges)
+        return r
 
     def quotient(theta):
         f = ex.simplify(ex.substitute(fam, dict(zip(names, theta))))
@@ -613,9 +626,9 @@ def rayleigh_upper(
 
         try:
             with np.errstate(all="ignore"):
-                num = q._mu_integral(m, energy_integrand, qc, breakpoints=(anchor,))
-                mean = q._mu_integral(m, f, qc, breakpoints=(anchor,))
-                second = q._mu_integral(m, ex.mul(f, f), qc, breakpoints=(anchor,))
+                num = mu_integral(0, energy_integrand)
+                mean = mu_integral(1, f)
+                second = mu_integral(2, ex.mul(f, f))
         except q.QuadError:
             return math.inf, math.inf
         var_scaled = second.value - mean.value**2 / z

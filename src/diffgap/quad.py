@@ -8,10 +8,14 @@ Otherwise it bisects the fewest largest-error panels (ties by position)
 whose removal would leave an error sum within the tolerance, at least one
 and no more than the budget left, and evaluates all their children in one
 integrand call.  Integrands must therefore be elementwise in x.  The final
-value and error are summed in position order.  The integrator is
-deliberately self-contained: the error budget of every bound downstream
-leans on the reported ``err_est``, so the summation order, the subdivision
-rule and the tail handling are all fixed here rather than delegated.
+value and error are summed in position order.  A result's ``edges`` are its
+final interior panel boundaries in x; passing them as ``breakpoints`` to a
+later call starts that call from the same partition, so a family of nearby
+integrands (a parameter search) need not re-bisect from scratch.  The
+integrator is deliberately self-contained: the error budget of every bound
+downstream leans on the reported ``err_est``, so the summation order, the
+subdivision rule and the tail handling are all fixed here rather than
+delegated.
 
 Unbounded domains are handled two ways.  Fast-decaying integrands are
 truncated at ``truncation_R`` with an exponential tail envelope fitted from
@@ -30,7 +34,7 @@ module, keeping the dependency one-way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,6 +115,8 @@ class IntegrationResult:
     neval: int
     converged: bool
     subdivisions: int
+    # final interior panel boundaries in x; breakpoints=edges restarts there
+    edges: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __float__(self):
         return self.value
@@ -139,6 +145,13 @@ def integrate(
     The result carries the achieved error estimate and a convergence flag;
     a result that fails to meet max(abs_tol, rel_tol*|value|) within the
     subdivision budget is returned with converged=False rather than raised.
+
+    ``breakpoints`` seed the initial partition.  ``breakpoints=r.edges``
+    restarts from the final panels of an earlier result r (on the tan path
+    its edges are shift + tan(theta) of the interior panel boundaries): for
+    the same integrand this evaluates r's partition in one integrand call
+    and reproduces r's value and subdivision count.  Carried panels count
+    against ``max_subdivisions``.
     """
     cfg = cfg or QuadConfig()
     if math.isnan(a) or math.isnan(b):
@@ -176,8 +189,8 @@ def integrate(
         if method == "truncate" or (fit_ok and tail <= cfg.abs_tol):
             inner = _integrate_finite(fn, lo, hi, cfg, breakpoints)
             err = inner.err_est + tail
-            conv = inner.converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(inner.value))
-            return IntegrationResult(inner.value, err, inner.neval, conv, inner.subdivisions)
+            conv = bool(inner.converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(inner.value)))
+            return replace(inner, err_est=err, converged=conv)
 
     # tangent substitution: x = shift + tan(theta)
     if inf_a and inf_b:
@@ -199,7 +212,8 @@ def integrate(
         t = np.tan(theta)
         return fn(shift + t) * (1.0 + t * t)
 
-    return _integrate_finite(gn, lo_t, hi_t, cfg, bps)
+    r = _integrate_finite(gn, lo_t, hi_t, cfg, bps)
+    return replace(r, edges=tuple((shift + np.tan(r.edges)).tolist()))
 
 
 def _tail_envelope(fn, R: float):
@@ -220,7 +234,7 @@ def _tail_envelope(fn, R: float):
     c = math.log(v2 / v3) / (0.1 * abs(R))
     if c <= 0:
         return math.inf, False
-    return v3 / c, True
+    return float(v3 / c), True
 
 
 def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
@@ -246,11 +260,8 @@ def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
 
 
 def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> IntegrationResult:
-    pts = [a, b]
-    for p in breakpoints:
-        if a < p < b:
-            pts.append(float(p))
-    pts = np.array(sorted(set(pts)), dtype=float)
+    pts = np.asarray(breakpoints, dtype=float)
+    pts = np.unique(np.concatenate(([a], pts[(a < pts) & (pts < b)], [b])))
 
     # panels in position order
     lo, hi = pts[:-1], pts[1:]
@@ -287,7 +298,7 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
     value = float(np.add.reduce(k))
     err = float(np.add.reduce(e))
     converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return IntegrationResult(value, err, neval, converged, len(lo))
+    return IntegrationResult(value, err, neval, converged, len(lo), tuple(hi[:-1].tolist()))
 
 
 # ---- shared grids and cumulative integration ----------------------------
@@ -324,23 +335,24 @@ def cumulative_on_grid(fn, x: np.ndarray) -> np.ndarray:
 # ---- measure functionals ------------------------------------------------
 
 
+def _measure_cfg(m, cfg: QuadConfig) -> QuadConfig:
+    """cfg for integrals against m: 'auto' means the tan substitution when
+    m has polynomial tails."""
+    if cfg.infinite_method == "auto" and getattr(m, "tail_kind", "exponential") == "polynomial":
+        return replace(cfg, infinite_method="tan")
+    return cfg
+
+
 def _mu_integral(m, g, cfg: QuadConfig, breakpoints=()) -> IntegrationResult:
     """Integral of g against the unnormalized measure density of m."""
     dens = m.density
-
-    if isinstance(g, ex.Expr):
-        gf = _as_vector_fn(g)
-    else:
-        gf = _as_vector_fn(g)
+    gf = _as_vector_fn(g)
 
     def integrand(x):
         return gf(x) * dens(x)
 
     lo, hi = m.support
-    method = cfg.infinite_method
-    if method == "auto" and getattr(m, "tail_kind", "exponential") == "polynomial":
-        cfg = replace(cfg, infinite_method="tan")
-    return integrate(integrand, lo, hi, cfg, breakpoints=breakpoints)
+    return integrate(integrand, lo, hi, _measure_cfg(m, cfg), breakpoints=breakpoints)
 
 
 def mu_expectation(m, g, cfg: QuadConfig | None = None, breakpoints=()) -> float:
@@ -601,8 +613,4 @@ def median(m, cfg: QuadConfig | None = None) -> float:
 
 
 def _mu_integral_interval(m, lo, hi, cfg: QuadConfig) -> float:
-    dens = m.density
-    method_cfg = cfg
-    if cfg.infinite_method == "auto" and getattr(m, "tail_kind", "exponential") == "polynomial":
-        method_cfg = replace(cfg, infinite_method="tan")
-    return integrate(dens, lo, hi, method_cfg).value
+    return integrate(m.density, lo, hi, _measure_cfg(m, cfg)).value

@@ -318,6 +318,65 @@ class TestRayleigh:
         with pytest.raises(bd.BoundError, match="box"):
             bd.rayleigh_upper(ou(), ex.parse("x*(x^2)^((eps-1)/2)"))
 
+    # Continuation: each quotient's integrals start from the panels of the
+    # previously evaluated parameter point.
+
+    FAMILY = "x*(x^2)^((eps-1)/2)"
+
+    @staticmethod
+    def cold(m, theta, cfg=None):
+        # a parameter-free family is one quotient from the anchor alone
+        fam = ex.substitute(ex.parse(TestRayleigh.FAMILY), {"eps": theta})
+        return bd.rayleigh_upper(m, fam, cfg)
+
+    def test_continuation_integrand_calls_bounded(self, monkeypatch):
+        m = quartic()
+        m.normalization(q.QuadConfig())
+        calls = [0]
+        finite = q._integrate_finite
+
+        def counted(fn, *args):
+            def g(x):
+                calls[0] += 1
+                return fn(x)
+            return finite(g, *args)
+
+        monkeypatch.setattr(q, "_integrate_finite", counted)
+        cfg = bd.OptConfig(box={"eps": (0.55, 2.0)})
+        bd.rayleigh_upper(m, ex.parse(self.FAMILY), cfg)
+        # every integral starting cold from the anchor took 4,133
+        assert calls[0] <= 1000
+
+    def test_continuation_matches_cold_quotient_and_repeats(self):
+        m = quartic()
+        cfg = bd.OptConfig(box={"eps": (0.55, 2.0)})
+        r = bd.rayleigh_upper(m, ex.parse(self.FAMILY), cfg)
+        cold = self.cold(m, r.params["eps"])
+        assert abs(r.value - cold.value) <= 1e-8 * cold.value
+        again = bd.rayleigh_upper(m, ex.parse(self.FAMILY), cfg)
+        assert again.as_dict() == r.as_dict()
+
+    @pytest.mark.parametrize("budget", [12, 16, 20])
+    def test_continuation_full_carried_panels_redone_cold(self, budget):
+        # the energy density |x - c|^(-0.8) is singular off every breakpoint,
+        # so no integral converges within the budget: each warm start
+        # arrives at the budget unconverged and is redone cold
+        m = quartic()
+        fam = ex.parse("x*((x-c)^2)^0.3")
+        qc = q.QuadConfig(max_subdivisions=budget)
+        cfg = bd.OptConfig(box={"c": (0.1, 0.9)}, grid_points=5, quad=qc)
+        r = bd.rayleigh_upper(m, fam, cfg)
+        cold = bd.rayleigh_upper(m, ex.substitute(fam, r.params), bd.OptConfig(quad=qc))
+        assert cold.error_budget["quad_err"] > 1e-6
+        assert r.value == cold.value
+        assert r.error_budget["quad_err"] == cold.error_budget["quad_err"]
+
+    def test_continuation_cauchy_reaches_exact_gap(self):
+        cfg = bd.OptConfig(box={"eps": (0.55, 2.0)})
+        r = bd.rayleigh_upper(cauchy(), ex.parse(self.FAMILY), cfg)
+        assert r.value >= 3.0 - r.error_budget["quad_err"]
+        assert abs(r.value - 3.0) <= 1e-8
+
 
 class TestLsiLower:
     def test_ou_unit_weight(self):

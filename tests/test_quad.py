@@ -4,6 +4,7 @@ Reference values are closed forms or scipy.integrate results computed
 independently of the adaptive integrator under test.
 """
 
+import json
 import math
 
 import numpy as np
@@ -129,6 +130,58 @@ class TestIntegrate:
     def test_result_float_coercion(self):
         r = q.integrate(ex.X, 0.0, 2.0)
         assert float(r) == r.value
+
+    def test_truncation_path_returns_python_scalars(self):
+        r = q.integrate(ex.parse("exp(-x^2)"), -math.inf, math.inf)
+        assert abs(r.value - math.sqrt(math.pi)) < 1e-10
+        assert type(r.err_est) is float and type(r.converged) is bool
+        json.dumps([r.value, r.err_est, r.converged])
+
+
+class TestRestartFromEdges:
+    """breakpoints=r.edges rebuilds r's final partition, so a converged (or
+    budget-bound) result is reproduced in one integrand call."""
+
+    @pytest.mark.parametrize("f, a, b, cfg, rtol", [
+        # finite: an interior kink and an endpoint singularity
+        (lambda x: np.sqrt(np.abs(x - 0.3)) + 1.0 / np.sqrt(x), 1e-300, 1.0, None, 0.0),
+        # finite, stopped by the subdivision budget
+        (lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, q.QuadConfig(max_subdivisions=17), 0.0),
+        # truncation at R with an exponential tail envelope
+        (lambda x: np.cos(3.0 * x) * np.exp(-x * x), -math.inf, math.inf, None, 0.0),
+        # tan substitution, whole line and half line
+        (lambda x: np.abs(x) ** -0.5 * (1.0 + x * x) ** -1.5, -math.inf, math.inf, None, 1e-14),
+        (lambda x: (1.0 + x) ** -3, 0.0, math.inf, None, 1e-14),
+    ])
+    def test_one_call_same_partition(self, monkeypatch, f, a, b, cfg, rtol):
+        calls = []
+        batch = q._gk15_batch
+
+        def counted(fn, lo, hi):
+            calls.append(len(lo))
+            return batch(fn, lo, hi)
+
+        monkeypatch.setattr(q, "_gk15_batch", counted)
+        r = q.integrate(f, a, b, cfg)
+        assert len(calls) > 1
+        assert len(r.edges) == r.subdivisions - 1
+        assert list(r.edges) == sorted(r.edges) and all(a < p < b for p in r.edges)
+        calls.clear()
+        again = q.integrate(f, a, b, cfg, breakpoints=r.edges)
+        assert len(calls) == 1
+        assert again.subdivisions == r.subdivisions
+        assert again.converged == r.converged
+        if rtol == 0.0:
+            assert again.value == r.value
+        else:
+            assert abs(again.value - r.value) <= rtol * abs(r.value)
+
+    def test_edges_left_out_of_repr_and_equality(self):
+        r = q.IntegrationResult(0.0, 0.0, 0, True, 0)
+        assert r.edges == ()
+        assert "edges" not in repr(r)
+        assert q.IntegrationResult(0.0, 0.0, 0, True, 0, (0.5,)) == r
+        assert "edges" not in repr(q.integrate(ex.X, 0.0, 2.0))
 
 
 class TestBatchedRefinement:
