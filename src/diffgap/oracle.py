@@ -4,12 +4,13 @@ This module is the independent ground truth the bound machinery is tested
 against, so it leans on as little shared code as possible: the operator is
 discretized in divergence form (assembled in log space so that densities far
 below floating range still produce finite matrix entries), eigenvalues come
-from bisection on Sturm sequence counts written out by hand, and grid
+from LAPACK's Sturm bisection on the symmetric tridiagonal matrix, and grid
 halving plus a truncation sensitivity run turn the raw eigenvalue into an
-estimate with an explicit error budget.  scipy contributes only banded
-linear solves and the full tridiagonal eigendecomposition used for heat
-evolution; the test suite cross-checks the hand-rolled eigensolver against
-scipy's.
+estimate with an explicit error budget.  scipy contributes that bisection,
+banded linear solves and the full tridiagonal eigendecomposition used for
+heat evolution.  The Sturm count is also written out by hand
+(``sturm_count``), as the reference the test suite checks the LAPACK
+eigenvalues against.
 
 On the unit interval with constant diffusion the reflected and absorbed
 heat kernels are available in closed form as image sums, which gives a
@@ -162,23 +163,18 @@ def discretize(m, R: float | None = None, n: int = 4096,
 # ---- Sturm sequence eigenvalues -----------------------------------------
 
 
-def _sturm_lists(diag, offdiag):
-    """diag and the squared off-diagonal as lists of Python floats, the form
-    the scalar recurrence of ``sturm_count`` runs fastest on."""
-    off = np.asarray(offdiag, dtype=float)
-    return np.asarray(diag, dtype=float).tolist(), (off * off).tolist()
-
-
-def sturm_count(diag, offdiag, lam: float, *, offdiag_sq=None) -> int:
+def sturm_count(diag, offdiag, lam: float) -> int:
     """Number of eigenvalues strictly below lam, via the LDL^T sign count.
 
-    ``offdiag_sq``, when given, is the list of squared off-diagonal entries
-    and ``diag`` a list of floats (see ``_sturm_lists``); a caller that
-    counts at many lam converts once instead of on every call.
-    """
-    if offdiag_sq is None:
-        diag, offdiag_sq = _sturm_lists(diag, offdiag)
-    d, e2 = diag, offdiag_sq
+    Written out by hand as the test suite's reference for the LAPACK
+    eigenvalues below; the oracle itself never calls it.  lam is subtracted
+    last, as in LAPACK's ``dlaebz``: on stiff rows d[i] and e2/prev nearly
+    cancel, and forming d[i] - lam first would round lam at the scale of
+    d[i] (up to 1e8), shifting the count's transition by up to 1.4e-11
+    relative."""
+    d = np.asarray(diag, dtype=float).tolist()
+    off = np.asarray(offdiag, dtype=float)
+    e2 = (off * off).tolist()
     count = 0
     q = d[0] - lam
     if q < 0.0:
@@ -187,48 +183,35 @@ def sturm_count(diag, offdiag, lam: float, *, offdiag_sq=None) -> int:
         prev = q
         if prev == 0.0:
             prev = -1e-300
-        q = d[i] - lam - e2[i - 1] / prev
+        q = d[i] - e2[i - 1] / prev - lam
         if q < 0.0:
             count += 1
     return count
 
 
+def _eigenvalues(diag, offdiag, first: int, last: int, tol: float | None):
+    """Eigenvalues first..last (1-based, ascending) by LAPACK's Sturm
+    bisection (``stebz``).
+
+    ``tol`` is the absolute width to which each eigenvalue is bisected.  The
+    default, the smallest normal float, leaves LAPACK's own relative floor
+    of about 2 ulp |lam| in charge; LAPACK's default of eps ||T|| would be
+    far coarser on stiff operators, whose norm reaches 1e8."""
+    if not 1 <= first <= last <= len(diag):
+        raise OracleError(f"eigenvalue index {first if first < 1 else last} out of range")
+    return eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
+                            select_range=(first - 1, last - 1),
+                            tol=np.finfo(float).tiny if tol is None else tol)
+
+
 def kth_smallest_eigenvalue(diag, offdiag, k: int, tol: float | None = None) -> float:
-    """k-th smallest eigenvalue (k = 1 is the smallest) by bisection on the
-    Sturm count.  The bracket grows geometrically from [-1, 1] rather than
-    starting at the Gershgorin bound, whose huge magnitude for stiff
-    operators would waste most bisection steps."""
-    if k < 1 or k > len(diag):
-        raise OracleError(f"eigenvalue index {k} out of range")
-    d, e2 = _sturm_lists(diag, offdiag)
-
-    def count(lam):
-        return sturm_count(d, None, lam, offdiag_sq=e2)
-
-    lo = -1.0
-    while count(lo) >= k:
-        lo *= 4.0
-        if lo < -1e200:
-            raise OracleError("eigenvalue bracket search diverged (low side)")
-    hi = 1.0
-    while count(hi) < k:
-        hi *= 4.0
-        if hi > 1e200:
-            raise OracleError("eigenvalue bracket search diverged (high side)")
-    tol = tol if tol is not None else 1e-13 * max(1.0, abs(hi), abs(lo))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if count(mid) >= k:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """k-th smallest eigenvalue (k = 1 is the smallest)."""
+    return float(_eigenvalues(diag, offdiag, k, k, tol)[0])
 
 
 def smallest_eigenvalues(diag, offdiag, k: int = 2, tol: float | None = None):
-    return [kth_smallest_eigenvalue(diag, offdiag, j, tol) for j in range(1, k + 1)]
+    """The k smallest eigenvalues in ascending order, from one bisection."""
+    return _eigenvalues(diag, offdiag, 1, k, tol).tolist()
 
 
 def eigenvector(op: DiscreteOperator, lam: float, iters: int = 3) -> np.ndarray:

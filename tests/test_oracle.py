@@ -12,11 +12,12 @@ matrices, Richardson-extrapolated, and frozen:
     double well, beta 1.0:    0.792088
 """
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from diffgap import expr as ex
 from diffgap import model as md
@@ -106,14 +107,83 @@ class TestAutoRadius:
         assert orc._auto_radius(c) == 20.0
 
 
+def _sturm_bracket(diag, offdiag, k):
+    """Bracket [lo, hi] of the k-th eigenvalue by bisection on the
+    hand-written Sturm count, halved until no float lies between."""
+    lo, hi = -1.0, 1.0
+    while orc.sturm_count(diag, offdiag, lo) >= k:
+        lo *= 4.0
+    while orc.sturm_count(diag, offdiag, hi) < k:
+        hi *= 4.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo, hi
+        if orc.sturm_count(diag, offdiag, mid) >= k:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _decimal_sturm_count(diag, offdiag, lam):
+    """``sturm_count`` in 50-digit decimal arithmetic: the float entries
+    convert exactly, and rounding in the recurrence is negligible."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d = [Decimal(v) for v in diag.tolist()]
+        e2 = [Decimal(v) ** 2 for v in offdiag.tolist()]
+        lam = Decimal(lam)
+        q = d[0] - lam
+        count = int(q < 0)
+        for i in range(1, len(d)):
+            if q == 0:
+                q = Decimal("-1e-300")
+            q = d[i] - e2[i - 1] / q - lam
+            count += q < 0
+        return count
+
+
 class TestEigensolver:
-    def test_bisection_matches_scipy(self):
-        op = orc.discretize(quartic(), n=1500)
-        own = orc.smallest_eigenvalues(op.diag, op.offdiag, k=2)
-        ref = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 1))[0]
-        scale = max(1.0, abs(ref[1]))
-        assert abs(own[0] - ref[0]) < 1e-10 * scale
-        assert abs(own[1] - ref[1]) < 1e-10 * scale
+    @pytest.mark.parametrize("make", [gaussian, quartic])
+    def test_sturm_count_brackets_lapack(self, make):
+        op = orc.discretize(make(), n=1500)
+        for k in (1, 2, 3):
+            lam = orc.kth_smallest_eigenvalue(op.diag, op.offdiag, k)
+            # k = 1 is the reflecting zero mode, at round-off (about 1e-12);
+            # the count runs in LAPACK's order, so it brackets that too
+            assert orc.sturm_count(op.diag, op.offdiag, lam * (1.0 - 1e-10)) == k - 1
+            assert orc.sturm_count(op.diag, op.offdiag, lam * (1.0 + 1e-10)) >= k
+
+    def test_stiff_operator_matches_sturm_bracket(self):
+        # max diagonal entry 1.8e8: with LAPACK's default tolerance
+        # eps ||T|| the eigenvalue is 3e-9 relative off the Sturm bracket;
+        # with the smallest normal tolerance it lies within an ulp of it
+        op = orc.discretize(quartic(), R=12.0, n=2048)
+        assert np.max(op.diag) > 1e8
+        lo, hi = _sturm_bracket(op.diag, op.offdiag, 2)
+        lam = orc.kth_smallest_eigenvalue(op.diag, op.offdiag, 2)
+        assert lo * (1.0 - 1e-11) <= lam <= hi * (1.0 + 1e-11)
+
+    def test_sturm_count_agrees_with_50_digit_count(self):
+        # the reference itself, on the same stiff operator: its bracket must
+        # hold the transition of the same recurrence run in 50-digit decimal
+        # arithmetic on the same float entries (subtracting lam first, at
+        # the scale of the 1.8e8 diagonal, put it 3.5e-13 off)
+        op = orc.discretize(quartic(), R=12.0, n=2048)
+        lo, hi = _sturm_bracket(op.diag, op.offdiag, 2)
+        assert _decimal_sturm_count(op.diag, op.offdiag, lo * (1.0 - 1e-13)) == 1
+        assert _decimal_sturm_count(op.diag, op.offdiag, hi * (1.0 + 1e-13)) == 2
+
+    @pytest.mark.parametrize("make", [gaussian, quartic])
+    def test_smallest_eigenvalues_match_kth(self, make):
+        op = orc.discretize(make(), n=1500)
+        together = orc.smallest_eigenvalues(op.diag, op.offdiag, k=3)
+        one_by_one = [orc.kth_smallest_eigenvalue(op.diag, op.offdiag, j)
+                      for j in (1, 2, 3)]
+        # both bracket the same Sturm transitions to LAPACK's relative
+        # floor of 2 ulp, so they agree to a few ulp
+        np.testing.assert_allclose(together, one_by_one,
+                                   rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_reflecting_kernel_mode_is_zero(self):
         op = orc.discretize(gaussian(), n=1000)
@@ -136,6 +206,10 @@ class TestEigensolver:
             orc.kth_smallest_eigenvalue(op.diag, op.offdiag, 0)
         with pytest.raises(orc.OracleError):
             orc.kth_smallest_eigenvalue(op.diag, op.offdiag, 65)
+        with pytest.raises(orc.OracleError):
+            orc.smallest_eigenvalues(op.diag, op.offdiag, k=0)
+        with pytest.raises(orc.OracleError):
+            orc.smallest_eigenvalues(op.diag, op.offdiag, k=65)
 
     def test_eigenvector_residual(self):
         op = orc.discretize(quartic(), n=2000)
