@@ -7,8 +7,12 @@ Rayleigh quotients of trial functions.  The Muckenhoupt product criterion
 closes the circle with a two-sided bracket built from tail and core
 integrals around the median.
 
-Weight optimization is deterministic: a coarse grid over the parameter box
-followed by a Nelder-Mead polish started at the grid argmax.  Each report
+Both parameter searches, the sup over weights (Chen-Wang, LSI) and the inf
+over trial functions (Rayleigh), go through one deterministic helper,
+``_minimize_box``: a coarse grid over the parameter box followed by a
+box-penalised Nelder-Mead polish started at the grid argmin (the weight
+search minimizes -rho).  The killing-rate infimum likewise has one scan,
+``_scan_rate``, and one off-grid refinement, ``_refine_min``.  Each report
 carries an explicit error budget (quadrature error, optimizer gain,
 truncation) so the assembler can check bound ordering honestly.
 """
@@ -141,6 +145,37 @@ def _scan_window(obj, R: float | None) -> tuple[float, float, bool]:
     return -float(R), float(R), False
 
 
+def _scan_rate(d: md.DualModel, R: float | None, points: int, nan_msg: str):
+    """V_a on an even-count grid over the scan window: (xs, vals, finite_ends).
+
+    A NaN raises BoundError(nan_msg), formatted with the first bad point as
+    ``bad``."""
+    lo, hi, finite_ends = _scan_window(d, R)
+    # even count keeps the midpoint off exact 0 where power-law weights kink
+    xs = np.linspace(lo, hi, points + (points % 2))
+    with np.errstate(all="ignore"):
+        vals = np.asarray(d.v_fn(xs), dtype=float)
+    if np.any(np.isnan(vals)):
+        bad = xs[int(np.flatnonzero(np.isnan(vals))[0])]
+        raise BoundError(nan_msg.format(bad=bad))
+    return xs, vals, finite_ends
+
+
+def _refine_min(d: md.DualModel, xs: np.ndarray, vals: np.ndarray, xatol: float) -> float:
+    """Grid minimum of V_a, sharpened by bounded scalar minimization between
+    the neighbours of the three lowest grid points."""
+    best = float(np.min(vals))
+    for i in np.argpartition(vals, 3)[:3]:
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        if b <= a:
+            continue
+        r = minimize_scalar(lambda t: float(d.v_fn(float(t))), bounds=(a, b),
+                            method="bounded", options={"xatol": xatol})
+        if np.isfinite(r.fun):
+            best = min(best, float(r.fun))
+    return best
+
+
 def rho_of_weight(d: md.DualModel, R: float | None = None, grid: int = 1600,
                   refine: bool = True) -> float:
     """inf of the killing rate V_a over the scan window.
@@ -152,36 +187,17 @@ def rho_of_weight(d: md.DualModel, R: float | None = None, grid: int = 1600,
     """
     if grid < 64:
         raise BoundError(f"scan grid too coarse ({grid} < 64)")
-    lo, hi, finite_ends = _scan_window(d, R)
-    # even count keeps the midpoint off exact 0 where power-law weights kink
-    xs = np.linspace(lo, hi, grid + (grid % 2))
-    with np.errstate(all="ignore"):
-        vals = np.asarray(d.v_fn(xs), dtype=float)
-    if np.any(np.isnan(vals)):
-        bad = xs[int(np.flatnonzero(np.isnan(vals))[0])]
-        raise BoundError(f"killing rate is not finite on the scan grid (V({bad:.6g}) = nan)")
+    xs, vals, finite_ends = _scan_rate(
+        d, R, grid, "killing rate is not finite on the scan grid (V({bad:.6g}) = nan)")
     if np.any(np.isneginf(vals)):
         return -math.inf
     if not finite_ends:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(vals[[0, -1]]))))
         if vals[-1] < vals[-2] - tol or vals[0] < vals[1] - tol:
             return -math.inf
-    best = float(np.min(vals))
     if not refine:
-        return best
-    for i in np.argpartition(vals, 3)[:3]:
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        if b <= a:
-            continue
-        r = minimize_scalar(
-            lambda t: float(d.v_fn(float(t))),
-            bounds=(a, b),
-            method="bounded",
-            options={"xatol": 1e-10 * (hi - lo)},
-        )
-        if np.isfinite(r.fun):
-            best = min(best, float(r.fun))
-    return best
+        return float(np.min(vals))
+    return _refine_min(d, xs, vals, 1e-10 * (xs[-1] - xs[0]))
 
 
 # ---- weight-family optimization -----------------------------------------
@@ -191,13 +207,52 @@ def rho_of_weight(d: md.DualModel, R: float | None = None, grid: int = 1600,
 class _RhoOpt:
     params: dict
     rho: float
-    start: float
     opt_gap: float
     dual: md.DualModel
 
 
-def _family_names(spec: md.WeightSpec) -> list[str]:
-    return sorted(ex.free_params(spec.payload))
+def _family_params(family: ex.Expr, what: str) -> list[str]:
+    names = sorted(ex.free_params(family))
+    if len(names) > 3:
+        raise BoundError(f"{what} has {len(names)} free parameters (limit 3)")
+    return names
+
+
+def _minimize_box(names: list[str], cfg: OptConfig, objective, polish=None):
+    """Minimize over the box ``cfg.box``: a grid scan of ``objective`` (first
+    minimum wins), then a box-penalised Nelder-Mead polish of ``polish``
+    (default ``objective``, else re-evaluated at the grid argmin for the
+    start value).  Returns (theta, value, start), keeping the grid point
+    unless the polish does better; None when no grid value is below +inf."""
+    if cfg.box is None or any(n not in cfg.box for n in names):
+        missing = [n for n in names if not cfg.box or n not in cfg.box]
+        raise BoundError(f"parameter box required for {missing}")
+    axes = [np.linspace(cfg.box[n][0], cfg.box[n][1], cfg.grid_points) for n in names]
+    best_theta, best_val = None, math.inf
+    for theta in itertools.product(*axes):
+        v = objective(theta)
+        if v < best_val:
+            best_val, best_theta = v, theta
+    if best_theta is None:
+        return None
+    if polish is None:
+        polish, start = objective, best_val
+    else:
+        start = polish(best_theta)
+
+    def boxed(theta):
+        for n, t in zip(names, theta):
+            lo, hi = cfg.box[n]
+            if not lo <= t <= hi:
+                return math.inf
+        return polish(theta)
+
+    nm = minimize(boxed, np.asarray(best_theta, dtype=float), method="Nelder-Mead",
+                  options={"maxiter": cfg.nm_max_iter, "xatol": cfg.param_tol,
+                           "fatol": 1e-12})
+    if np.isfinite(nm.fun) and float(nm.fun) < start:
+        return tuple(nm.x), float(nm.fun), start
+    return best_theta, start, start
 
 
 def _maximize_rho(
@@ -208,9 +263,7 @@ def _maximize_rho(
 ) -> _RhoOpt | None:
     """Maximize rho_a over the family's parameter box; None if nothing is
     admissible.  Deterministic: full grid scan, then Nelder-Mead."""
-    names = _family_names(spec)
-    if len(names) > 3:
-        raise BoundError(f"weight family has {len(names)} free parameters (limit 3)")
+    names = _family_params(spec.payload, "weight family")
 
     def realize(theta):
         try:
@@ -235,51 +288,17 @@ def _maximize_rho(
         r, d = rho_at((), refine=True)
         if d is None or r == -math.inf:
             return None
-        return _RhoOpt(params={}, rho=r, start=r, opt_gap=0.0, dual=d)
+        return _RhoOpt(params={}, rho=r, opt_gap=0.0, dual=d)
 
-    if cfg.box is None or any(n not in cfg.box for n in names):
-        missing = [n for n in names if not cfg.box or n not in cfg.box]
-        raise BoundError(f"parameter box required for {missing}")
-    axes = [np.linspace(cfg.box[n][0], cfg.box[n][1], cfg.grid_points) for n in names]
-    best_theta, best_val = None, -math.inf
-    for theta in itertools.product(*axes):
-        r, _ = rho_at(theta, refine=False)
-        if r > best_val:
-            best_val, best_theta = r, theta
-    if best_theta is None or best_val == -math.inf:
+    # the grid scans unrefined infima; the polish refines every point
+    found = _minimize_box(names, cfg, lambda theta: -rho_at(theta, refine=False)[0],
+                          polish=lambda theta: -rho_at(theta, refine=True)[0])
+    if found is None:
         return None
-
-    start, d0 = rho_at(best_theta, refine=True)
-
-    def neg(theta):
-        for n, t in zip(names, theta):
-            lo, hi = cfg.box[n]
-            if not lo <= t <= hi:
-                return math.inf
-        r, _ = rho_at(theta, refine=True)
-        return -r
-
-    nm = minimize(
-        neg,
-        np.asarray(best_theta, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "maxiter": cfg.nm_max_iter,
-            "xatol": cfg.param_tol,
-            "fatol": 1e-12,
-        },
-    )
-    theta_star, val_star = best_theta, start
-    if np.isfinite(nm.fun) and -nm.fun > start:
-        theta_star, val_star = tuple(nm.x), -float(nm.fun)
+    theta_star, neg_rho, neg_start = found
     _, d_star = rho_at(theta_star, refine=True)
-    return _RhoOpt(
-        params=dict(zip(names, (float(t) for t in theta_star))),
-        rho=val_star,
-        start=start,
-        opt_gap=val_star - start,
-        dual=d_star if d_star is not None else d0,
-    )
+    return _RhoOpt(params=dict(zip(names, (float(t) for t in theta_star))),
+                   rho=-neg_rho, opt_gap=neg_start - neg_rho, dual=d_star)
 
 
 def chen_wang_lower(
@@ -320,23 +339,12 @@ def veysseire_lower(m: md.DiffusionModel, cfg: OptConfig | None = None) -> Bound
     """Integrated lower bound lambda1 >= 1 / mu(1/V_sigma), V_sigma > 0."""
     cfg = cfg or OptConfig()
     d = md.realize_weight(m, md.WeightSpec.direct(m.sigma))
-    lo, hi, _ = _scan_window(d, cfg.R)
-    xs = np.linspace(lo, hi, cfg.scan_points + (cfg.scan_points % 2))
-    with np.errstate(all="ignore"):
-        vals = np.asarray(d.v_fn(xs), dtype=float)
-    if np.any(np.isnan(vals)):
-        bad = xs[int(np.flatnonzero(np.isnan(vals))[0])]
-        raise BoundError(f"V_sigma is not defined on the working grid (x = {bad:.6g})")
-    vmin = float(np.min(vals))
+    xs, vals, _ = _scan_rate(d, cfg.R, cfg.scan_points,
+                             "V_sigma is not defined on the working grid (x = {bad:.6g})")
+    lo, hi = xs[0], xs[-1]
     # sharpen interior minima off the grid; a rate vanishing between nodes
     # (quartic: V_sigma = U'' ~ x^2 at the origin) must fail the check
-    for i in np.argpartition(vals, 3)[:3]:
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        if b > a:
-            r0 = minimize_scalar(lambda t: float(d.v_fn(float(t))), bounds=(a, b),
-                                 method="bounded", options={"xatol": 1e-12 * (hi - lo)})
-            if np.isfinite(r0.fun):
-                vmin = min(vmin, float(r0.fun))
+    vmin = _refine_min(d, xs, vals, 1e-12 * (hi - lo))
     if vmin <= 1e-12:
         return _infeasible("veysseire", "lambda1", "lower",
                            f"V_sigma is not strictly positive on the working grid (min {vmin:.3g})")
@@ -368,14 +376,6 @@ def veysseire_lower(m: md.DiffusionModel, cfg: OptConfig | None = None) -> Bound
 
 
 # ---- Muckenhoupt two-sided criterion ------------------------------------
-
-
-def _simpson_cells(fn, t: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (t[:-1] + t[1:])
-    ft = np.asarray(fn(t), dtype=float)
-    fm = np.asarray(fn(mids), dtype=float)
-    h = np.diff(t)
-    return (h / 6.0) * (ft[:-1] + 4.0 * fm + ft[1:])
 
 
 @dataclass(frozen=True)
@@ -434,7 +434,7 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
     dens = lambda u: np.asarray(m.density(med + sgn * np.asarray(u)), dtype=float)
     coref = lambda u: np.exp(np.asarray(m.U(med + sgn * np.asarray(u)), dtype=float))
     core = q.cumulative_on_grid(coref, t)
-    cells = _simpson_cells(dens, t)
+    cells = q.simpson_cells(dens, t)
     qc = cfg.quad_cfg()
     qc = replace(qc, truncation_R=max(qc.truncation_R, abs(med) + T + 10.0))
     if math.isfinite(edge) and T >= edge:
@@ -556,13 +556,8 @@ def brascamp_lieb_var_bound(
     carries the growing factor 1/V_a).
     """
     cfg = cfg or OptConfig()
-    lo, hi, _ = _scan_window(d, cfg.R)
-    xs = np.linspace(lo, hi, cfg.scan_points + (cfg.scan_points % 2))
-    with np.errstate(all="ignore"):
-        vals = np.asarray(d.v_fn(xs), dtype=float)
-    if np.any(np.isnan(vals)):
-        bad = xs[int(np.flatnonzero(np.isnan(vals))[0])]
-        raise BoundError(f"killing rate is not defined on the working grid (x = {bad:.6g})")
+    _, vals, _ = _scan_rate(d, cfg.R, cfg.scan_points,
+                            "killing rate is not defined on the working grid (x = {bad:.6g})")
     vmin = float(np.min(vals))
     if not vmin > 1e-12:
         raise BoundError(f"positive killing rate required (min V_a = {vmin:.6g})")
@@ -595,9 +590,7 @@ def rayleigh_upper(
     """Upper bound lambda1 <= min over the family of E(f,f)/Var(f)."""
     cfg = opt_cfg or OptConfig()
     fam = md._parse_or_expr(f_family, "trial family")
-    names = sorted(ex.free_params(fam))
-    if len(names) > 3:
-        raise BoundError(f"trial family has {len(names)} free parameters (limit 3)")
+    names = _family_params(fam, "trial family")
     qc = cfg.quad_cfg()
     sig = m.sigma_fn
     anchor = m.anchor
@@ -648,33 +641,11 @@ def rayleigh_upper(
         return BoundReport("rayleigh", "lambda1", "upper", val, {},
                            {"quad_err": err, "opt_gap": 0.0, "truncation": 0.0})
 
-    if cfg.box is None or any(n not in cfg.box for n in names):
-        missing = [n for n in names if not cfg.box or n not in cfg.box]
-        raise BoundError(f"parameter box required for {missing}")
-    axes = [np.linspace(cfg.box[n][0], cfg.box[n][1], cfg.grid_points) for n in names]
-    best_theta, best_val = None, math.inf
-    for theta in itertools.product(*axes):
-        v, _ = quotient(theta)
-        if v < best_val:
-            best_val, best_theta = v, theta
-    if best_theta is None or not math.isfinite(best_val):
+    found = _minimize_box(names, cfg, lambda theta: quotient(theta)[0])
+    if found is None:
         return _infeasible("rayleigh", "lambda1", "upper",
                            "every family member is degenerate (zero variance)")
-    start = best_val
-
-    def obj(theta):
-        for n, tv in zip(names, theta):
-            lo, hi = cfg.box[n]
-            if not lo <= tv <= hi:
-                return math.inf
-        return quotient(theta)[0]
-
-    nm = minimize(obj, np.asarray(best_theta, dtype=float), method="Nelder-Mead",
-                  options={"maxiter": cfg.nm_max_iter, "xatol": cfg.param_tol,
-                           "fatol": 1e-12})
-    theta_star, val_star = best_theta, start
-    if np.isfinite(nm.fun) and float(nm.fun) < start:
-        theta_star, val_star = tuple(nm.x), float(nm.fun)
+    theta_star, val_star, start = found
     _, err_star = quotient(theta_star)
     return BoundReport(
         method="rayleigh",

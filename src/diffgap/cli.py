@@ -460,31 +460,36 @@ def cmd_oracle(cfg: dict, fmt: str, out: str | None, radius=None, grid=None) -> 
 # ---- check command -------------------------------------------------------
 
 
+def _check_row(check: str, item: dict, r, zscore: float, score: float) -> dict:
+    """Report row of one MC check.  ``score`` is the statistic whose excess
+    marks a violation: above 5 fails, above 3 warns."""
+    if not r.conclusive:
+        status = "inconclusive"
+    elif score > 5.0:
+        status = "fail"
+    elif score > 3.0:
+        status = "warn"
+    else:
+        status = "pass"
+    return {
+        "check": check,
+        "weight": f"{item['weight']['kind']}:{item['weight']['family']}",
+        "f": str(item["f"]), "x0": float(item["x0"]), "t": float(item["t"]),
+        "lhs": r.lhs, "rhs": r.rhs, "zscore": zscore, "status": status,
+    }
+
+
 def cmd_check(cfg: dict, fmt: str, out: str | None, seed=None) -> int:
     m = model_from_config(cfg)
     mc_cfg = mc_from_config(cfg, seed)
     sec = cfg.get("check") or {}
     rows = []
-    failed = False
     for item in sec.get("intertwining") or []:
         spec, params = weight_from_config(item["weight"])
         r = mc.check_intertwining(m, spec, str(item["f"]), float(item["x0"]),
                                   float(item["t"]), mc_cfg, w_params=params,
                                   delta=float(item.get("delta", 1e-3)))
-        if not r.conclusive:
-            status = "inconclusive"
-        elif r.zscore > 5.0:
-            status, failed = "fail", True
-        elif r.zscore > 3.0:
-            status = "warn"
-        else:
-            status = "pass"
-        rows.append({
-            "check": "intertwining",
-            "weight": f"{item['weight']['kind']}:{item['weight']['family']}",
-            "f": str(item["f"]), "x0": float(item["x0"]), "t": float(item["t"]),
-            "lhs": r.lhs, "rhs": r.rhs, "zscore": r.zscore, "status": status,
-        })
+        rows.append(_check_row("intertwining", item, r, r.zscore, r.zscore))
     for item in sec.get("subintertwining") or []:
         spec, params = weight_from_config(item["weight"])
         phi = (q.PhiSpec.beckner(float(item.get("p", 1.5)))
@@ -494,21 +499,10 @@ def cmd_check(cfg: dict, fmt: str, out: str | None, seed=None) -> int:
                                      float(item["x0"]), float(item["t"]), mc_cfg,
                                      w_params=params,
                                      delta=float(item.get("delta", 1e-3)))
-        if not r.conclusive:
-            status = "inconclusive"
-        elif r.margin_zscore < -5.0:
-            status, failed = "fail", True
-        elif r.margin_zscore < -3.0:
-            status = "warn"
-        else:
-            status = "pass"
-        rows.append({
-            "check": "subintertwining",
-            "weight": f"{item['weight']['kind']}:{item['weight']['family']}",
-            "f": str(item["f"]), "x0": float(item["x0"]), "t": float(item["t"]),
-            "lhs": r.lhs, "rhs": r.rhs, "zscore": r.margin_zscore,
-            "status": status, "phi": phi.name,
-        })
+        # a negative margin z-score is the violation, so the ladder tests -z
+        row = _check_row("subintertwining", item, r, r.margin_zscore, -r.margin_zscore)
+        rows.append({**row, "phi": phi.name})
+    failed = any(row["status"] == "fail" for row in rows)
     doc = {"model": m.name, "seed": mc_cfg.seed, "paths": mc_cfg.paths,
            "checks": rows}
 

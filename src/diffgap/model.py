@@ -38,7 +38,10 @@ several parametrizations:
 
 In every parametrization V_a and b_a are exact expressions; the weight's
 pointwise values fall back to cumulative quadrature of W' when W has no
-closed form (z_form with general Z, a_form).
+closed form (z_form with general Z, a_form), and so does U for a model
+given by its drift.  Both use ``_antiderivative``: cumulative Simpson on the
+working window [-24, 24] (or the interval), a cubic spline inside it and a
+linear continuation outside.
 """
 
 from __future__ import annotations
@@ -100,8 +103,7 @@ class DiffusionModel:
     params: dict
     tail_kind: str
     name: str = "model"
-    _u_interp: CubicSpline | None = field(default=None, repr=False)
-    _u_edges: tuple | None = field(default=None, repr=False)
+    _u_fn: Callable | None = field(default=None, repr=False)
     _z_cache: dict = field(default_factory=dict, repr=False)
     _grid_cache: dict = field(default_factory=dict, repr=False)
 
@@ -145,24 +147,9 @@ class DiffusionModel:
         the working window)."""
         if self.u_expr is not None:
             return ex.evaluate(self.u_expr, x)
-        if self._u_interp is None:
-            if self.domain[0] == "line":
-                lo, hi = -_WORK_R, _WORK_R
-            else:
-                lo, hi = self.domain[1]
-            grid = np.linspace(lo, hi, _WORK_N)
-            up = ex.compile_fn(self.u_prime)
-            vals = quad.cumulative_on_grid(up, grid)
-            off = np.interp(self.anchor, grid, vals)
-            self._u_interp = CubicSpline(grid, vals - off, extrapolate=False)
-            self._u_edges = (lo, hi, vals[0] - off, vals[-1] - off,
-                             float(up(np.asarray(lo))), float(up(np.asarray(hi))))
-        xs = np.asarray(x, dtype=float)
-        lo, hi, ulo, uhi, slo, shi = self._u_edges
-        out = self._u_interp(np.clip(xs, lo, hi))
-        out = np.where(xs > hi, uhi + shi * (xs - hi), out)
-        out = np.where(xs < lo, ulo + slo * (xs - lo), out)
-        return float(out) if np.isscalar(x) else out
+        if self._u_fn is None:
+            self._u_fn = _antiderivative(self.u_prime, self.domain, self.anchor)
+        return self._u_fn(x)
 
     def density(self, x):
         """Unnormalized measure density h = e^{-U}/sigma^2 (IEEE semantics)."""
@@ -177,22 +164,7 @@ class DiffusionModel:
         return float(out) if np.isscalar(x) else out
 
     def normalization(self, cfg: quad.QuadConfig | None = None) -> float:
-        cfg = cfg or quad.QuadConfig()
-        key = (cfg.abs_tol, cfg.rel_tol, cfg.truncation_R, cfg.infinite_method)
-        if key not in self._z_cache:
-            lo, hi = self.support
-            use = cfg
-            if cfg.infinite_method == "auto" and self.tail_kind == "polynomial":
-                from dataclasses import replace
-
-                use = replace(cfg, infinite_method="tan")
-            r = quad.integrate(self.density, lo, hi, use, breakpoints=(self.anchor,))
-            if not r.converged:
-                raise ModelError(
-                    f"normalization did not converge (err {r.err_est:.3g} after {r.subdivisions} segments)"
-                )
-            self._z_cache[key] = r.value
-        return self._z_cache[key]
+        return _normalization(self, self.anchor, "normalization", cfg)
 
     @property
     def logZ(self) -> float:
@@ -352,8 +324,7 @@ class DualModel:
     v_expr: ex.Expr
     drift_expr: ex.Expr
     params: dict
-    _w_interp: CubicSpline | None = field(default=None, repr=False)
-    _w_edges: tuple | None = field(default=None, repr=False)
+    _w_fn: Callable | None = field(default=None, repr=False)
     _z_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -387,21 +358,9 @@ class DualModel:
             out = np.log(ex.evaluate(self.weight_expr, x))
             c = math.log(ex.evaluate(self.weight_expr, self.base.anchor))
             return out - c
-        if self._w_interp is None:
-            lo, hi = (-_WORK_R, _WORK_R) if self.base.domain[0] == "line" else self.base.domain[1]
-            grid = np.linspace(lo, hi, _WORK_N)
-            wp = ex.compile_fn(self.log_weight_prime)
-            vals = quad.cumulative_on_grid(wp, grid)
-            off = np.interp(self.base.anchor, grid, vals)
-            object.__setattr__(self, "_w_interp", CubicSpline(grid, vals - off, extrapolate=False))
-            object.__setattr__(self, "_w_edges", (lo, hi, vals[0] - off, vals[-1] - off,
-                                                  float(wp(np.asarray(lo))), float(wp(np.asarray(hi)))))
-        xs = np.asarray(x, dtype=float)
-        lo, hi, wlo, whi, slo, shi = self._w_edges
-        out = self._w_interp(np.clip(xs, lo, hi))
-        out = np.where(xs > hi, whi + shi * (xs - hi), out)
-        out = np.where(xs < lo, wlo + slo * (xs - lo), out)
-        return float(out) if np.isscalar(x) else out
+        if self._w_fn is None:
+            self._w_fn = _antiderivative(self.log_weight_prime, self.base.domain, self.base.anchor)
+        return self._w_fn(x)
 
     def weight_fn(self, x):
         """a(x), normalized to a(anchor) = 1 when realized numerically."""
@@ -423,22 +382,49 @@ class DualModel:
         return float(out) if np.isscalar(x) else out
 
     def normalization(self, cfg: quad.QuadConfig | None = None) -> float:
-        cfg = cfg or quad.QuadConfig()
-        key = (cfg.abs_tol, cfg.rel_tol, cfg.truncation_R, cfg.infinite_method)
-        if key not in self._z_cache:
-            lo, hi = self.support
-            use = cfg
-            if cfg.infinite_method == "auto" and self.tail_kind == "polynomial":
-                from dataclasses import replace
+        return _normalization(self, self.base.anchor, "dual normalization", cfg)
 
-                use = replace(cfg, infinite_method="tan")
-            r = quad.integrate(self.density, lo, hi, use, breakpoints=(self.base.anchor,))
-            if not r.converged:
-                raise ModelError(
-                    f"dual normalization did not converge (err {r.err_est:.3g} after {r.subdivisions} segments)"
-                )
-            self._z_cache[key] = r.value
-        return self._z_cache[key]
+
+def _antiderivative(fp: ex.Expr, domain: tuple, anchor: float) -> Callable:
+    """F with F' = fp and F(anchor) = 0, as a callable on floats or arrays.
+
+    Cumulative Simpson on _WORK_N points of the working window (the interval
+    itself for interval domains), a cubic spline inside it, and the tangent
+    line at each edge outside it.
+    """
+    lo, hi = (-_WORK_R, _WORK_R) if domain[0] == "line" else domain[1]
+    grid = np.linspace(lo, hi, _WORK_N)
+    fn = ex.compile_fn(fp)
+    vals = quad.cumulative_on_grid(fn, grid)
+    off = np.interp(anchor, grid, vals)
+    spline = CubicSpline(grid, vals - off, extrapolate=False)
+    flo, fhi = vals[0] - off, vals[-1] - off
+    slo, shi = float(fn(np.asarray(lo))), float(fn(np.asarray(hi)))
+
+    def antiderivative(x):
+        xs = np.asarray(x, dtype=float)
+        out = spline(np.clip(xs, lo, hi))
+        out = np.where(xs > hi, fhi + shi * (xs - hi), out)
+        out = np.where(xs < lo, flo + slo * (xs - lo), out)
+        return float(out) if np.isscalar(x) else out
+
+    return antiderivative
+
+
+def _normalization(m, anchor: float, what: str, cfg: quad.QuadConfig | None) -> float:
+    """Z = integral of m.density over the support, split at the anchor and
+    cached per quadrature setting in m._z_cache."""
+    cfg = cfg or quad.QuadConfig()
+    key = (cfg.abs_tol, cfg.rel_tol, cfg.truncation_R, cfg.infinite_method)
+    if key not in m._z_cache:
+        lo, hi = m.support
+        r = quad.integrate(m.density, lo, hi, quad._measure_cfg(m, cfg), breakpoints=(anchor,))
+        if not r.converged:
+            raise ModelError(
+                f"{what} did not converge (err {r.err_est:.3g} after {r.subdivisions} segments)"
+            )
+        m._z_cache[key] = r.value
+    return m._z_cache[key]
 
 
 def feynman_kac_potential(m: DiffusionModel, a) -> ex.Expr:
@@ -714,14 +700,7 @@ def _nonexplosion_integral(m, side: int, R: float, n: int = 2001):
         return math.inf, True
     with np.errstate(all="ignore"):
         outer = np.where(finite, np.exp(np.where(finite, log_outer, 0.0)), 0.0)
-    j = abs(_trapz_cumulative(outer, xs)[-1])
-    return float(j), False
-
-
-def _trapz_cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x), out=out[1:])
-    return out
+    return float(abs(np.sum(0.5 * (outer[1:] + outer[:-1]) * np.diff(xs)))), False
 
 
 def distance(m: DiffusionModel, x: float, y: float) -> float:

@@ -47,6 +47,7 @@ __all__ = [
     "IntegrationResult",
     "integrate",
     "chebyshev_grid",
+    "simpson_cells",
     "cumulative_on_grid",
     "Functionals",
     "functionals",
@@ -313,11 +314,9 @@ def chebyshev_grid(R: float = 12.0, n: int = 2049) -> np.ndarray:
     return x
 
 
-def cumulative_on_grid(fn, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral of fn from x[0] along the grid x (per-cell Simpson).
-
-    Returns an array c with c[0] = 0 and c[i] = int_{x[0]}^{x[i]} fn.  Error
-    is O(h^4) per cell for smooth fn.
+def simpson_cells(fn, x: np.ndarray) -> np.ndarray:
+    """Simpson's rule on each cell [x[i], x[i+1]] of the grid x: returns the
+    len(x) - 1 cell integrals of fn.  Error is O(h^5) per cell for smooth fn.
     """
     fn = _as_vector_fn(fn)
     x = np.asarray(x, dtype=float)
@@ -325,11 +324,15 @@ def cumulative_on_grid(fn, x: np.ndarray) -> np.ndarray:
     fx = np.asarray(fn(x), dtype=float)
     fm = np.asarray(fn(mids), dtype=float)
     h = np.diff(x)
-    cells = (h / 6.0) * (fx[:-1] + 4.0 * fm + fx[1:])
-    out = np.empty_like(x)
-    out[0] = 0.0
-    np.cumsum(cells, out=out[1:])
-    return out
+    return (h / 6.0) * (fx[:-1] + 4.0 * fm + fx[1:])
+
+
+def cumulative_on_grid(fn, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral of fn from x[0] along the grid x (per-cell Simpson).
+
+    Returns an array c with c[0] = 0 and c[i] = int_{x[0]}^{x[i]} fn.
+    """
+    return np.concatenate(([0.0], np.cumsum(simpson_cells(fn, x))))
 
 
 # ---- measure functionals ------------------------------------------------
@@ -373,7 +376,7 @@ class Functionals:
 def functionals(m, f, cfg: QuadConfig | None = None) -> Functionals:
     """mu-mean, mu-variance, entropy Ent(f) and Dirichlet energy of f.
 
-    entropy requires f > 0 on the working grid (else QuadError); dirichlet
+    entropy requires f > 0 on the working grid (else None); dirichlet
     requires f to be an expression so its derivative exists symbolically
     (None is reported if f is a bare callable).
     """
@@ -400,21 +403,6 @@ def functionals(m, f, cfg: QuadConfig | None = None) -> Functionals:
             m, lambda x: (sig(x) * dfn(x)) ** 2, cfg
         ).value / z
     return Functionals(mean=mean, var=var, entropy=entropy, dirichlet=dirichlet)
-
-
-def entropy_of(m, f, cfg: QuadConfig | None = None) -> float:
-    """Ent_mu(f) = mu(f log f) - mu(f) log mu(f) for strictly positive f."""
-    cfg = cfg or QuadConfig()
-    fn = _as_vector_fn(f)
-    grid = m.probe_grid()
-    fvals = fn(grid)
-    if not np.all(fvals > 0):
-        bad = grid[np.asarray(fvals <= 0).nonzero()[0][0]]
-        raise QuadError(f"entropy requires strictly positive f (f <= 0 at x = {bad})")
-    z = m.normalization(cfg)
-    mean = _mu_integral(m, f, cfg).value / z
-    flogf = _mu_integral(m, lambda x: fn(x) * np.log(fn(x)), cfg).value / z
-    return flogf - mean * math.log(mean)
 
 
 # ---- phi-entropy --------------------------------------------------------

@@ -6,6 +6,10 @@ hold every span target of ``perfbench/spans.py`` to a callable in diffgap.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,34 @@ def test_span_target_is_callable(module, cls, attr):
         assert owner is not None, f"diffgap.{module}.{cls} is missing"
     # the tracer looks the attribute up in the owner's own namespace
     assert callable(vars(owner).get(attr)), f"diffgap.{module}: {attr} is not callable"
+
+
+# The optimizer metrics count calls that go through the ``bounds`` module's
+# own attributes: a helper that moves out of ``bounds``, or imports
+# ``minimize`` itself, would leave these spans at zero.  The tracer replaces
+# module attributes, so it runs in a child interpreter.
+_TRACED_BOUNDS = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+from diffgap import bounds as bd, expr as ex, gallery as gal, model as md
+bd.chen_wang_lower(gal.gallery_model("quartic"), md.WeightSpec.z_form(ex.parse("eps*x")),
+                   bd.OptConfig(box={"eps": (0.1, 3.0)}))
+bd.veysseire_lower(gal.gallery_model("power", alpha=1.5))
+print(json.dumps({name: row[0] for name, row in tracer.stats.items()}))
+"""
+
+
+def test_optimizer_spans_record_calls():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", _TRACED_BOUNDS, str(SPANS)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    calls = json.loads(out.stdout.strip().splitlines()[-1])
+    for name in ("bounds.minimize", "bounds.minimize_scalar", "bounds.rho_of_weight"):
+        assert calls.get(name, 0) > 0, f"{name} recorded no calls: {calls}"

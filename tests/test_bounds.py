@@ -131,14 +131,26 @@ class TestChenWang:
         r = bd.chen_wang_lower(ou(), md.WeightSpec.exp_w("x^2"))
         assert not r.feasible and r.value is None
 
-    def test_missing_box_rejected(self):
-        with pytest.raises(bd.BoundError, match="box"):
-            bd.chen_wang_lower(ou(), md.WeightSpec.z_form(ex.parse("eps*x")))
 
-    def test_too_many_parameters_rejected(self):
-        spec = md.WeightSpec.z_form(ex.parse("a*x + b*x^2 + c*x^3 + d*x^4"))
+class TestParameterBox:
+    # every bound that searches a parameter box shares its checks
+    SEARCHES = {
+        "chen_wang_lower": lambda fam, cfg: bd.chen_wang_lower(
+            ou(), md.WeightSpec.z_form(ex.parse(fam)), cfg),
+        "rayleigh_upper": lambda fam, cfg: bd.rayleigh_upper(ou(), ex.parse(fam), cfg),
+        "lsi_lower": lambda fam, cfg: bd.lsi_lower(
+            ou(), inc_family=md.WeightSpec.z_form(ex.parse(fam)), opt_cfg=cfg),
+    }
+
+    @pytest.mark.parametrize("bound", SEARCHES)
+    def test_missing_box_rejected(self, bound):
+        with pytest.raises(bd.BoundError, match="box"):
+            self.SEARCHES[bound]("eps*x", None)
+
+    @pytest.mark.parametrize("bound", SEARCHES)
+    def test_too_many_parameters_rejected(self, bound):
         with pytest.raises(bd.BoundError, match="parameters"):
-            bd.chen_wang_lower(ou(), spec, bd.OptConfig(box={}))
+            self.SEARCHES[bound]("a*x + b*x^2 + c*x^3 + d*x^4", bd.OptConfig(box={}))
 
 
 class TestVeysseire:
@@ -313,10 +325,6 @@ class TestRayleigh:
     def test_constant_family_degenerate(self):
         r = bd.rayleigh_upper(ou(), "1")
         assert not r.feasible
-
-    def test_missing_box_rejected(self):
-        with pytest.raises(bd.BoundError, match="box"):
-            bd.rayleigh_upper(ou(), ex.parse("x*(x^2)^((eps-1)/2)"))
 
     # Continuation: each quotient's integrals start from the panels of the
     # previously evaluated parameter point.

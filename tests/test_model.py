@@ -145,10 +145,19 @@ class TestDensity:
         assert np.max(np.abs(m.U(xs) - xs**4 / 4.0)) < 1e-10
 
     def test_numeric_potential_linear_continuation(self):
+        # U from a drift alone and the log-weight W of a z_form weight with no
+        # closed form share one antiderivative routine; outside the working
+        # window [-24, 24] both continue linearly: finite, increasing
         m = md.build_model(sigma="1", drift="-x")
-        # outside the working window U continues linearly: finite, increasing
-        assert np.isfinite(m.U(40.0))
-        assert m.U(40.0) > m.U(24.0) > m.U(10.0)
+        d = md.realize_weight(std_normal(), md.WeightSpec.z_form("x + x^3"))
+        assert d.weight_expr is None
+        for F in (m.U, d.log_weight):
+            for s in (1.0, -1.0):
+                assert np.isfinite(F(40.0 * s))
+                assert F(40.0 * s) > F(24.0 * s) > F(10.0 * s)
+                # past the edge the increments are those of a straight line
+                step = F(30.0 * s) - F(25.0 * s)
+                assert abs((F(40.0 * s) - F(30.0 * s)) - 2.0 * step) < 1e-9 * abs(step)
 
 
 class TestWeightRealization:

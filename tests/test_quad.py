@@ -286,16 +286,6 @@ class TestMeasureFunctionals:
         assert abs(f.entropy - math.exp(0.5) / 2.0) < 1e-8
         assert abs(f.dirichlet - math.exp(2.0)) < 1e-7
 
-    def test_entropy_of_matches_functionals(self):
-        m = std_normal()
-        e = q.entropy_of(m, ex.parse("exp(x)"))
-        assert abs(e - math.exp(0.5) / 2.0) < 1e-8
-
-    def test_entropy_requires_positive(self):
-        m = std_normal()
-        with pytest.raises(q.QuadError, match="positive"):
-            q.entropy_of(m, ex.X)
-
     def test_dirichlet_none_for_bare_callables(self):
         m = std_normal()
         f = q.functionals(m, lambda x: x * x)
