@@ -262,41 +262,51 @@ def _maximize_rho(
     admissible: Callable[[md.DualModel], bool] | None = None,
 ) -> _RhoOpt | None:
     """Maximize rho_a over the family's parameter box; None if nothing is
-    admissible.  Deterministic: full grid scan, then Nelder-Mead."""
+    admissible.  Deterministic: full grid scan, then Nelder-Mead.  The family
+    is derived once and bound at each point; a refined rho is computed once
+    per point."""
     names = _family_params(spec.payload, "weight family")
-
-    def realize(theta):
-        try:
-            d = md.realize_weight(m, spec, dict(zip(names, theta)))
-        except md.ModelError:
-            return None
-        if admissible is not None and not admissible(d):
-            return None
-        return d
+    try:
+        family = md.derive_weight(m, spec)
+    except md.ModelError:  # no member is realizable, e.g. z_form with sigma != 1
+        family = None
 
     def rho_at(theta, refine):
-        d = realize(theta)
-        if d is None:
+        if family is None:
             return -math.inf, None
         try:
-            r = rho_of_weight(d, cfg.R, cfg.scan_points, refine=refine)
+            d = family.bind(dict(zip(names, theta)))
+        except md.ModelError:
+            return -math.inf, None
+        if admissible is not None and not admissible(d):
+            return -math.inf, None
+        try:
+            return rho_of_weight(d, cfg.R, cfg.scan_points, refine=refine), d
         except BoundError:
             return -math.inf, None
-        return r, d
+
+    # the polish start, Nelder-Mead's first vertex and theta* repeat points
+    refined: dict[tuple, tuple] = {}
+
+    def rho_refined(theta):
+        key = tuple(float(t) for t in theta)
+        if key not in refined:
+            refined[key] = rho_at(theta, refine=True)
+        return refined[key]
 
     if not names:
-        r, d = rho_at((), refine=True)
+        r, d = rho_refined(())
         if d is None or r == -math.inf:
             return None
         return _RhoOpt(params={}, rho=r, opt_gap=0.0, dual=d)
 
     # the grid scans unrefined infima; the polish refines every point
     found = _minimize_box(names, cfg, lambda theta: -rho_at(theta, refine=False)[0],
-                          polish=lambda theta: -rho_at(theta, refine=True)[0])
+                          polish=lambda theta: -rho_refined(theta)[0])
     if found is None:
         return None
     theta_star, neg_rho, neg_start = found
-    _, d_star = rho_at(theta_star, refine=True)
+    _, d_star = rho_refined(theta_star)
     return _RhoOpt(params=dict(zip(names, (float(t) for t in theta_star))),
                    rho=-neg_rho, opt_gap=neg_start - neg_rho, dual=d_star)
 

@@ -698,7 +698,7 @@ def cmd_inspect(cfg: dict, fmt: str, out: str | None) -> int:
                 "kind": spec.kind,
                 "family": ex.to_string(spec.payload),
                 "bound_params": {k: float(v) for k, v in bound.items()},
-                "v_a": ex.to_string(ex.simplify(d.v_expr)),
+                "v_a": ex.to_string(ex.simplify(ex.substitute(d.v_expr, d.params))),
             })
     if fmt == "json-like":
         text = _emit_json(doc)

@@ -42,12 +42,24 @@ closed form (z_form with general Z, a_form), and so does U for a model
 given by its drift.  Both use ``_antiderivative``: cumulative Simpson on the
 working window [-24, 24] (or the interval), a cubic spline inside it and a
 linear continuation outside.
+
+A weight family (a payload with free parameters, such as z_form eps*x) is
+derived once and bound per parameter point.  ``derive_weight`` does all the
+symbolic work with the parameters left free and returns a ``WeightFamily``;
+``WeightFamily.bind`` checks that every parameter is bound, checks a direct
+weight on the probe grid, and returns a ``DualModel`` holding the family's
+trees (weight_expr, log_weight_prime, v_expr, drift_expr) plus ``params``,
+with which every evaluation binds them.  A search therefore compiles each
+tree once.  The trees are not constant-folded at the point, so values can
+differ from those of the substituted tree in the last bit, and a factor
+that vanishes at the point still multiplies its partner: 0*log|x| is NaN at
+x = 0 where the folded tree reads 0.  ``realize_weight`` is derive then bind.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -60,9 +72,11 @@ __all__ = [
     "ModelError",
     "DiffusionModel",
     "DualModel",
+    "WeightFamily",
     "WeightSpec",
     "build_model",
     "feynman_kac_potential",
+    "derive_weight",
     "realize_weight",
     "check_assumptions",
     "AssumptionsReport",
@@ -312,18 +326,48 @@ class WeightSpec:
 
 
 @dataclass(eq=False)
-class DualModel:
-    """The weighted-derivative dual of a model: same sigma, drift b_a,
-    killing rate V_a, invariant density e^{-U}/a^2 (up to normalization)."""
+class WeightFamily:
+    """A weight family derived once, with its parameters left free in every
+    tree (see ``derive_weight``); ``bind`` fixes them at one point."""
 
     base: DiffusionModel
     kind: str
+    free: frozenset  # parameter names the trees still carry
     weight_expr: ex.Expr | None
     log_weight_prime: ex.Expr
-    log_weight_prime2: ex.Expr
     v_expr: ex.Expr
     drift_expr: ex.Expr
-    params: dict
+
+    def bind(self, params: dict | None = None) -> "DualModel":
+        """The dual at one parameter point.  Every free parameter must be
+        bound; a direct weight must be positive and finite on the probe grid
+        there (values beyond 1e300 or below 1e-300 count as degenerate)."""
+        params = dict(params or {})
+        missing = self.free - params.keys()
+        if missing:
+            raise ModelError(f"{self.kind} weight payload has unbound parameters {sorted(missing)!r}")
+        if self.kind == "direct":
+            g = self.base.probe_grid()
+            with np.errstate(all="ignore"):
+                avals = ex.evaluate(self.weight_expr, g, params)
+            if not np.all(np.isfinite(avals)) or np.min(avals) <= 0:
+                bad = g[int(np.argmin(avals))]
+                raise ModelError(f"weight must be positive and finite on the probe grid (a({bad:.6g}) = {np.min(avals):.3g})")
+            if np.max(avals) > 1e300 or np.min(avals) < 1e-300:
+                raise ModelError("weight is degenerate on the probe grid (|a| beyond 1e+-300)")
+        return DualModel(**{f.name: getattr(self, f.name) for f in fields(WeightFamily)},
+                         params=params)
+
+
+@dataclass(eq=False)
+class DualModel(WeightFamily):
+    """The weighted-derivative dual of a model at one point of a weight
+    family: same sigma, drift b_a, killing rate V_a, invariant density
+    e^{-U}/a^2 (up to normalization).  The trees are the family's, free
+    parameters included; every evaluation binds them with ``params``."""
+
+    params: dict = field(default_factory=dict)
+    _log_a0: float | None = field(default=None, repr=False)
     _w_fn: Callable | None = field(default=None, repr=False)
     _z_cache: dict = field(default_factory=dict, repr=False)
 
@@ -347,25 +391,26 @@ class DualModel:
         return self.base.probe_grid(R, n)
 
     def v_fn(self, x):
-        return ex.evaluate(self.v_expr, x)
+        return ex.evaluate(self.v_expr, x, self.params)
 
     def drift_fn(self, x):
-        return ex.evaluate(self.drift_expr, x)
+        return ex.evaluate(self.drift_expr, x, self.params)
 
     def log_weight(self, x):
         """W(x) = log a(x), anchored to W = 0 at the base anchor."""
         if self.weight_expr is not None:
-            out = np.log(ex.evaluate(self.weight_expr, x))
-            c = math.log(ex.evaluate(self.weight_expr, self.base.anchor))
-            return out - c
+            if self._log_a0 is None:
+                self._log_a0 = math.log(ex.evaluate(self.weight_expr, self.base.anchor, self.params))
+            return np.log(ex.evaluate(self.weight_expr, x, self.params)) - self._log_a0
         if self._w_fn is None:
-            self._w_fn = _antiderivative(self.log_weight_prime, self.base.domain, self.base.anchor)
+            self._w_fn = _antiderivative(self.log_weight_prime, self.base.domain,
+                                         self.base.anchor, self.params)
         return self._w_fn(x)
 
     def weight_fn(self, x):
         """a(x), normalized to a(anchor) = 1 when realized numerically."""
         if self.weight_expr is not None:
-            return ex.evaluate(self.weight_expr, x)
+            return ex.evaluate(self.weight_expr, x, self.params)
         out = np.exp(self.log_weight(x))
         return out
 
@@ -385,8 +430,9 @@ class DualModel:
         return _normalization(self, self.base.anchor, "dual normalization", cfg)
 
 
-def _antiderivative(fp: ex.Expr, domain: tuple, anchor: float) -> Callable:
-    """F with F' = fp and F(anchor) = 0, as a callable on floats or arrays.
+def _antiderivative(fp: ex.Expr, domain: tuple, anchor: float, params: dict | None = None) -> Callable:
+    """F with F' = fp (its parameters bound by ``params``) and F(anchor) = 0,
+    as a callable on floats or arrays.
 
     Cumulative Simpson on _WORK_N points of the working window (the interval
     itself for interval domains), a cubic spline inside it, and the tangent
@@ -394,7 +440,7 @@ def _antiderivative(fp: ex.Expr, domain: tuple, anchor: float) -> Callable:
     """
     lo, hi = (-_WORK_R, _WORK_R) if domain[0] == "line" else domain[1]
     grid = np.linspace(lo, hi, _WORK_N)
-    fn = ex.compile_fn(fp)
+    fn = lambda x: ex.evaluate(fp, x, params)
     vals = quad.cumulative_on_grid(fn, grid)
     off = np.interp(anchor, grid, vals)
     spline = CubicSpline(grid, vals - off, extrapolate=False)
@@ -483,45 +529,30 @@ def _sigma_is_one(m: DiffusionModel) -> bool:
     return bool(np.all(np.abs(vals - 1.0) <= 1e-14))
 
 
-def realize_weight(m: DiffusionModel, spec: WeightSpec, params: dict | None = None) -> DualModel:
-    """Build the dual model for a weight given in any supported form.
-
-    All parameters in the weight payload must be bound.  direct weights must
-    be strictly positive and finite on the probe grid (values beyond 1e300 or
-    below 1e-300 are treated as degenerate).
-    """
-    params = dict(params or {})
-    payload = ex.simplify(ex.substitute(spec.payload, params))
-    _check_bound(payload, f"{spec.kind} weight payload")
+def derive_weight(m: DiffusionModel, spec: WeightSpec) -> WeightFamily:
+    """Derive V_a, b_a and, where it has a closed form, the weight of a
+    family, all with the family's parameters left free.  This is the
+    symbolic half of ``realize_weight``; a parameter search runs it once and
+    binds each point with ``WeightFamily.bind``."""
+    payload = ex.simplify(spec.payload)
+    free = frozenset(ex.free_params(payload))
 
     if spec.kind == "direct":
         a = payload
-        g = m.probe_grid()
-        with np.errstate(all="ignore"):
-            avals = ex.evaluate(a, g)
-        if not np.all(np.isfinite(avals)) or np.min(avals) <= 0:
-            bad = g[int(np.argmin(avals))]
-            raise ModelError(f"weight must be positive and finite on the probe grid (a({bad:.6g}) = {np.min(avals):.3g})")
-        if np.max(avals) > 1e300 or np.min(avals) < 1e-300:
-            raise ModelError("weight is degenerate on the probe grid (|a| beyond 1e+-300)")
         da = ex.simplify(ex.differentiate(a))
         wp = ex.simplify(ex.div(da, a))
-        wpp = ex.simplify(ex.differentiate(wp))
-        v = feynman_kac_potential(m, a)
-        return DualModel(
-            base=m, kind="direct", weight_expr=a,
-            log_weight_prime=wp, log_weight_prime2=wpp,
-            v_expr=v, drift_expr=_dual_drift(m, wp), params=params,
+        return WeightFamily(
+            base=m, kind="direct", free=free, weight_expr=a, log_weight_prime=wp,
+            v_expr=feynman_kac_potential(m, a), drift_expr=_dual_drift(m, wp),
         )
 
     if spec.kind == "exp_w":
         w = payload
         wp = ex.simplify(ex.differentiate(w))
         wpp = ex.simplify(ex.differentiate(wp))
-        return DualModel(
-            base=m, kind="exp_w", weight_expr=ex.exp(w),
-            log_weight_prime=wp, log_weight_prime2=wpp,
-            v_expr=_v_from_w(m, wp, wpp), drift_expr=_dual_drift(m, wp), params=params,
+        return WeightFamily(
+            base=m, kind="exp_w", free=free, weight_expr=ex.exp(w), log_weight_prime=wp,
+            v_expr=_v_from_w(m, wp, wpp), drift_expr=_dual_drift(m, wp),
         )
 
     if spec.kind == "z_form":
@@ -532,7 +563,6 @@ def realize_weight(m: DiffusionModel, spec: WeightSpec, params: dict | None = No
         up = m.u_prime
         upp = ex.simplify(ex.differentiate(up))
         wp = ex.simplify(ex.add(z, ex.neg(ex.mul(ex.const(0.5), up))))
-        wpp = ex.simplify(ex.differentiate(wp))
         # V = Z' - Z^2 + U''/2 + (U')^2/4
         v = ex.simplify(
             ex.add(
@@ -549,10 +579,9 @@ def realize_weight(m: DiffusionModel, spec: WeightSpec, params: dict | None = No
                 weight_expr = ex.simplify(
                     ex.exp(ex.add(zint, ex.neg(ex.mul(ex.const(0.5), m.u_expr))))
                 )
-        return DualModel(
-            base=m, kind="z_form", weight_expr=weight_expr,
-            log_weight_prime=wp, log_weight_prime2=wpp,
-            v_expr=v, drift_expr=_dual_drift(m, wp), params=params,
+        return WeightFamily(
+            base=m, kind="z_form", free=free, weight_expr=weight_expr, log_weight_prime=wp,
+            v_expr=v, drift_expr=_dual_drift(m, wp),
         )
 
     if spec.kind == "a_form":
@@ -560,28 +589,43 @@ def realize_weight(m: DiffusionModel, spec: WeightSpec, params: dict | None = No
         daexp = ex.simplify(ex.differentiate(aexp))
         wp = ex.exp(aexp)
         wpp = ex.simplify(ex.mul(daexp, ex.exp(aexp)))
-        return DualModel(
-            base=m, kind="a_form", weight_expr=None,
-            log_weight_prime=wp, log_weight_prime2=wpp,
-            v_expr=_v_from_w(m, wp, wpp), drift_expr=_dual_drift(m, wp), params=params,
+        return WeightFamily(
+            base=m, kind="a_form", free=free, weight_expr=None, log_weight_prime=wp,
+            v_expr=_v_from_w(m, wp, wpp), drift_expr=_dual_drift(m, wp),
         )
 
     raise ModelError(f"unknown weight kind {spec.kind!r}")
 
 
+def realize_weight(m: DiffusionModel, spec: WeightSpec, params: dict | None = None) -> DualModel:
+    """Build the dual model for a weight given in any supported form: the
+    family derived by ``derive_weight``, bound at ``params``.
+
+    All parameters in the weight payload must be bound.  direct weights must
+    be strictly positive and finite on the probe grid (values beyond 1e300 or
+    below 1e-300 are treated as degenerate).
+    """
+    return derive_weight(m, spec).bind(params)
+
+
 def _symbolic_linear_integral(z: ex.Expr) -> ex.Expr | None:
-    """Antiderivative for the simple shapes eps*x and constants; None otherwise.
+    """Antiderivative for the simple shapes c*x and c, with c a constant or
+    a parameter; None otherwise.
 
     Only used to keep a closed-form weight expression for the common linear
     Z; every computation path works without it.
     """
     s = ex.simplify(z)
-    if s.op == "const":
+    if s.op in ("const", "param"):
         return ex.mul(s, ex.X)
     if s == ex.X:
         return ex.mul(ex.const(0.5), ex.X, ex.X)
-    if s.op == "mul" and len(s.args) == 2 and s.args[0].op == "const" and s.args[1] == ex.X:
-        return ex.mul(ex.const(0.5 * s.args[0].value), ex.X, ex.X)
+    if s.op == "mul" and len(s.args) == 2 and s.args[1] == ex.X:
+        c = s.args[0]
+        if c.op == "const":
+            return ex.mul(ex.const(0.5 * c.value), ex.X, ex.X)
+        if c.op == "param":
+            return ex.mul(ex.const(0.5), c, ex.X, ex.X)
     return None
 
 

@@ -57,13 +57,41 @@ print(json.dumps({name: row[0] for name, row in tracer.stats.items()}))
 """
 
 
-def test_optimizer_spans_record_calls():
+def _traced_calls(script: str, *args: str) -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    out = subprocess.run([sys.executable, "-c", _TRACED_BOUNDS, str(SPANS)],
+    out = subprocess.run([sys.executable, "-c", script, str(SPANS), *args],
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    calls = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_optimizer_spans_record_calls():
+    calls = _traced_calls(_TRACED_BOUNDS)
     for name in ("bounds.minimize", "bounds.minimize_scalar", "bounds.rho_of_weight"):
         assert calls.get(name, 0) > 0, f"{name} recorded no calls: {calls}"
+
+
+# A weight search derives its family symbolically once and only binds the
+# parameters at each point, so the symbolic work must not grow with the
+# number of points the search visits.
+_TRACED_SEARCH = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+from diffgap import bounds as bd, expr as ex, gallery as gal, model as md
+bd.chen_wang_lower(gal.gallery_model("quartic"), md.WeightSpec.z_form(ex.parse("eps*x")),
+                   bd.OptConfig(box={"eps": (0.1, 3.0)}, grid_points=int(sys.argv[2])))
+print(json.dumps({name: row[0] for name, row in tracer.stats.items()}))
+"""
+
+
+def test_weight_search_derives_its_family_once():
+    coarse, fine = (_traced_calls(_TRACED_SEARCH, str(n)) for n in (21, 41))
+    assert coarse["bounds.rho_of_weight"] != fine["bounds.rho_of_weight"], (coarse, fine)
+    for name in ("expr.differentiate", "expr.simplify"):
+        assert coarse[name] == fine[name], f"{name}: {coarse[name]} at 21 points, {fine[name]} at 41"

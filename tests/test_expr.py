@@ -174,9 +174,10 @@ class TestEvaluate:
         xs = np.linspace(-2, 2, 9)
         fns = []
         for eps in (1.1, 1.3):
-            v = md.realize_weight(m, spec, {"eps": eps}).v_expr
+            d = md.realize_weight(m, spec, {"eps": eps})
+            v = d.v_expr
             # V = Z' - Z^2 + U''/2 + (U')^2/4 with Z = eps*x, U = x^4/4
-            npt.assert_allclose(ex.evaluate(v, xs),
+            npt.assert_allclose(ex.evaluate(v, xs, d.params),
                                 eps - eps**2 * xs**2 + 1.5 * xs**2 + 0.25 * xs**6, rtol=1e-14)
             fns.append(ex._compiled(v)[0])
         assert fns[0] is fns[1]

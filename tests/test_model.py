@@ -348,6 +348,74 @@ class TestWeightRealization:
         assert np.max(np.abs(ex.evaluate(v, xs) - ref)) < 1e-12
 
 
+class TestWeightFamilyBinding:
+    """A family derived once with free parameters and bound at a point must
+    evaluate like the family with the point substituted before derivation.
+    One point per family makes a coefficient exactly 0 or 1, where the
+    substituted tree folds terms away and the bound tree keeps them.
+
+    One fold changes the representation: z_form eps*x + c*x^3 at c = 0 is
+    linear once substituted, so it gets the closed-form weight, while the
+    bound family integrates W' numerically.  There the weight agrees to
+    quadrature accuracy only."""
+
+    XS = np.linspace(-6.0, 6.0, 400)
+    CASES = [
+        ("direct", "1+eps*x^2", [{"eps": 0.0}, {"eps": 0.3}, {"eps": 1.0}]),
+        ("exp_w", "-eps*x^2/2", [{"eps": 0.0}, {"eps": 0.5}, {"eps": 1.7}]),
+        ("z_form", "eps*x", [{"eps": 1.0}, {"eps": 0.4}, {"eps": 1.2247}]),
+        ("z_form", "eps*x + c*x^3",
+         [{"eps": 1.3, "c": 0.0}, {"eps": 1.0, "c": 0.2}, {"eps": 0.6, "c": -0.05}]),
+        ("a_form", "-(eps*x-1)^2", [{"eps": 0.0}, {"eps": 1.0}, {"eps": 0.45}]),
+    ]
+
+    @pytest.mark.parametrize("kind,family,points", CASES,
+                             ids=[f"{k}:{f}" for k, f, _ in CASES])
+    def test_bound_family_matches_substituted_weight(self, kind, family, points):
+        m = quartic()
+        payload = ex.parse(family)
+        fam = md.derive_weight(m, md.WeightSpec(kind, payload))
+        for theta in points:
+            bound = fam.bind(theta)
+            ref = md.realize_weight(m, md.WeightSpec(kind, ex.substitute(payload, theta)))
+            assert bound.v_expr is fam.v_expr and bound.params == theta
+            folded = (bound.weight_expr is None) != (ref.weight_expr is None)
+            assert not folded or (family, theta.get("c")) == ("eps*x + c*x^3", 0.0)
+            for name in ("v_fn", "drift_fn", "weight_fn", "log_weight"):
+                got = np.asarray(getattr(bound, name)(self.XS), dtype=float)
+                want = np.asarray(getattr(ref, name)(self.XS), dtype=float)
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+                if folded and name == "log_weight":
+                    tol = {"rtol": 0.0, "atol": 1e-10}
+                elif folded and name == "weight_fn":
+                    tol = {"rtol": 1e-10, "atol": 0.0}
+                else:
+                    tol = {"rtol": 1e-13, "atol": 0.0}
+                np.testing.assert_allclose(got, want, **tol,
+                                           err_msg=f"{kind} {family} at {theta}: {name}")
+
+    def test_binding_keeps_the_error_messages(self):
+        m = quartic()
+        spec = md.WeightSpec.direct("1+eps*x^2")
+        with pytest.raises(md.ModelError) as free:
+            md.derive_weight(m, spec).bind({})
+        assert str(free.value) == "direct weight payload has unbound parameters ['eps']"
+        with pytest.raises(md.ModelError, match="positive") as bound:
+            md.derive_weight(m, spec).bind({"eps": -0.5})
+        with pytest.raises(md.ModelError) as substituted:
+            md.realize_weight(m, md.WeightSpec.direct("1-0.5*x^2"))
+        assert str(bound.value) == str(substituted.value)
+
+    def test_log_weight_evaluates_the_anchor_once(self, monkeypatch):
+        d = md.realize_weight(quartic(), md.WeightSpec.z_form("eps*x"), {"eps": 1.2712})
+        first = d.log_weight(self.XS)
+        calls = []
+        evaluate = ex.evaluate
+        monkeypatch.setattr(ex, "evaluate", lambda *a, **k: calls.append(a[1]) or evaluate(*a, **k))
+        np.testing.assert_array_equal(d.log_weight(self.XS), first)
+        assert len(calls) == 1 and calls[0] is self.XS
+
+
 class TestAssumptions:
     def test_gaussian_all_clear(self):
         r = md.check_assumptions(std_normal())
