@@ -594,21 +594,23 @@ def brascamp_lieb_var_bound(
 # ---- Rayleigh-quotient upper bound --------------------------------------
 
 
-def rayleigh_upper(
-    m: md.DiffusionModel, f_family, opt_cfg: OptConfig | None = None
-) -> BoundReport:
-    """Upper bound lambda1 <= min over the family of E(f,f)/Var(f)."""
-    cfg = opt_cfg or OptConfig()
-    fam = md._parse_or_expr(f_family, "trial family")
-    names = _family_params(fam, "trial family")
-    qc = cfg.quad_cfg()
+def _rayleigh_quotient(m: md.DiffusionModel, fam: ex.Expr, names: list[str], qc: q.QuadConfig):
+    """The quotient E(f,f)/Var(f) and its quadrature error as a function of
+    the trial family's parameters ``names``, in that order.  The family and
+    its derivative are derived once with the parameters free and evaluated
+    at each theta.
+
+    Each integral continues from the carried (coarsened) panels of its own
+    integral at the previously evaluated theta; only the first starts cold.
+    A warm start that does not converge (carried panels can fill
+    max_subdivisions) is redone cold, and later calls continue from that.
+    Values therefore depend on the order of the calls."""
+    f = ex.simplify(fam)
+    df = ex.simplify(ex.differentiate(f))
+    ff = ex.mul(f, f)
     sig = m.sigma_fn
     anchor = m.anchor
     z = m.normalization(qc)
-    # Each integral continues from its own panels at the previously evaluated
-    # theta (grid, then Nelder-Mead, then theta*); only the first starts cold.
-    # A warm start that does not converge (carried panels can fill
-    # max_subdivisions) is redone cold, and the sweep continues from that.
     cold = (anchor,)
     starts = [cold, cold, cold]
 
@@ -616,22 +618,21 @@ def rayleigh_upper(
         r = q._mu_integral(m, g, qc, breakpoints=starts[i])
         if not r.converged and starts[i] is not cold:
             r = q._mu_integral(m, g, qc, breakpoints=cold)
-        starts[i] = (anchor, *r.edges)
+        starts[i] = (anchor, *r.carry)
         return r
 
     def quotient(theta):
-        f = ex.simplify(ex.substitute(fam, dict(zip(names, theta))))
-        df = ex.simplify(ex.differentiate(f))
+        p = dict(zip(names, theta))
 
         def energy_integrand(x):
             s = np.asarray(sig(x), dtype=float)
-            return (s * np.asarray(ex.evaluate(df, x), dtype=float)) ** 2
+            return (s * np.asarray(ex.evaluate(df, x, p), dtype=float)) ** 2
 
         try:
             with np.errstate(all="ignore"):
                 num = mu_integral(0, energy_integrand)
-                mean = mu_integral(1, f)
-                second = mu_integral(2, ex.mul(f, f))
+                mean = mu_integral(1, lambda x: ex.evaluate(f, x, p))
+                second = mu_integral(2, lambda x: ex.evaluate(ff, x, p))
         except q.QuadError:
             return math.inf, math.inf
         var_scaled = second.value - mean.value**2 / z
@@ -642,6 +643,19 @@ def rayleigh_upper(
         val = num.value / var_scaled
         err = (num.err_est + val * (second.err_est + 2.0 * abs(mean.value) * mean.err_est / z)) / var_scaled
         return val, err
+
+    return quotient
+
+
+def rayleigh_upper(
+    m: md.DiffusionModel, f_family, opt_cfg: OptConfig | None = None
+) -> BoundReport:
+    """Upper bound lambda1 <= min over the family of E(f,f)/Var(f)."""
+    cfg = opt_cfg or OptConfig()
+    fam = md._parse_or_expr(f_family, "trial family")
+    names = _family_params(fam, "trial family")
+    # one sweep: grid, then Nelder-Mead, then theta*
+    quotient = _rayleigh_quotient(m, fam, names, cfg.quad_cfg())
 
     if not names:
         val, err = quotient(())

@@ -10,8 +10,13 @@ and no more than the budget left, and evaluates all their children in one
 integrand call.  Integrands must therefore be elementwise in x.  The final
 value and error are summed in position order.  A result's ``edges`` are its
 final interior panel boundaries in x; passing them as ``breakpoints`` to a
-later call starts that call from the same partition, so a family of nearby
-integrands (a parameter search) need not re-bisect from scratch.  The
+later call starts that call from the same partition and reproduces the
+result.  Its ``carry`` is that partition coarsened for a nearby integrand (a
+parameter search): going left to right, each pair of neighbouring panels not
+already merged is merged when its summed error is below ``_CARRY_MERGE``
+times the tolerance over the panel count, so a later call starts from the
+panels the integrand family still needs instead of re-bisecting from scratch
+or inheriting every panel an earlier member needed.  The
 integrator is deliberately self-contained: the error budget of every bound
 downstream leans on the reported ``err_est``, so the summation order, the
 subdivision rule and the tail handling are all fixed here rather than
@@ -96,6 +101,13 @@ _WGFULL = np.zeros_like(_WK)
 _WGFULL[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
+# A carried pair merges when its summed error is below this fraction of the
+# tolerance per panel.  Doubling a panel's width can multiply its GK15 error
+# estimate by up to about 2^15, and 1e-6 * 2^15 < 1/30, so a merged panel
+# still meets its share of the tolerance.
+_CARRY_MERGE = 1e-6
+
+
 class QuadError(Exception):
     """Raised for invalid integrands or domains (NaN at a node, bad interval)."""
 
@@ -118,6 +130,8 @@ class IntegrationResult:
     subdivisions: int
     # final interior panel boundaries in x; breakpoints=edges restarts there
     edges: tuple[float, ...] = field(default=(), compare=False, repr=False)
+    # an ordered subset of edges: negligible-error neighbours merged pairwise
+    carry: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __float__(self):
         return self.value
@@ -151,8 +165,10 @@ def integrate(
     restarts from the final panels of an earlier result r (on the tan path
     its edges are shift + tan(theta) of the interior panel boundaries): for
     the same integrand this evaluates r's partition in one integrand call
-    and reproduces r's value and subdivision count.  Carried panels count
-    against ``max_subdivisions``.
+    and reproduces r's value and subdivision count.  ``breakpoints=r.carry``
+    starts a nearby integrand from r's partition with its negligible-error
+    neighbours merged pairwise.  Carried panels count against
+    ``max_subdivisions``.
     """
     cfg = cfg or QuadConfig()
     if math.isnan(a) or math.isnan(b):
@@ -177,16 +193,8 @@ def integrate(
         hi = b if not inf_b else cfg.truncation_R
         if lo >= hi:
             raise QuadError("truncation_R does not cover the finite endpoint")
-        tail = 0.0
-        fit_ok = True
-        if inf_b:
-            t, ok = _tail_envelope(fn, hi)
-            tail += t
-            fit_ok = fit_ok and ok
-        if inf_a:
-            t, ok = _tail_envelope(fn, lo)
-            tail += t
-            fit_ok = fit_ok and ok
+        # upper side first: an integrand that fails on both sides names an upper x
+        tail, fit_ok = _tail_envelope(fn, [R for R, inf in ((hi, inf_b), (lo, inf_a)) if inf])
         if method == "truncate" or (fit_ok and tail <= cfg.abs_tol):
             inner = _integrate_finite(fn, lo, hi, cfg, breakpoints)
             err = inner.err_est + tail
@@ -214,20 +222,34 @@ def integrate(
         return fn(shift + t) * (1.0 + t * t)
 
     r = _integrate_finite(gn, lo_t, hi_t, cfg, bps)
-    return replace(r, edges=tuple((shift + np.tan(r.edges)).tolist()))
+    return replace(r, edges=tuple((shift + np.tan(r.edges)).tolist()),
+                   carry=tuple((shift + np.tan(r.carry)).tolist()))
 
 
-def _tail_envelope(fn, R: float):
-    """Exponential tail bound past |R|: fit |f| ~ C e^{-c|x|} on three samples.
+def _tail_envelope(fn, cuts: Sequence[float]):
+    """Exponential tail bound past each cut |R|: fit |f| ~ C e^{-c|x|} on
+    three samples per cut, all of them in one integrand call in the order of
+    ``cuts`` (each R carries its side's sign).
 
-    Returns (tail_estimate, fit_ok).  A tail of exactly zero (integrand
-    underflows) counts as a successful fit.
+    Returns (summed tail estimate, every fit ok).  A tail of exactly zero
+    (integrand underflows) counts as a successful fit.
     """
-    xs = np.array([0.8 * R, 0.9 * R, 1.0 * R])  # R carries the side's sign
-    vals = np.abs(np.asarray(fn(xs), dtype=float))
-    if np.any(np.isnan(vals)):
+    xs = np.array([[0.8 * R, 0.9 * R, 1.0 * R] for R in cuts]).ravel()
+    vals = np.asarray(fn(xs), dtype=float)
+    if vals.shape != xs.shape:
+        vals = np.broadcast_to(vals, xs.shape)
+    tail, fit_ok = 0.0, True
+    for R, (v1, v2, v3) in zip(cuts, np.abs(vals).reshape(-1, 3).tolist()):
+        t, ok = _tail_fit(R, v1, v2, v3)
+        tail += t
+        fit_ok = fit_ok and ok
+    return tail, fit_ok
+
+
+def _tail_fit(R: float, v1: float, v2: float, v3: float):
+    """(tail estimate, fit ok) past one cut R from |f| at 0.8R, 0.9R, R."""
+    if math.isnan(v1) or math.isnan(v2) or math.isnan(v3):
         return math.inf, False
-    v1, v2, v3 = vals
     if v3 == 0.0 and v2 == 0.0:
         return 0.0, True
     if v3 <= 0.0 or v2 <= v3 or v1 <= v2:
@@ -298,8 +320,26 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
     # deterministic final summation in segment-position order
     value = float(np.add.reduce(k))
     err = float(np.add.reduce(e))
-    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return IntegrationResult(value, err, neval, converged, len(lo), tuple(hi[:-1].tolist()))
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    edges = hi[:-1].tolist()
+    return IntegrationResult(value, err, neval, err <= tol, len(lo), tuple(edges),
+                             _coarsened(edges, e, _CARRY_MERGE * tol / len(lo)))
+
+
+def _coarsened(edges: list, e: np.ndarray, negligible: float) -> tuple:
+    """``edges`` without the boundary inside each neighbouring panel pair,
+    paired greedily from the left, whose summed error is below
+    ``negligible``."""
+    small = (e[:-1] + e[1:] < negligible).tolist()  # small[j]: panels j, j + 1
+    kept, j = [], 0
+    while j < len(edges):
+        if small[j]:  # merge; the next pair starts at panel j + 2
+            kept += edges[j + 1:j + 2]
+            j += 2
+        else:
+            kept.append(edges[j])
+            j += 1
+    return tuple(kept)
 
 
 # ---- shared grids and cumulative integration ----------------------------

@@ -379,6 +379,43 @@ class TestRayleigh:
         assert r.value == cold.value
         assert r.error_budget["quad_err"] == cold.error_budget["quad_err"]
 
+    @pytest.mark.parametrize("model, limit", [(quartic, 200_000), (cauchy, 500_000)])
+    def test_continuation_integrand_points_bounded(self, monkeypatch, model, limit):
+        # carrying every final panel forward took 640k points on quartic and
+        # 2.5M on cauchy, whose partitions grew towards max_subdivisions
+        m = model()
+        m.normalization(q.QuadConfig())
+        points = [0]
+        batch = q._gk15_batch
+
+        def counted(fn, lo, hi):
+            points[0] += 15 * len(lo)
+            return batch(fn, lo, hi)
+
+        monkeypatch.setattr(q, "_gk15_batch", counted)
+        bd.rayleigh_upper(m, ex.parse(self.FAMILY), bd.OptConfig(box={"eps": (0.55, 2.0)}))
+        assert points[0] <= limit
+
+    @pytest.mark.parametrize("model", [quartic, cauchy])
+    def test_derived_family_matches_substituted(self, model):
+        # the family is derived once with eps free and evaluated at each eps;
+        # at eps = 1 its tree x*exp(0.5*(eps - 1)*log(x^2)) is 0*exp(0*-inf),
+        # NaN at x = 0, where the substituted tree x gives 0: the anchor
+        # breakpoint keeps every node off 0
+        m = model()
+        fam = ex.parse(self.FAMILY)
+        assert math.isnan(ex.evaluate(ex.simplify(fam), 0.0, {"eps": 1.0}))
+        qc = q.QuadConfig()
+        carried = bd._rayleigh_quotient(m, fam, ["eps"], qc)
+        for eps in (0.55, 0.85, 1.0, 2.0):
+            cold = self.cold(m, eps)
+            fresh, _ = bd._rayleigh_quotient(m, fam, ["eps"], qc)((eps,))
+            assert abs(fresh - cold.value) <= 1e-9 * cold.value, eps
+            # started from the previous eps's carried panels: the same
+            # quotient within the two quadrature error estimates
+            warm, warm_err = carried((eps,))
+            assert abs(warm - cold.value) <= warm_err + cold.error_budget["quad_err"], eps
+
     def test_continuation_cauchy_reaches_exact_gap(self):
         cfg = bd.OptConfig(box={"eps": (0.55, 2.0)})
         r = bd.rayleigh_upper(cauchy(), ex.parse(self.FAMILY), cfg)

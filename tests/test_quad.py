@@ -184,6 +184,89 @@ class TestRestartFromEdges:
         assert "edges" not in repr(q.integrate(ex.X, 0.0, 2.0))
 
 
+class TestCarriedPartition:
+    """r.carry is r's partition with negligible-error neighbouring panels
+    merged pairwise: a start for a nearby integrand, not an exact restart."""
+
+    CASES = [
+        # a smooth bump on a finite interval: panels far from it carry no error
+        (lambda x: np.exp(-50.0 * (x - 1.0) ** 2), 0.0, 10.0),
+        # finite with an endpoint singularity
+        (lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0),
+        # truncation at R
+        (lambda x: np.cos(3.0 * x) * np.exp(-x * x), -math.inf, math.inf),
+        # tan substitution, whole line and half line
+        (lambda x: np.abs(x) ** -0.5 * (1.0 + x * x) ** -1.5, -math.inf, math.inf),
+        (lambda x: np.exp(-x) * np.cos(x) ** 2, 0.0, math.inf),
+    ]
+
+    @pytest.mark.parametrize("f, a, b", CASES)
+    def test_ordered_subset_of_edges(self, f, a, b):
+        r = q.integrate(f, a, b)
+        kept = iter(r.edges)
+        assert all(any(p == e for e in kept) for p in r.carry)  # in order
+        assert len(r.carry) >= len(r.edges) // 2  # merged pairs are disjoint
+
+    def test_smooth_integrand_coarsens(self):
+        r = q.integrate(self.CASES[0][0], 0.0, 10.0)
+        assert r.converged
+        assert len(r.carry) < len(r.edges)
+
+    @pytest.mark.parametrize("f, a, b", CASES)
+    def test_restart_from_carry_converges(self, f, a, b):
+        r = q.integrate(f, a, b)
+        again = q.integrate(f, a, b, breakpoints=r.carry)
+        assert again.converged
+        assert abs(again.value - r.value) <= r.err_est
+
+    def test_tan_path_carry_in_x(self):
+        f, a, b = self.CASES[3]
+        r = q.integrate(f, a, b)
+        assert r.carry and set(r.carry) <= set(r.edges)
+        # tan(theta) of the panel boundaries, not theta itself
+        assert max(abs(p) for p in r.carry) > 0.5 * math.pi
+
+    def test_carry_left_out_of_repr_and_equality(self):
+        r = q.IntegrationResult(0.0, 0.0, 0, True, 0)
+        assert r.carry == () and "carry" not in repr(r)
+        assert q.IntegrationResult(0.0, 0.0, 0, True, 0, (0.5,), (0.5,)) == r
+
+
+class TestTailProbe:
+    """On the truncation path both tail fits share one integrand call."""
+
+    def test_one_probe_call_for_both_tails(self, monkeypatch):
+        calls, rounds = [], []
+        batch = q._gk15_batch
+
+        def counted(fn, lo, hi):
+            rounds.append(len(lo))
+            return batch(fn, lo, hi)
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.cos(3.0 * x) * np.exp(-x * x)
+
+        monkeypatch.setattr(q, "_gk15_batch", counted)
+        r = q.integrate(f, -math.inf, math.inf, q.QuadConfig(infinite_method="truncate"))
+        assert r.converged
+        assert calls[0] == 6
+        assert len(calls) == len(rounds) + 1
+
+    def test_upper_side_reported_first(self):
+        # both tails are bad: the upper side's first probe is named
+        cfg = q.QuadConfig(infinite_method="truncate")
+        with pytest.raises(ex.EvalError, match=f"x = {0.8 * 12.0}$"):
+            q.integrate(ex.parse("log(x^2 - 200)"), -math.inf, math.inf, cfg)
+        # only the lower side's outermost probe is bad
+        with pytest.raises(ex.EvalError, match="x = -12.0$"):
+            q.integrate(ex.parse("log(x + 11)"), -math.inf, math.inf, cfg)
+
+    def test_constant_integrand_broadcast(self):
+        r = q.integrate(lambda x: 0.0, -math.inf, math.inf)
+        assert r.value == 0.0 and r.err_est == 0.0 and r.converged
+
+
 class TestBatchedRefinement:
     """Round-based refinement: every panel picked in a round is bisected and
     all children are evaluated in one integrand call."""
