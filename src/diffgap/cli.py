@@ -8,7 +8,10 @@ Subcommands:
     inspect     print the derived potential and killing-rate expressions
 
 The config file is YAML with nested sections mirroring the library
-modules; unknown keys are rejected up front.  Full schema:
+modules; unknown keys and values of the wrong type are rejected up front,
+and a null value means the key is absent.  Exponent-only numbers need a
+dot (``1.0e-10``, not ``1e-10``, which YAML 1.1 reads as a string).
+Full schema:
 
     model:
       gallery: quartic              # exclusive with sigma/drift/target_potential
@@ -60,7 +63,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,113 +88,112 @@ class ConfigError(Exception):
     pass
 
 
-# ---- config loading and validation ---------------------------------------
+# ---- config schema -------------------------------------------------------
 
-_WEIGHT_KEYS = {"kind", "family", "params"}
-_SCHEMA = {
-    "model": {"gallery", "params", "sigma", "drift", "target_potential",
-              "domain", "boundary", "tail_kind", "name"},
-    "quad": {"abs_tol", "rel_tol", "truncation_R", "max_subdivisions",
-             "infinite_method"},
-    "bounds": {"methods", "R", "scan_points", "grid_points", "nm_max_iter",
-               "param_tol", "chen_wang", "rayleigh", "lsi"},
-    "oracle": {"enabled", "R", "n"},
-    "mc": {"step", "horizon", "paths", "seed", "antithetic", "blow_up_radius"},
-    "check": {"intertwining", "subintertwining"},
-    "output": {"path", "format"},
-}
 _METHODS = ("chen_wang", "rayleigh", "muckenhoupt", "veysseire", "lsi")
 _WEIGHT_KINDS = ("direct", "exp_w", "z_form", "a_form")
 _PHI_NAMES = ("poincare", "log_sobolev", "beckner")
 _FORMATS = ("table", "json-like", "csv")
 
 
-def _require_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must be a mapping, got {type(obj).__name__}")
-    return obj
+class _Req(tuple):
+    """The alternatives of a key that its mapping must have."""
 
 
-def _check_keys(obj: dict, allowed, path: str) -> None:
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key {path}.{unknown[0]}" if path
-                          else f"unknown key {unknown[0]}")
+# A schema is a tuple of alternatives, or one alternative.  An alternative
+# is a type, an allowed string, a mapping schema (a ``str`` key admits any
+# name) or a list schema (``[item, ...]`` for any length, ``[a, b]`` for
+# exactly these items).  Null values are absent keys.
+_NUM = (int, float)
+_INT = (int,)
+_STR = (str,)
+_EXPR = (str, int, float)
+_PAIR = [_NUM, _NUM]
+_BOX = {str: _PAIR}
+_WEIGHT = {"kind": _Req(_WEIGHT_KINDS), "family": _Req(_EXPR), "params": {str: _NUM}}
+_CHECK = {"weight": _Req((_WEIGHT,)), "f": _Req(_EXPR), "x0": _Req(_NUM),
+          "t": _Req(_NUM), "delta": _NUM}
+_SCHEMA = {
+    "model": {"gallery": _STR, "params": {str: _EXPR}, "sigma": _EXPR,
+              "drift": _EXPR, "target_potential": _EXPR, "domain": ("line", _PAIR),
+              "boundary": _STR, "tail_kind": _STR, "name": _STR},
+    "quad": {"abs_tol": _NUM, "rel_tol": _NUM, "truncation_R": _NUM,
+             "max_subdivisions": _INT, "infinite_method": ("auto", "truncate", "tan")},
+    "bounds": {"methods": [_METHODS, ...], "R": _NUM, "scan_points": _INT,
+               "grid_points": _INT, "nm_max_iter": _INT, "param_tol": _NUM,
+               "chen_wang": {"kind": _Req(_WEIGHT_KINDS), "family": _Req(_EXPR),
+                             "box": _BOX},
+               "rayleigh": {"family": _Req(_EXPR), "box": _BOX},
+               "lsi": {"inc": _WEIGHT, "dec": _WEIGHT, "box": _BOX}},
+    "oracle": {"enabled": (bool,), "R": _NUM, "n": _INT},
+    "mc": {"step": _NUM, "horizon": _NUM, "paths": _INT, "seed": _INT,
+           "antithetic": (bool,), "blow_up_radius": _NUM},
+    "check": {"intertwining": [_CHECK, ...],
+              "subintertwining": [{**_CHECK, "phi": _Req(_PHI_NAMES), "p": _NUM}, ...]},
+    "output": {"path": _STR, "format": _FORMATS},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", dict: "a mapping"}
 
 
-def _validate_weight(obj, path: str) -> None:
-    w = _require_mapping(obj, path)
-    _check_keys(w, _WEIGHT_KEYS, path)
-    if "kind" not in w or "family" not in w:
-        raise ConfigError(f"{path} needs 'kind' and 'family'")
-    if w["kind"] not in _WEIGHT_KINDS:
-        raise ConfigError(f"{path}.kind must be one of {_WEIGHT_KINDS}")
-    if "params" in w:
-        _require_mapping(w["params"], f"{path}.params")
+def _describe(alts: tuple) -> str:
+    words = [repr(a) if isinstance(a, str)
+             else ("a list" if a[-1] is ... else f"a list of {len(a)}") if isinstance(a, list)
+             else _TYPE_NAMES[type(a) if isinstance(a, dict) else a]
+             for a in alts if not (a is int and float in alts)]
+    return " or ".join(words) if len(words) < 3 else f"one of ({', '.join(words)})"
 
 
-def validate_config(cfg: dict) -> None:
-    """Schema check: every key must be known, shapes must be right.  Value
-    semantics (expressions, tolerances) are validated by the modules."""
-    _require_mapping(cfg, "config")
-    _check_keys(cfg, _SCHEMA, "")
-    for section, allowed in _SCHEMA.items():
-        if section in cfg and cfg[section] is not None:
-            _check_keys(_require_mapping(cfg[section], section), allowed, section)
-    m = cfg.get("model")
-    if m:
-        has_gallery = "gallery" in m
-        has_explicit = "drift" in m or "target_potential" in m or "sigma" in m
-        if has_gallery and has_explicit:
+def _checked(value, schema, path: str):
+    """``value`` checked against ``schema``; its mappings come back without
+    their null entries."""
+    alts = schema if isinstance(schema, tuple) else (schema,)
+    for alt in alts:
+        if isinstance(alt, dict) and isinstance(value, dict):
+            return _checked_mapping(value, alt, path)
+        if isinstance(alt, list) and isinstance(value, list):
+            items = alt[:1] * len(value) if alt[-1] is ... else alt
+            if len(items) == len(value):
+                return [_checked(v, s, f"{path}[{i}]")
+                        for i, (v, s) in enumerate(zip(value, items))]
+        if (isinstance(alt, type) and isinstance(value, alt)
+                and (alt is bool) == isinstance(value, bool)):
+            return value
+        if isinstance(alt, str) and value == alt:
+            return value
+    got = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+    raise ConfigError(f"{path or 'config'} must be {_describe(alts)}, got {got}")
+
+
+def _checked_mapping(obj: dict, schema: dict, path: str) -> dict:
+    out = {}
+    for key, value in obj.items():
+        where = f"{path}.{key}" if path else str(key)
+        sub = schema.get(key, schema.get(str) if isinstance(key, str) else None)
+        if sub is None:
+            raise ConfigError(f"unknown key {where}")
+        if value is not None:
+            out[key] = _checked(value, sub, where)
+    missing = sorted(k for k, s in schema.items() if isinstance(s, _Req) and k not in out)
+    if missing:
+        raise ConfigError(f"{path} needs {missing}")
+    return out
+
+
+def validate_config(cfg) -> dict:
+    """Check a parsed config against the schema and return it without its
+    null entries.  Value semantics (expressions, tolerances) are validated
+    by the modules."""
+    cfg = _checked(cfg, _SCHEMA, "")
+    m = cfg.get("model", {})
+    if "gallery" in m:
+        if m.keys() & {"sigma", "drift", "target_potential"}:
             raise ConfigError("model: give either 'gallery' or explicit expressions, not both")
-        if has_gallery and m["gallery"] not in gal.GALLERY:
+        if m["gallery"] not in gal.GALLERY:
             raise ConfigError(
                 f"model.gallery: unknown model {m['gallery']!r}; "
                 f"available: {', '.join(gal.gallery_names())}")
-    b = cfg.get("bounds") or {}
-    if "methods" in b and b["methods"] is not None:
-        if not isinstance(b["methods"], list):
-            raise ConfigError("bounds.methods must be a list")
-        for meth in b["methods"]:
-            if meth not in _METHODS:
-                raise ConfigError(f"bounds.methods: unknown method {meth!r}")
-    for key, extra in (("chen_wang", {"box"}), ("rayleigh", {"box"})):
-        if b.get(key) is not None:
-            sec = _require_mapping(b[key], f"bounds.{key}")
-            if key == "chen_wang":
-                _check_keys(sec, {"kind", "family", "box"}, f"bounds.{key}")
-                if "kind" in sec and sec["kind"] not in _WEIGHT_KINDS:
-                    raise ConfigError(f"bounds.{key}.kind must be one of {_WEIGHT_KINDS}")
-            else:
-                _check_keys(sec, {"family", "box"}, f"bounds.{key}")
-    if b.get("lsi") is not None:
-        sec = _require_mapping(b["lsi"], "bounds.lsi")
-        _check_keys(sec, {"inc", "dec", "box"}, "bounds.lsi")
-        for side in ("inc", "dec"):
-            if sec.get(side) is not None:
-                _validate_weight(sec[side], f"bounds.lsi.{side}")
-    c = cfg.get("check") or {}
-    for kind in ("intertwining", "subintertwining"):
-        items = c.get(kind)
-        if items is None:
-            continue
-        if not isinstance(items, list):
-            raise ConfigError(f"check.{kind} must be a list")
-        needed = {"weight", "f", "x0", "t"}
-        allowed = needed | {"delta"} | ({"phi", "p"} if kind == "subintertwining" else set())
-        for i, item in enumerate(items):
-            path = f"check.{kind}[{i}]"
-            item = _require_mapping(item, path)
-            _check_keys(item, allowed, path)
-            missing = sorted((needed | ({"phi"} if kind == "subintertwining" else set())) - set(item))
-            if missing:
-                raise ConfigError(f"{path} needs {missing}")
-            _validate_weight(item["weight"], f"{path}.weight")
-            if kind == "subintertwining" and item["phi"] not in _PHI_NAMES:
-                raise ConfigError(f"{path}.phi must be one of {_PHI_NAMES}")
-    out = cfg.get("output") or {}
-    if "format" in out and out["format"] not in _FORMATS:
-        raise ConfigError(f"output.format must be one of {_FORMATS}")
+    return cfg
 
 
 def load_config(path: str) -> dict:
@@ -202,10 +205,7 @@ def load_config(path: str) -> dict:
         cfg = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise ConfigError(f"config {path} is not valid YAML: {e}") from e
-    if cfg is None:
-        cfg = {}
-    validate_config(cfg)
-    return cfg
+    return validate_config({} if cfg is None else cfg)
 
 
 # ---- config to library objects -------------------------------------------
@@ -216,54 +216,63 @@ def model_from_config(cfg: dict) -> md.DiffusionModel:
     if not m:
         raise ConfigError("a 'model' section is required")
     if "gallery" in m:
-        return gal.gallery_model(m["gallery"], **(m.get("params") or {}))
-    kwargs = {k: m[k] for k in ("sigma", "drift", "target_potential", "domain",
-                                "boundary", "tail_kind", "name") if k in m}
-    kwargs["params"] = m.get("params") or {}
-    return md.build_model(**kwargs)
-
-
-def quad_from_config(cfg: dict) -> q.QuadConfig:
-    sec = cfg.get("quad") or {}
-    return q.QuadConfig(**{k: sec[k] for k in _SCHEMA["quad"] if k in sec})
+        return gal.gallery_model(m["gallery"], **m.get("params", {}))
+    return md.build_model(**m)
 
 
 def weight_from_config(sec: dict) -> tuple[md.WeightSpec, dict]:
-    kind, family = sec["kind"], sec["family"]
-    spec = getattr(md.WeightSpec, kind)(ex.parse(str(family)))
-    return spec, dict(sec.get("params") or {})
+    spec = getattr(md.WeightSpec, sec["kind"])(ex.parse(str(sec["family"])))
+    return spec, dict(sec.get("params", {}))
 
 
 def _box_from(sec: dict | None) -> dict | None:
-    if not sec:
-        return None
-    return {k: (float(v[0]), float(v[1])) for k, v in sec.items()}
+    return {k: (float(v[0]), float(v[1])) for k, v in sec.items()} if sec else None
 
 
-def opt_from_config(cfg: dict, radius: float | None) -> bd.OptConfig:
-    sec = cfg.get("bounds") or {}
-    kw = {k: sec[k] for k in ("scan_points", "grid_points", "nm_max_iter",
+def opt_from_config(cfg: dict) -> bd.OptConfig:
+    sec = cfg.get("bounds", {})
+    kw = {k: sec[k] for k in ("R", "scan_points", "grid_points", "nm_max_iter",
                               "param_tol") if k in sec}
-    r = radius if radius is not None else sec.get("R")
-    return bd.OptConfig(R=r, quad=quad_from_config(cfg), **kw)
+    return bd.OptConfig(quad=q.QuadConfig(**cfg.get("quad", {})), **kw)
 
 
-def mc_from_config(cfg: dict, seed: int | None) -> mc.MCConfig:
-    sec = dict(cfg.get("mc") or {})
-    if seed is not None:
-        sec["seed"] = seed
-    return mc.MCConfig(**{k: sec[k] for k in _SCHEMA["mc"] if k in sec})
+def mc_from_config(cfg: dict) -> mc.MCConfig:
+    return mc.MCConfig(**cfg.get("mc", {}))
 
 
-_DEFAULT_CHEN_WANG = {"kind": "z_form", "family": "eps*x",
-                      "box": {"eps": [0.1, 3.0]}}
-_DEFAULT_RAYLEIGH = {"family": "x*(x^2)^((eps-1)/2)",
-                     "box": {"eps": [0.55, 2.0]}}
-_DEFAULT_LSI = {"dec": {"kind": "a_form", "family": "-(x-1)^2"},
-                "inc": None, "box": {}}
+def oracle_from_config(cfg: dict) -> tuple[float | None, int]:
+    """Truncation radius (None: the model's own) and grid size of the FD reference."""
+    sec = cfg.get("oracle", {})
+    return sec.get("R"), sec.get("n", 2048)
 
 
-# ---- output emission -----------------------------------------------------
+_DEFAULT_CHEN_WANG = {"kind": "z_form", "family": "eps*x", "box": {"eps": [0.1, 3.0]}}
+_DEFAULT_RAYLEIGH = {"family": "x*(x^2)^((eps-1)/2)", "box": {"eps": [0.55, 2.0]}}
+_DEFAULT_LSI = {"dec": {"kind": "a_form", "family": "-(x-1)^2"}}
+
+
+# ---- output rendering ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Report:
+    """One command's result: the json-like document, the exit code, and
+    the functions that format its table and csv forms.  A command without a
+    csv form prints its table instead."""
+
+    doc: dict
+    code: int
+    table: Callable[[], str]
+    csv: Callable[[], str] | None = None
+
+
+def render(report: Report, fmt: str) -> str:
+    """The report in format ``fmt``; only that form is formatted."""
+    if fmt == "json-like":
+        return json.dumps(report.doc, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv" and report.csv is not None:
+        return report.csv()
+    return report.table()
 
 
 def _fmt(v) -> str:
@@ -289,10 +298,6 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _csv_lines(rows: list[list], header: list[str]) -> str:
     import csv as _csv
     import io
@@ -300,8 +305,7 @@ def _csv_lines(rows: list[list], header: list[str]) -> str:
     buf = io.StringIO()
     wr = _csv.writer(buf, lineterminator="\n")
     wr.writerow(header)
-    for r in rows:
-        wr.writerow([_fmt(c) if isinstance(c, float) else c for c in r])
+    wr.writerows([_fmt(c) if isinstance(c, float) else c for c in r] for r in rows)
     return buf.getvalue()
 
 
@@ -309,18 +313,11 @@ def _kv(d: dict) -> str:
     return ";".join(f"{k}={_short(v)}" for k, v in sorted(d.items()))
 
 
-def _write(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---- bounds command ------------------------------------------------------
 
 
 def _run_bound_method(m, name, cfg, opt_cfg):
-    sec = cfg.get("bounds") or {}
+    sec = cfg.get("bounds", {})
     if name == "chen_wang":
         conf = sec.get("chen_wang") or _DEFAULT_CHEN_WANG
         spec, _ = weight_from_config(conf)
@@ -336,49 +333,34 @@ def _run_bound_method(m, name, cfg, opt_cfg):
         return [bd.veysseire_lower(m, opt_cfg)]
     if name == "lsi":
         conf = sec.get("lsi") or _DEFAULT_LSI
-        fams = {}
-        for side in ("inc", "dec"):
-            if conf.get(side):
-                spec, _ = weight_from_config(conf[side])
-                fams[f"{side}_family"] = spec
+        fams = {f"{side}_family": weight_from_config(conf[side])[0]
+                for side in ("inc", "dec") if conf.get(side)}
         return [bd.lsi_lower(m, opt_cfg=replace(opt_cfg, box=_box_from(conf.get("box"))),
                              **fams)]
     raise ConfigError(f"unknown bound method {name!r}")
 
 
-def cmd_bounds(cfg: dict, fmt: str, out: str | None, radius=None, grid=None) -> int:
+def cmd_bounds(cfg: dict) -> Report:
     m = model_from_config(cfg)
-    sec = cfg.get("bounds") or {}
-    methods = sec.get("methods")
-    if methods is None:
-        methods = list(_METHODS)
-    opt_cfg = opt_from_config(cfg, radius)
+    methods = cfg.get("bounds", {}).get("methods", _METHODS)
+    opt_cfg = opt_from_config(cfg)
     reports, method_errors = [], []
     for name in methods:
         try:
             reports.extend(_run_bound_method(m, name, cfg, opt_cfg))
         except bd.BoundError as e:
             method_errors.append({"method": name, "error": str(e)})
-    osec = cfg.get("oracle") or {}
     oracle = None
-    if osec.get("enabled", True) and methods:
-        oracle = orc.spectral_gap_fd(m, R=radius if radius is not None else osec.get("R"),
-                                     n=int(grid or osec.get("n", 2048)))
+    if cfg.get("oracle", {}).get("enabled", True) and methods:
+        R, n = oracle_from_config(cfg)
+        oracle = orc.spectral_gap_fd(m, R=R, n=n)
     doc = bd.assemble_report(m, reports, oracle)
     if method_errors:
         doc["method_errors"] = method_errors
+    method_rows = [(target, r) for target, entry in doc["targets"].items()
+                   for r in entry["methods"]]
 
-    if fmt == "json-like":
-        text = _emit_json(doc)
-    elif fmt == "csv":
-        rows = []
-        for target, entry in doc["targets"].items():
-            for r in entry["methods"]:
-                rows.append([r["method"], target, r["side"], r["value"],
-                             r["feasible"], _kv(r["params"]), _kv(r["error_budget"])])
-        text = _csv_lines(rows, ["method", "target", "side", "value",
-                                 "feasible", "params", "error_budget"])
-    else:
+    def table() -> str:
         lines = [f"model: {doc['model']}"]
         if "oracle" in doc:
             lines.append(f"reference eigenvalue: {_fmt(doc['oracle']['lambda1'])}"
@@ -390,13 +372,10 @@ def cmd_bounds(cfg: dict, fmt: str, out: str | None, radius=None, grid=None) -> 
                          + (f"  bracket [{_fmt(br[0])}, {_fmt(br[1])}]" if br else ""))
             if entry.get("upper_source"):
                 lines.append(f"  upper from: {entry['upper_source']}")
-        rows = []
-        for target, entry in doc["targets"].items():
-            for r in entry["methods"]:
-                rows.append([r["method"], target, r["side"],
-                             _fmt(r["value"]) if r["value"] is not None else "infeasible",
-                             _kv(r["params"]), "; ".join(r["notes"])])
-        if rows:
+        if method_rows:
+            rows = [[r["method"], target, r["side"],
+                     _fmt(r["value"]) if r["value"] is not None else "infeasible",
+                     _kv(r["params"]), "; ".join(r["notes"])] for target, r in method_rows]
             lines.append("")
             lines.append(_table(rows, ["method", "target", "side", "value",
                                        "params", "notes"]).rstrip())
@@ -404,57 +383,48 @@ def cmd_bounds(cfg: dict, fmt: str, out: str | None, radius=None, grid=None) -> 
             lines.append(f"method error: {err['method']}: {err['error']}")
         for v in doc["violations"]:
             lines.append(f"VIOLATION: {v}")
-        text = "\n".join(lines) + "\n"
-    _write(text, out)
-    return EXIT_CHECK_FAILED if doc["violations"] else EXIT_OK
+        return "\n".join(lines) + "\n"
+
+    return Report(doc, EXIT_CHECK_FAILED if doc["violations"] else EXIT_OK, table,
+                  lambda: _csv_lines([[r["method"], target, r["side"], r["value"],
+                                       r["feasible"], _kv(r["params"]),
+                                       _kv(r["error_budget"])] for target, r in method_rows],
+                                     ["method", "target", "side", "value", "feasible",
+                                      "params", "error_budget"]))
 
 
 # ---- oracle command ------------------------------------------------------
 
 
-def cmd_oracle(cfg: dict, fmt: str, out: str | None, radius=None, grid=None) -> int:
+def cmd_oracle(cfg: dict) -> Report:
     m = model_from_config(cfg)
-    osec = cfg.get("oracle") or {}
-    R = radius if radius is not None else osec.get("R")
-    n = int(grid or osec.get("n", 2048))
+    R, n = oracle_from_config(cfg)
     g = orc.spectral_gap_fd(m, R=R, n=n)
     ew = orc.eigvec_weight(m, R=R)
-    doc = {
-        "model": m.name,
-        "lambda1": g.value,
-        "err_est": g.err_est,
-        "coarse": g.coarse,
-        "fine": g.fine,
-        "truncation_gap": g.truncation_gap,
-        "n": g.n,
-        "boundary": g.boundary,
-        "rate_flatness": ew.flatness,
-        "bulk": list(ew.bulk),
-    }
-    if fmt == "json-like":
-        text = _emit_json(doc)
-    elif fmt == "csv":
+    doc = {"model": m.name, "lambda1": g.value, "err_est": g.err_est,
+           "coarse": g.coarse, "fine": g.fine, "truncation_gap": g.truncation_gap,
+           "n": g.n, "boundary": g.boundary, "rate_flatness": ew.flatness,
+           "bulk": list(ew.bulk)}
+
+    def csv() -> str:
         # restrict to the bulk window: outside it the eigenvector sits at
         # machine zero and the reconstructed weight/rate are noise
         xs = ew.grid[(ew.grid >= ew.bulk[0]) & (ew.grid <= ew.bulk[1])]
-        rows = list(zip(xs.tolist(), np.asarray(ew.weight_fn(xs), dtype=float).tolist(),
-                        np.asarray(ew.v_fn(xs), dtype=float).tolist()))
+        rows = zip(xs.tolist(), np.asarray(ew.weight_fn(xs), dtype=float).tolist(),
+                   np.asarray(ew.v_fn(xs), dtype=float).tolist())
         head = (f"# model={m.name} lambda1={_fmt(g.value)} err={_short(g.err_est)}"
                 f" flatness={_short(ew.flatness)}"
                 f" bulk=[{_short(ew.bulk[0])},{_short(ew.bulk[1])}]\n")
-        text = head + _csv_lines([list(r) for r in rows],
-                                 ["x", "eigen_weight", "killing_rate"])
-    else:
-        lines = [f"model: {m.name}",
-                 f"lambda1: {_fmt(g.value)} (err {_short(g.err_est)})",
-                 f"grid: n={g.n} boundary={g.boundary}",
-                 f"richardson: coarse {_fmt(g.coarse)} fine {_fmt(g.fine)}",
-                 f"truncation gap: {_short(g.truncation_gap)}",
-                 f"eigenvector-weight rate flatness: {_short(ew.flatness)} "
-                 f"on bulk [{_short(ew.bulk[0])}, {_short(ew.bulk[1])}]"]
-        text = "\n".join(lines) + "\n"
-    _write(text, out)
-    return EXIT_OK
+        return head + _csv_lines(rows, ["x", "eigen_weight", "killing_rate"])
+
+    return Report(doc, EXIT_OK, lambda: "\n".join([
+        f"model: {m.name}",
+        f"lambda1: {_fmt(g.value)} (err {_short(g.err_est)})",
+        f"grid: n={g.n} boundary={g.boundary}",
+        f"richardson: coarse {_fmt(g.coarse)} fine {_fmt(g.fine)}",
+        f"truncation gap: {_short(g.truncation_gap)}",
+        f"eigenvector-weight rate flatness: {_short(ew.flatness)} "
+        f"on bulk [{_short(ew.bulk[0])}, {_short(ew.bulk[1])}]"]) + "\n", csv)
 
 
 # ---- check command -------------------------------------------------------
@@ -479,18 +449,18 @@ def _check_row(check: str, item: dict, r, zscore: float, score: float) -> dict:
     }
 
 
-def cmd_check(cfg: dict, fmt: str, out: str | None, seed=None) -> int:
+def cmd_check(cfg: dict) -> Report:
     m = model_from_config(cfg)
-    mc_cfg = mc_from_config(cfg, seed)
-    sec = cfg.get("check") or {}
+    mc_cfg = mc_from_config(cfg)
+    sec = cfg.get("check", {})
     rows = []
-    for item in sec.get("intertwining") or []:
+    for item in sec.get("intertwining", []):
         spec, params = weight_from_config(item["weight"])
         r = mc.check_intertwining(m, spec, str(item["f"]), float(item["x0"]),
                                   float(item["t"]), mc_cfg, w_params=params,
                                   delta=float(item.get("delta", 1e-3)))
         rows.append(_check_row("intertwining", item, r, r.zscore, r.zscore))
-    for item in sec.get("subintertwining") or []:
+    for item in sec.get("subintertwining", []):
         spec, params = weight_from_config(item["weight"])
         phi = (q.PhiSpec.beckner(float(item.get("p", 1.5)))
                if item["phi"] == "beckner"
@@ -505,26 +475,14 @@ def cmd_check(cfg: dict, fmt: str, out: str | None, seed=None) -> int:
     failed = any(row["status"] == "fail" for row in rows)
     doc = {"model": m.name, "seed": mc_cfg.seed, "paths": mc_cfg.paths,
            "checks": rows}
-
-    if fmt == "json-like":
-        text = _emit_json(doc)
-    elif fmt == "csv":
-        table_rows = [[r["check"], r.get("phi", ""), r["weight"], r["f"],
-                       r["x0"], r["t"], r["lhs"], r["rhs"], r["zscore"],
-                       r["status"]] for r in rows]
-        text = _csv_lines(table_rows, ["check", "phi", "weight", "f", "x0",
-                                       "t", "lhs", "rhs", "zscore", "status"])
-    else:
-        table_rows = [[r["check"], r.get("phi", ""), r["weight"], r["f"],
-                       _short(r["x0"]), _short(r["t"]), _short(r["lhs"]),
-                       _short(r["rhs"]), _short(r["zscore"]), r["status"]]
-                      for r in rows]
-        head = f"model: {doc['model']}  paths: {doc['paths']}  seed: {doc['seed']}\n"
-        text = head + (_table(table_rows, ["check", "phi", "weight", "f", "x0",
-                                           "t", "lhs", "rhs", "z", "status"])
-                       if rows else "no checks configured\n")
-    _write(text, out)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    cols = ["check", "phi", "weight", "f", "x0", "t", "lhs", "rhs", "zscore", "status"]
+    cells = [[r.get(c, "") for c in cols] for r in rows]  # only subintertwining has phi
+    head = f"model: {m.name}  paths: {mc_cfg.paths}  seed: {mc_cfg.seed}\n"
+    return Report(doc, EXIT_CHECK_FAILED if failed else EXIT_OK,
+                  lambda: head + (_table([[_short(c) for c in row] for row in cells],
+                                         cols[:8] + ["z", "status"])
+                                  if rows else "no checks configured\n"),
+                  lambda: _csv_lines(cells, cols))
 
 
 # ---- reproduce command ---------------------------------------------------
@@ -635,35 +593,27 @@ def reproduce_rows() -> list[dict]:
     return rows
 
 
-def cmd_reproduce(fmt: str, out: str | None) -> int:
+def cmd_reproduce(cfg: dict) -> Report:
+    del cfg  # the table has no inputs
     rows = reproduce_rows()
-    doc = {"rows": rows,
-           "failures": sum(1 for r in rows if r["status"] == "FAIL")}
-    if fmt == "json-like":
-        text = _emit_json(doc)
-    elif fmt == "csv":
-        table_rows = [[r["label"], r["reference"], r["computed"], r["delta"],
-                       r["tolerance"], r["status"]] for r in rows]
-        text = _csv_lines(table_rows, ["label", "reference", "computed",
-                                       "delta", "tolerance", "status"])
-    else:
-        table_rows = [[r["label"], r["reference"], _fmt(r["computed"]),
-                       _short(r["delta"]), _short(r["tolerance"]), r["status"]]
-                      for r in rows]
-        text = _table(table_rows, ["constant", "reference", "computed",
-                                   "|delta|", "tolerance", "status"])
-        text += (f"\n{doc['failures']} of {len(rows)} rows fail; the failing "
-                 "stated constants are not reproducible from the definitions "
-                 "(see README).\n" if doc["failures"] else
-                 "\nall rows reproduced.\n")
-    _write(text, out)
-    return EXIT_CHECK_FAILED if doc["failures"] else EXIT_OK
+    failures = sum(1 for r in rows if r["status"] == "FAIL")
+    cols = ["label", "reference", "computed", "delta", "tolerance", "status"]
+    verdict = (f"{failures} of {len(rows)} rows fail; the failing stated constants are not "
+               "reproducible from the definitions (see README).\n" if failures
+               else "all rows reproduced.\n")
+    return Report(
+        {"rows": rows, "failures": failures}, EXIT_CHECK_FAILED if failures else EXIT_OK,
+        lambda: _table([[r["label"], r["reference"], _fmt(r["computed"]), _short(r["delta"]),
+                         _short(r["tolerance"]), r["status"]] for r in rows],
+                       ["constant", "reference", "computed", "|delta|", "tolerance",
+                        "status"]) + "\n" + verdict,
+        lambda: _csv_lines([[r[c] for c in cols] for r in rows], cols))
 
 
 # ---- inspect command -----------------------------------------------------
 
 
-def cmd_inspect(cfg: dict, fmt: str, out: str | None) -> int:
+def cmd_inspect(cfg: dict) -> Report:
     m = model_from_config(cfg)
     d_sigma = md.realize_weight(m, md.WeightSpec.direct(m.sigma))
     doc = {
@@ -675,19 +625,15 @@ def cmd_inspect(cfg: dict, fmt: str, out: str | None) -> int:
         "v_sigma": ex.to_string(ex.simplify(d_sigma.v_expr)),
         "weights": [],
     }
-    sec = cfg.get("bounds") or {}
-    for key in ("chen_wang", "lsi"):
-        conf = sec.get(key)
-        if not conf:
-            continue
-        entries = [conf] if key == "chen_wang" else [
-            c for c in (conf.get("inc"), conf.get("dec")) if c]
-        for entry in entries:
+    sec = cfg.get("bounds", {})
+    cw, lsi = sec.get("chen_wang"), sec.get("lsi", {})
+    for entry, conf in ((cw, cw), (lsi.get("inc"), lsi), (lsi.get("dec"), lsi)):
+        if entry:
             spec, params = weight_from_config(entry)
             free = sorted(ex.free_params(spec.payload) - set(params))
             bound = dict(params)
             if free:
-                box = _box_from((conf or {}).get("box")) or {}
+                box = _box_from(conf.get("box")) or {}
                 for name in free:
                     if name not in box:
                         raise ConfigError(
@@ -700,24 +646,33 @@ def cmd_inspect(cfg: dict, fmt: str, out: str | None) -> int:
                 "bound_params": {k: float(v) for k, v in bound.items()},
                 "v_a": ex.to_string(ex.simplify(ex.substitute(d.v_expr, d.params))),
             })
-    if fmt == "json-like":
-        text = _emit_json(doc)
-    else:
-        lines = [f"model: {doc['model']}",
-                 f"sigma: {doc['sigma']}",
-                 f"drift: {doc['drift']}",
-                 f"potential: {doc['potential']}",
-                 f"V_sigma: {doc['v_sigma']}"]
-        for w in doc["weights"]:
-            lines.append(f"weight {w['kind']} {w['family']}"
-                         + (f" at {_kv(w['bound_params'])}" if w["bound_params"] else "")
-                         + f": V_a = {w['v_a']}")
-        text = "\n".join(lines) + "\n"
-    _write(text, out)
-    return EXIT_OK
+    return Report(doc, EXIT_OK, lambda: "\n".join(
+        [f"model: {doc['model']}", f"sigma: {doc['sigma']}", f"drift: {doc['drift']}",
+         f"potential: {doc['potential']}", f"V_sigma: {doc['v_sigma']}"]
+        + [f"weight {w['kind']} {w['family']}"
+           + (f" at {_kv(w['bound_params'])}" if w["bound_params"] else "")
+           + f": V_a = {w['v_a']}" for w in doc["weights"]]) + "\n")
 
 
 # ---- entry point ---------------------------------------------------------
+
+
+# command -> (its function, its flags besides --output and --format)
+_COMMANDS = {
+    "bounds": (cmd_bounds, ("config", "radius", "grid")),
+    "oracle": (cmd_oracle, ("config", "radius", "grid")),
+    "check": (cmd_check, ("config", "seed")),
+    "reproduce": (cmd_reproduce, ()),
+    "inspect": (cmd_inspect, ("config",)),
+}
+# flag -> (its argparse keywords, the config entries it overrides)
+_FLAGS = {
+    "config": ({"required": True, "help": "YAML config path"}, ()),
+    "seed": ({"type": int, "help": "override mc.seed"}, (("mc", "seed"),)),
+    "radius": ({"type": float, "help": "override bounds.R and oracle.R"},
+               (("bounds", "R"), ("oracle", "R"))),
+    "grid": ({"type": int, "help": "override oracle.n"}, (("oracle", "n"),)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -725,41 +680,33 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="diffgap",
         description="Spectral-gap and log-Sobolev bounds for one-dimensional diffusions")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("bounds", True), ("oracle", True),
-                               ("check", True), ("reproduce", False),
-                               ("inspect", True)):
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        if needs_config:
-            sp.add_argument("--config", required=True, help="YAML config path")
-        sp.add_argument("--output", default=None, help="write the report here")
-        sp.add_argument("--format", default=None, choices=_FORMATS)
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the simulation seed")
-        sp.add_argument("--radius", type=float, default=None,
-                        help="override scan/truncation radius")
-        sp.add_argument("--grid", type=int, default=None,
-                        help="override the eigensolver grid size")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag][0])
+        sp.add_argument("--output", help="write the report here")
+        sp.add_argument("--format", choices=_FORMATS)
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, flags = _COMMANDS[args.command]
     try:
-        if args.command == "reproduce":
-            return cmd_reproduce(args.format or "table", args.output)
-        cfg = load_config(args.config)
-        out_sec = cfg.get("output") or {}
-        fmt = args.format or out_sec.get("format") or "table"
-        out = args.output or out_sec.get("path")
-        if args.command == "bounds":
-            return cmd_bounds(cfg, fmt, out, radius=args.radius, grid=args.grid)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, fmt, out, radius=args.radius, grid=args.grid)
-        if args.command == "check":
-            return cmd_check(cfg, fmt, out, seed=args.seed)
-        if args.command == "inspect":
-            return cmd_inspect(cfg, fmt, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg = load_config(args.config) if "config" in flags else {}
+        for flag in flags:
+            if getattr(args, flag) is not None:
+                for section, key in _FLAGS[flag][1]:
+                    cfg.setdefault(section, {})[key] = getattr(args, flag)
+        report = command(cfg)
+        out = cfg.get("output", {})
+        text = render(report, args.format or out.get("format", "table"))
+        path = args.output or out.get("path")
+        if path:
+            Path(path).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return report.code
     except (ConfigError, md.ModelError, ex.ExprError, mc.PreconditionError,
             bd.BoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -376,3 +377,148 @@ class TestInspectCommand:
             "bounds": {"chen_wang": {"kind": "z_form", "family": "eps*x"}}})
         assert cli.main(["inspect", "--config", cfg]) == 2
         assert "eps" in capsys.readouterr().err
+
+
+# ---- the one pipeline: schema, flags, overrides, renderer ----------------
+
+# YAML text, not dumped dicts: YAML 1.1 reads the unquoted 1e-12 as a string
+MALFORMED = [
+    ("bounds", "quad.abs_tol",
+     "model: {gallery: ou}\nbounds: {methods: [veysseire]}\n"
+     "oracle: {enabled: false}\nquad: {abs_tol: 1e-12}\n"),
+    ("check", "mc.paths",
+     "model: {gallery: ou}\nmc: {paths: lots}\ncheck: {intertwining: "
+     "[{weight: {kind: direct, family: '1'}, f: x, x0: 0.5, t: 0.0}]}\n"),
+    ("bounds", "bounds.chen_wang.box.eps",
+     "model: {gallery: ou}\nbounds: {methods: [chen_wang], chen_wang: "
+     "{kind: z_form, family: eps*x, box: {eps: 3}}}\noracle: {enabled: false}\n"),
+    ("inspect", "model.domain", "model: {sigma: '1', drift: -x, domain: [0]}\n"),
+    ("check", "check.intertwining[0].t",
+     "model: {gallery: ou}\nmc: {paths: 1000}\ncheck: {intertwining: "
+     "[{weight: {kind: direct, family: '1'}, f: x, x0: 0.5, t: soon}]}\n"),
+    ("oracle", "oracle.n", "model: {gallery: ou}\noracle: {n: x}\n"),
+    ("bounds", "bounds.methods", "model: {gallery: ou}\nbounds: {methods: chen_wang}\n"),
+]
+
+
+@pytest.mark.parametrize("command,key,text", MALFORMED,
+                         ids=[key for _, key, _ in MALFORMED])
+def test_malformed_value_exits_2(tmp_path, capsys, command, key, text):
+    p = tmp_path / "bad.yaml"
+    p.write_text(text)
+    assert cli.main([command, "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and key in err
+
+
+@pytest.mark.parametrize("command", ["inspect", "oracle"])
+def test_null_means_absent(tmp_path, command):
+    nulls = {"model": {"gallery": "quartic", "params": None},
+             "bounds": {"R": None, "methods": None, "chen_wang": None},
+             "oracle": {"R": None, "n": None}, "check": None}
+    absent = {"model": {"gallery": "quartic"}}
+    reports = [run(tmp_path, [command, "--config", write_cfg(tmp_path, doc, f"{i}.yaml")])
+               for i, doc in enumerate((nulls, absent))]
+    assert reports[0][0] == 0
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--config", "m.yaml", "--seed", "1"],
+    ["oracle", "--config", "m.yaml", "--seed", "1"],
+    ["check", "--config", "m.yaml", "--radius", "3"],
+    ["check", "--config", "m.yaml", "--grid", "64"],
+    ["inspect", "--config", "m.yaml", "--radius", "3"],
+    ["reproduce", "--seed", "1"],
+])
+def test_flag_only_on_the_commands_that_read_it(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_explicit_zero_grid_reaches_the_oracle(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"model": {"gallery": "ou"}, "oracle": {"n": 1024}})
+    assert cli.main(["oracle", "--config", cfg, "--grid", "0"]) == 3
+    assert "grid too coarse" in capsys.readouterr().err
+
+
+# every subcommand on a cheap input: config, csv header, table header (None:
+# no such form)
+RENDER_CASES = {
+    "bounds": ({"model": {"gallery": "ou"}, "bounds": {"methods": ["veysseire"]},
+                "oracle": {"n": 512}},
+               ["method", "target", "side", "value", "feasible", "params", "error_budget"],
+               ["method", "target", "side", "value", "params", "notes"]),
+    "oracle": ({"model": {"gallery": "ou"}, "oracle": {"n": 1024}},
+               ["x", "eigen_weight", "killing_rate"], None),
+    "check": ({"model": {"gallery": "ou"}, "mc": {"paths": 1000, "seed": 1},
+               "check": {"intertwining": [{"weight": {"kind": "direct", "family": "1"},
+                                           "f": "tanh(x)", "x0": 0.5, "t": 0.05}],
+                         "subintertwining": [{"weight": {"kind": "direct", "family": "1"},
+                                              "phi": "poincare", "f": "tanh(x)",
+                                              "x0": 0.2, "t": 0.05}]}},
+              ["check", "phi", "weight", "f", "x0", "t", "lhs", "rhs", "zscore", "status"],
+              ["check", "phi", "weight", "f", "x0", "t", "lhs", "rhs", "z", "status"]),
+    "reproduce": ({}, ["label", "reference", "computed", "delta", "tolerance", "status"],
+                  ["constant", "reference", "computed", "|delta|", "tolerance", "status"]),
+    "inspect": ({"model": {"gallery": "ou"},
+                 "bounds": {"chen_wang": {"kind": "z_form", "family": "eps*x",
+                                          "box": {"eps": [0.1, 3.0]}}}}, None, None),
+}
+
+
+@pytest.fixture(scope="module")
+def rendered():
+    """Each subcommand run once on its cheap input, rendered in every format."""
+    out = {}
+    for name, (cfg, _, _) in RENDER_CASES.items():
+        report = getattr(cli, f"cmd_{name}")(cli.validate_config(cfg))
+        out[name] = {fmt: cli.render(report, fmt) for fmt in ("table", "json-like", "csv")}
+    return out
+
+
+@pytest.mark.parametrize("name", RENDER_CASES)
+def test_csv_form(rendered, name):
+    header = RENDER_CASES[name][1]
+    text = rendered[name]["csv"]
+    if header is None:  # no csv form: the text stands in
+        assert text == rendered[name]["table"]
+        return
+    lines = text.splitlines()
+    if name == "oracle":
+        assert lines.pop(0).startswith("# model=ou lambda1=")
+    rows = list(csv.reader(lines))
+    assert rows[0] == header and len(rows) > 1
+    assert all(len(r) == len(header) for r in rows)
+
+
+@pytest.mark.parametrize("name", RENDER_CASES)
+def test_json_form_has_sorted_keys(rendered, name):
+    key_orders = []
+
+    def record(pairs):
+        key_orders.append([k for k, _ in pairs])
+        return dict(pairs)
+
+    json.loads(rendered[name]["json-like"], object_pairs_hook=record)
+    assert key_orders and all(keys == sorted(keys) for keys in key_orders)
+
+
+@pytest.mark.parametrize("name", RENDER_CASES)
+def test_table_form(rendered, name):
+    header = RENDER_CASES[name][2]
+    lines = rendered[name]["table"].splitlines()
+    rules = [i for i, line in enumerate(lines) if line and set(line) <= {"-", " "}]
+    if header is None:
+        assert rules == [] and lines[0] == "model: ou"
+    else:
+        assert len(rules) == 1 and lines[rules[0] - 1].split() == header
+
+
+def test_inspect_csv_prints_the_text_form(tmp_path):
+    cfg = write_cfg(tmp_path, RENDER_CASES["inspect"][0])
+    _, text = run(tmp_path, ["inspect", "--config", cfg])
+    _, as_csv = run(tmp_path, ["inspect", "--config", cfg, "--format", "csv"])
+    assert as_csv == text and text.startswith("model: ou\n")
