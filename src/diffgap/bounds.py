@@ -163,13 +163,15 @@ def _scan_rate(d: md.DualModel, R: float | None, points: int, nan_msg: str):
 
 def _refine_min(d: md.DualModel, xs: np.ndarray, vals: np.ndarray, xatol: float) -> float:
     """Grid minimum of V_a, sharpened by bounded scalar minimization between
-    the neighbours of the three lowest grid points."""
+    the neighbours of the three lowest grid points.  A point with a strictly
+    lower neighbour is skipped: that neighbour is among the three, so the
+    valley's grid minimum is refined all the same."""
     best = float(np.min(vals))
     for i in np.argpartition(vals, 3)[:3]:
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        if b <= a:
+        lo, hi = max(i - 1, 0), min(i + 1, len(xs) - 1)
+        if xs[hi] <= xs[lo] or vals[lo] < vals[i] or vals[hi] < vals[i]:
             continue
-        r = minimize_scalar(lambda t: float(d.v_fn(float(t))), bounds=(a, b),
+        r = minimize_scalar(lambda t: float(d.v_fn(float(t))), bounds=(xs[lo], xs[hi]),
                             method="bounded", options={"xatol": xatol})
         if np.isfinite(r.fun):
             best = min(best, float(r.fun))

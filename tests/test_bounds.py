@@ -14,6 +14,7 @@ Reference values:
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +105,32 @@ class TestRhoOfWeight:
         d = md.realize_weight(ou(), md.WeightSpec.direct("1"))
         with pytest.raises(bd.BoundError, match="coarse"):
             bd.rho_of_weight(d, grid=32)
+
+
+def test_refine_min_refines_each_valley_once(monkeypatch):
+    # two off-grid valleys; the three lowest grid points are -1.1 and -1.0
+    # on the left and 1.0 on the right, where the true minimum is lower
+    def v(x):
+        return np.minimum(0.3 * (x + 1.04) ** 2, 4.0 * (x - 0.96) ** 2 - 0.01)
+
+    xs = np.linspace(-2.0, 2.0, 41)
+    vals = v(xs)
+    assert sorted(np.round(xs[np.argpartition(vals, 3)[:3]], 12)) == [-1.1, -1.0, 1.0]
+    xatol = 1e-10
+    valleys = [bd.minimize_scalar(v, bounds=b, method="bounded", options={"xatol": xatol}).fun
+               for b in ((xs[9], xs[11]), (xs[29], xs[31]))]
+    brackets = []
+    minimize_scalar = bd.minimize_scalar
+
+    def recorded(*args, **kw):
+        brackets.append(kw["bounds"])
+        return minimize_scalar(*args, **kw)
+
+    monkeypatch.setattr(bd, "minimize_scalar", recorded)
+    got = bd._refine_min(SimpleNamespace(v_fn=v), xs, vals, xatol)
+    assert got == min(valleys) == pytest.approx(-0.01)
+    # -1.1 has the strictly lower neighbour -1.0, so each valley is refined once
+    assert sorted(brackets) == [(xs[9], xs[11]), (xs[29], xs[31])]
 
 
 class TestChenWang:
