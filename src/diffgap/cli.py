@@ -69,7 +69,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import bounds as bd
@@ -402,22 +401,29 @@ def cmd_oracle(cfg: dict) -> Report:
     m = model_from_config(cfg)
     R, n = oracle_from_config(cfg)
     g = orc.spectral_gap_fd(m, R=R, n=n)
-    ew = orc.eigvec_weight(m, R=R)
+    # the weight 1/g' is rebuilt from the ergodic flow's first excited state;
+    # an absorbing boundary has no such flow, so that part does not apply
+    ew = orc.eigvec_weight(m, R=R) if g.boundary == "neumann" else None
     doc = {"model": m.name, "lambda1": g.value, "err_est": g.err_est,
            "coarse": g.coarse, "fine": g.fine, "truncation_gap": g.truncation_gap,
-           "n": g.n, "boundary": g.boundary, "rate_flatness": ew.flatness,
-           "bulk": list(ew.bulk)}
+           "n": g.n, "boundary": g.boundary,
+           "rate_flatness": None if ew is None else ew.flatness,
+           "bulk": None if ew is None else list(ew.bulk)}
+    weight_line = (f"not applicable ({g.boundary} boundary)" if ew is None else
+                   f"{_short(ew.flatness)} on bulk [{_short(ew.bulk[0])}, {_short(ew.bulk[1])}]")
 
     def csv() -> str:
-        # restrict to the bulk window: outside it the eigenvector sits at
-        # machine zero and the reconstructed weight/rate are noise
-        xs = ew.grid[(ew.grid >= ew.bulk[0]) & (ew.grid <= ew.bulk[1])]
-        rows = zip(xs.tolist(), np.asarray(ew.weight_fn(xs), dtype=float).tolist(),
-                   np.asarray(ew.v_fn(xs), dtype=float).tolist())
-        head = (f"# model={m.name} lambda1={_fmt(g.value)} err={_short(g.err_est)}"
-                f" flatness={_short(ew.flatness)}"
-                f" bulk=[{_short(ew.bulk[0])},{_short(ew.bulk[1])}]\n")
-        return head + _csv_lines(rows, ["x", "eigen_weight", "killing_rate"])
+        head = f"# model={m.name} lambda1={_fmt(g.value)} err={_short(g.err_est)}"
+        if ew is None:
+            return (f"{head} eigenvector weight {weight_line}\n"
+                    + _csv_lines([], ["x", "eigen_weight", "killing_rate"]))
+        # the rows are the bulk window's grid nodes: outside it the
+        # eigenvector sits at machine zero and the weight/rate are noise
+        head += (f" flatness={_short(ew.flatness)}"
+                 f" bulk=[{_short(ew.bulk[0])},{_short(ew.bulk[1])}]\n")
+        return head + _csv_lines(zip(ew.x.tolist(), ew.weight.tolist(),
+                                     ew.killing_rate.tolist()),
+                                 ["x", "eigen_weight", "killing_rate"])
 
     return Report(doc, EXIT_OK, lambda: "\n".join([
         f"model: {m.name}",
@@ -425,8 +431,7 @@ def cmd_oracle(cfg: dict) -> Report:
         f"grid: n={g.n} boundary={g.boundary}",
         f"richardson: coarse {_fmt(g.coarse)} fine {_fmt(g.fine)}",
         f"truncation gap: {_short(g.truncation_gap)}",
-        f"eigenvector-weight rate flatness: {_short(ew.flatness)} "
-        f"on bulk [{_short(ew.bulk[0])}, {_short(ew.bulk[1])}]"]) + "\n", csv)
+        f"eigenvector-weight rate flatness: {weight_line}"]) + "\n", csv)
 
 
 # ---- check command -------------------------------------------------------

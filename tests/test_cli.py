@@ -256,6 +256,28 @@ class TestOracleCommand:
         assert lines[1] == "x,eigen_weight,killing_rate"
         assert len(lines) > 100
 
+    @pytest.mark.parametrize("fmt", ["table", "json-like", "csv"])
+    def test_dirichlet_interval_reports_the_eigenvalue(self, tmp_path, fmt):
+        # absorbing ends have no ergodic flow to rebuild a weight from: the
+        # eigenvalue block is reported and the weight part marked not applicable
+        cfg = write_cfg(tmp_path, {"model": {"sigma": "1", "drift": "0",
+                                             "domain": [0, 1], "boundary": "dirichlet"},
+                                   "oracle": {"n": 512}})
+        code, text = run(tmp_path, ["oracle", "--config", cfg, "--format", fmt])
+        assert code == 0
+        if fmt == "json-like":
+            doc = json.loads(text)
+            assert doc["lambda1"] == pytest.approx(9.8696, abs=1e-3)
+            assert doc["boundary"] == "dirichlet"
+            assert doc["rate_flatness"] is None and doc["bulk"] is None
+        elif fmt == "csv":
+            lines = text.splitlines()
+            assert "not applicable" in lines[0]
+            assert lines[1:] == ["x,eigen_weight,killing_rate"]
+        else:
+            assert "lambda1: 9.8696" in text
+            assert "rate flatness: not applicable (dirichlet boundary)" in text
+
 
 class TestCheckCommand:
     def test_zero_horizon_exact(self, tmp_path):

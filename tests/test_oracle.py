@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from diffgap import expr as ex
+from diffgap import gallery as gal
 from diffgap import model as md
 from diffgap import oracle as orc
 from diffgap import quad as q
@@ -105,6 +106,17 @@ class TestAutoRadius:
             sigma="sqrt(1+x^2)", target_potential="2.5*log(1+x^2)", name="cauchy"
         )
         assert orc._auto_radius(c) == 20.0
+
+    @pytest.mark.parametrize("m,R", [
+        (gal.ou(), 8.05),
+        (md.build_model(sigma="1", target_potential="(x-3)^2/2"), 11.05),
+        (gal.power(1.5), 13.3),
+        # no node left of 0 is above the threshold: that side asks for the
+        # whole scan, so the cap applies even though the right side needs ~10
+        (md.build_model(sigma="1", target_potential="2*(x-6)^2"), 20.0),
+    ])
+    def test_pinned_radii(self, m, R):
+        assert orc._auto_radius(m) == pytest.approx(R, abs=1e-12)
 
 
 def _sturm_bracket(diag, offdiag, k):
@@ -251,8 +263,10 @@ class TestDiscretize:
         assert np.all(np.isfinite(op.offdiag))
 
     def test_boundary_validation(self):
-        with pytest.raises(orc.OracleError, match="boundary"):
-            orc.discretize(gaussian(), boundary="periodic")
+        free_ends = md.build_model(sigma="1", drift="0", domain=(0.0, 1.0),
+                                   boundary="none")
+        with pytest.raises(orc.OracleError, match="unsupported boundary"):
+            orc.discretize(free_ends)
         with pytest.raises(orc.OracleError, match="coarse"):
             orc.discretize(gaussian(), n=4)
 
@@ -279,13 +293,34 @@ class TestEigvecWeight:
 
     def test_weight_shape(self):
         ew = orc.eigvec_weight(quartic(), n=4096)
-        xs = np.linspace(-4.0, 4.0, 41)
-        w = ew.weight_fn(xs)
-        assert np.all(w > 0)
+        assert np.all(ew.weight > 0)
         # smallest where the eigenfunction is steepest (the center), growing
         # into both tails
-        assert np.argmin(w) == 20
-        assert np.all(np.diff(w[20:]) > 0)
+        assert abs(ew.x[np.argmin(ew.weight)]) < 0.01
+        inner = np.abs(ew.x) <= 4.0
+        x, w = ew.x[inner], ew.weight[inner]
+        assert np.all(np.diff(w[x >= 0]) > 0)
+        assert np.all(np.diff(w[x <= 0]) < 0)
+
+    def test_arrays_span_the_bulk_window(self):
+        ew = orc.eigvec_weight(quartic(), n=4096)
+        assert len(ew.x) == len(ew.weight) == len(ew.killing_rate)
+        assert ew.bulk == (ew.x[0], ew.x[-1])
+        assert np.all(np.diff(ew.x) > 0)
+
+    def test_quartic_tails_stay_usable(self):
+        # inverse iteration keeps the eigenvector's tails accurate relative
+        # to their size; a vector with an absolute noise floor near 1e-46
+        # (LAPACK's stein) leaves only about [-5.27, 5.25]
+        lo, hi = orc.eigvec_weight(quartic()).bulk
+        assert lo <= -7.9 and hi >= 7.9
+
+    @pytest.mark.parametrize("name", gal.gallery_names())
+    def test_killing_rate_finite_on_gallery(self, name):
+        params = {"power": {"alpha": 2.918}, "double-well": {"beta": 0.5}}
+        ew = orc.eigvec_weight(gal.gallery_model(name, **params.get(name, {})), n=2048)
+        assert np.all(np.isfinite(ew.killing_rate)), name
+        assert np.all(np.isfinite(ew.weight) & (ew.weight > 0)), name
 
     def test_dirichlet_rejected(self):
         with pytest.raises(orc.OracleError, match="ergodic"):
