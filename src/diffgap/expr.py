@@ -487,10 +487,11 @@ class _Lowering:
     """Straight-line code for one tree.  ``names`` maps each right-hand side
     to the temporary holding it (value numbering), ``slots`` each constant's
     bit pattern to its index in ``consts``; ``steps`` holds the assignments
-    with the temporaries each one reads."""
+    with the operands each one reads and, for an infix chain
+    ``reads[0] op reads[1] op ...``, its operator."""
 
     def __init__(self):
-        self.steps: list[tuple[str, str, tuple[str, ...]]] = []
+        self.steps: list[tuple[str, str, tuple[str, ...], str | None]] = []
         self.names: dict[str, str] = {}
         self.slots: dict[str, int] = {}
         self.consts: list[np.float64] = []
@@ -503,23 +504,39 @@ class _Lowering:
             self.consts.append(np.float64(v))
         return f"c{k}"
 
-    def bind(self, rhs: str, *reads: str) -> str:
+    def bind(self, rhs: str, *reads: str, op: str | None = None) -> str:
         name = self.names.get(rhs)
         if name is None:
             name = self.names[rhs] = f"t{len(self.names)}"
-            self.steps.append((name, rhs, reads))
+            self.steps.append((name, rhs, reads, op))
         return name
+
+    def chain(self, op: str, *args: str) -> str:
+        return self.bind(f" {op} ".join(args), *args, op=op)
 
     def source(self, result: str) -> str:
         """The function's source.  A temporary is deleted after its last
         read, so no more arrays are alive at once than in a tree walk,
-        apart from the repeated subtrees kept for reuse."""
-        last = {v: i for i, (_, _, reads) in enumerate(self.steps) for v in reads}
+        apart from the repeated subtrees kept for reuse.
+
+        A dying temporary is reused in place: when the first operand of an
+        infix chain (an n-ary sum or product, or a quotient's numerator) is
+        a temporary read for the last time, and only once in that step, the
+        chain becomes ``t2 = t1; t2 *= x; ...``.  The operations and their
+        order are the same, so the values are bit-identical.  A temporary
+        is a fresh array of x's shape, or a numpy scalar that ``*=``
+        replaces instead of writing, so ``x`` itself is never written."""
+        last = {v: i for i, (_, _, reads, _) in enumerate(self.steps) for v in reads}
         lines = ["def _f(x, c, p):"]
         if self.consts:
             lines.append("    " + "".join(f"c{k}, " for k in range(len(self.consts))) + "= c")
-        for i, (name, rhs, reads) in enumerate(self.steps):
-            lines.append(f"    {name} = {rhs}")
+        for i, (name, rhs, reads, op) in enumerate(self.steps):
+            first = reads[0] if op else ""
+            if first[:1] == "t" and last[first] == i and reads.count(first) == 1:
+                lines.append(f"    {name} = {first}")
+                lines.extend(f"    {name} {op}= {v}" for v in reads[1:])
+            else:
+                lines.append(f"    {name} = {rhs}")
             dead = [v for v in dict.fromkeys(reads) if v[0] == "t" and last[v] == i and v != result]
             if dead:
                 lines.append(f"    del {', '.join(dead)}")
@@ -536,11 +553,11 @@ class _Lowering:
             return self.bind(f"_param(p, {e.name!r})")
         args = [self.node(a) for a in e.args]
         if op == "add":
-            return self.bind(" + ".join(args), *args)
+            return self.chain("+", *args)
         if op == "mul":
-            return self.bind(" * ".join(args), *args)
+            return self.chain("*", *args)
         if op == "div":
-            return self.bind(f"{args[0]} / {args[1]}", *args)
+            return self.chain("/", *args)
         if op == "neg":
             return self.bind(f"-{args[0]}", *args)
         if op == "pow":
@@ -566,7 +583,7 @@ class _Lowering:
             return u
         half = self.int_power(u, n // 2)
         sq = self.bind(f"{half} * {half}", half)
-        return sq if n % 2 == 0 else self.bind(f"{sq} * {u}", sq, u)
+        return sq if n % 2 == 0 else self.chain("*", sq, u)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -590,10 +607,12 @@ def _compiled(e: Expr) -> tuple[Callable, tuple]:
 def evaluate(e: Expr, x, params: Mapping[str, float] | None = None):
     """Evaluate at a scalar or ndarray ``x``.
 
-    Returns a float for scalar input, an ndarray otherwise.  +-inf and NaN
-    propagate; unbound parameters and log of a negative argument raise
-    :class:`EvalError` (the latter reports the offending x).  The tree is
-    compiled on its first evaluation (see the module docstring).
+    Returns a float for scalar input, an ndarray otherwise; the ndarray is
+    the caller's own, never ``x`` or a view of it, so it may be changed in
+    place.  +-inf and NaN propagate; unbound parameters and log of a
+    negative argument raise :class:`EvalError` (the latter reports the
+    offending x).  The tree is compiled on its first evaluation (see the
+    module docstring).
     """
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
@@ -603,6 +622,8 @@ def evaluate(e: Expr, x, params: Mapping[str, float] | None = None):
     out = np.asarray(out, dtype=float)
     if scalar:
         return float(out)
+    if out is xs:  # the tree is x itself
+        return xs.copy()
     return np.broadcast_to(out, xs.shape).copy() if out.shape != xs.shape else out
 
 

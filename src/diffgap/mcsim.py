@@ -117,10 +117,18 @@ def _evolve(m, starts, cfg: MCConfig, integrand=None):
     Returns (endpoints, integrals, alive) with shape (k, paths); integrals
     hold the trapezoidal accumulation of the integrand along each path.
     Paths leaving the blow-up radius turn NaN and stay flagged.
+
+    The step allocates as little as it can: the drift and sigma arrays are
+    the model's own (``expr.evaluate`` never returns its input) and take
+    their products in place, and only the new state is a fresh array, since
+    an integrand may return its argument, which ``prev`` then holds.  Each
+    product and sum is the one X + b dt + sqrt(2 dt) sigma z would compute,
+    in the same order, so the paths are bit-identical to that formula's.
     """
     drift, sig = m.drift_fn, m.sigma_fn
     dt = cfg.dt()
     vol = math.sqrt(2.0 * dt)
+    radius = cfg.blow_up_radius
     X = np.tile(np.asarray(starts, dtype=float)[:, None], (1, cfg.paths))
     alive = np.ones(X.shape, dtype=bool)
     integ = np.zeros(X.shape)
@@ -128,15 +136,24 @@ def _evolve(m, starts, cfg: MCConfig, integrand=None):
         prev = np.broadcast_to(np.asarray(integrand(X), dtype=float), X.shape).copy() \
             if integrand is not None else None
         for z in _increments(cfg):
-            X = X + np.asarray(drift(X), dtype=float) * dt \
-                + vol * np.asarray(sig(X), dtype=float) * z
-            blown = alive & (np.abs(X) > cfg.blow_up_radius)
-            if np.any(blown):
-                alive &= ~blown
-                X = np.where(alive, X, np.nan)
+            step = np.asarray(drift(X), dtype=float)
+            step *= dt
+            noise = np.asarray(sig(X), dtype=float)
+            noise *= vol
+            noise *= z
+            X = X + step
+            X += noise
+            # a NaN anywhere fails both comparisons and takes the masked test
+            if not (X.min() >= -radius and X.max() <= radius):
+                blown = alive & (np.abs(X) > radius)
+                if np.any(blown):
+                    alive &= ~blown
+                    X = np.where(alive, X, np.nan)
             if integrand is not None:
                 cur = np.broadcast_to(np.asarray(integrand(X), dtype=float), X.shape)
-                integ = integ + 0.5 * dt * (prev + cur)
+                area = prev + cur
+                area *= 0.5 * dt
+                integ += area
                 prev = cur
     return X, integ, alive
 
@@ -216,10 +233,13 @@ class FKEstimate:
 def _fk_core(d: md.DualModel, g, x0: float, cfg: MCConfig, potential_scale: float):
     gfn = _as_path_fn(g, "payoff")
     vfn = d.v_fn
-    X, A, alive = _evolve(
-        d, [x0], cfg,
-        integrand=lambda x: potential_scale * np.asarray(vfn(x), dtype=float),
-    )
+
+    def rate(x):
+        v = np.asarray(vfn(x), dtype=float)
+        v *= potential_scale
+        return v
+
+    X, A, alive = _evolve(d, [x0], cfg, integrand=rate)
     end, acc, ok = X[0], A[0], alive[0]
     if np.mean(~ok) > 0.5:
         raise MCError("majority of dual paths exceeded the blow-up radius")

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from diffgap import expr as ex
+from diffgap import gallery
 from diffgap import model as md
 
 
@@ -391,6 +392,10 @@ class TestRandomizedProperties:
         # random trees only raise to the powers 1..3; these cover the others
         fixed = [ex.parse(s) for s in (
             "x^-3 + x^-2", "(x - 1)^-1 * x^5", "x^0 + (x^2)^0.5", "abs(x)^1.5 - x^17", "p*x^16")]
+        # one temporary read twice in one n-ary step must not be reused in
+        # place; the parser nests binary products, so these are built directly
+        a = ex.parse("x+1")
+        fixed += [ex.mul(a, ex.X, a), ex.add(a, ex.mul(a, ex.X), a), ex.div(ex.mul(a, a), a)]
         drawn = (_random_expr(rng, int(rng.integers(1, 7)), smooth_only=False) for _ in range(300))
         for e in [*fixed, *drawn]:
             xs = np.concatenate([rng.uniform(-3, 3, size=10), edge])
@@ -415,6 +420,29 @@ class TestRandomizedProperties:
                     assert got == want
                 else:
                     npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_compiled_never_writes_its_argument(self):
+        xs = np.linspace(-3.0, 3.0, 41)
+        before = xs.copy()
+        xs.setflags(write=False)  # any write into x raises
+        spec = md.WeightSpec.a_form(ex.parse("-(x-1)^2"))
+        for name in gallery.gallery_names():
+            m = gallery.gallery_model(name, **{"power": {"alpha": 2.918},
+                                               "double-well": {"beta": 0.5}}.get(name, {}))
+            d = md.realize_weight(m, spec)
+            for tree, params in ((m.sigma, {}), (m.drift, {}), (m.u_prime, {}),
+                                 (d.v_expr, d.params)):
+                got = ex.evaluate(tree, xs, params)
+                assert got.shape == xs.shape and not np.shares_memory(got, xs)
+        npt.assert_array_equal(xs, before)
+
+    def test_result_is_the_callers_own_array(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        identity = ex.parse("x")
+        m = md.build_model(sigma="1", drift="x", name="explosive", tail_kind="exponential")
+        for got in (ex.evaluate(identity, xs), ex.compile_fn(identity)(xs), m.drift_fn(xs)):
+            npt.assert_array_equal(got, xs)
+            assert not np.shares_memory(got, xs)
 
 
 def _has_reduced_power(e):

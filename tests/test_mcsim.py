@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from diffgap import expr as ex
+from diffgap import gallery
 from diffgap import mcsim as mc
 from diffgap import model as md
 from diffgap import quad as q
@@ -104,6 +105,72 @@ class TestSimulate:
         ens = mc.simulate(m, 0.0, cfg)
         assert 0.0 < ens.flagged_fraction <= 0.5
         assert int(np.isnan(ens.endpoints).sum()) == int(ens.flagged.sum())
+
+
+def _reference_evolve(m, starts, cfg, integrand=None):
+    """The Euler loop as plain whole-array expressions, one fresh array per
+    operation: the reference ``mc._evolve`` must match bit for bit."""
+    drift, sig = m.drift_fn, m.sigma_fn
+    dt = cfg.dt()
+    vol = math.sqrt(2.0 * dt)
+    X = np.tile(np.asarray(starts, dtype=float)[:, None], (1, cfg.paths))
+    alive = np.ones(X.shape, dtype=bool)
+    integ = np.zeros(X.shape)
+    with np.errstate(all="ignore"):
+        prev = np.broadcast_to(np.asarray(integrand(X), dtype=float), X.shape).copy() \
+            if integrand is not None else None
+        for z in mc._increments(cfg):
+            X = X + np.asarray(drift(X), dtype=float) * dt \
+                + vol * np.asarray(sig(X), dtype=float) * z
+            blown = alive & (np.abs(X) > cfg.blow_up_radius)
+            if np.any(blown):
+                alive &= ~blown
+                X = np.where(alive, X, np.nan)
+            if integrand is not None:
+                cur = np.broadcast_to(np.asarray(integrand(X), dtype=float), X.shape)
+                integ = integ + 0.5 * dt * (prev + cur)
+                prev = cur
+    return X, integ, alive
+
+
+def _grow():
+    return md.build_model(sigma="1", drift="x", name="grow", tail_kind="exponential")
+
+
+class TestEvolveMatchesReference:
+    @staticmethod
+    def assert_same(m, starts, cfg, integrand=None):
+        got = mc._evolve(m, starts, cfg, integrand)
+        want = _reference_evolve(m, starts, cfg, integrand)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        return got
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("make", [
+        ou, quartic, lambda: gallery.gallery_model("cauchy")], ids=["ou", "quartic", "cauchy"])
+    def test_gallery_models(self, make, antithetic):
+        m = make()
+        cfg = mc.MCConfig(step=1e-2, horizon=0.5, paths=2000, seed=17, antithetic=antithetic)
+        d = md.realize_weight(m, md.WeightSpec.a_form("-(x-1)^2"))
+        self.assert_same(m, [0.501, 0.5, 0.499], cfg)
+        self.assert_same(d, [0.5], cfg, integrand=lambda x: 2.0 * np.asarray(d.v_fn(x)))
+
+    @pytest.mark.parametrize("functional", [lambda x: x, ex.compile_fn(ex.X)],
+                             ids=["callable", "compiled"])
+    def test_integrand_returning_its_input(self, functional):
+        cfg = mc.MCConfig(step=1e-2, horizon=1.0, paths=1000, seed=13)
+        self.assert_same(ou(), [1.5], cfg, integrand=functional)
+
+    def test_identity_drift(self):
+        cfg = mc.MCConfig(step=1e-2, horizon=0.5, paths=1000, seed=5)
+        self.assert_same(_grow(), [0.3, -0.2], cfg, integrand=lambda x: x)
+
+    def test_partial_blow_up(self):
+        cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=4.0)
+        X, _, alive = self.assert_same(_grow(), [0.5], cfg, integrand=lambda x: x)
+        assert float(np.mean(~alive)) == 0.1925
+        assert np.array_equal(np.isnan(X), ~alive)
 
 
 class TestFeynmanKac:
