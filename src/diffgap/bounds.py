@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 _U_WINDOW = 600.0  # exp(U) stays below overflow inside the scan window
+_SCAN_POINTS = 1600  # dense-grid resolution for infima and the Muckenhoupt product
+_NM_MAX_ITER = 500  # Nelder-Mead iteration cap of the parameter-box polish
+_PARAM_TOL = 1e-6  # Nelder-Mead parameter tolerance (xatol)
 
 
 class BoundError(Exception):
@@ -64,16 +67,12 @@ class OptConfig:
 
     box maps parameter names to (lo, hi); required whenever the weight or
     trial family has free parameters.  R overrides the scan radius (half
-    width on the line); scan_points is the dense-grid resolution for
-    infima and for the Muckenhoupt product.
+    width on the line).
     """
 
     box: Mapping[str, tuple[float, float]] | None = None
     grid_points: int = 41
-    nm_max_iter: int = 500
-    param_tol: float = 1e-6
     R: float | None = None
-    scan_points: int = 1600
     quad: q.QuadConfig | None = None
 
     def quad_cfg(self) -> q.QuadConfig:
@@ -178,7 +177,7 @@ def _refine_min(d: md.DualModel, xs: np.ndarray, vals: np.ndarray, xatol: float)
     return best
 
 
-def rho_of_weight(d: md.DualModel, R: float | None = None, grid: int = 1600,
+def rho_of_weight(d: md.DualModel, R: float | None = None, grid: int = _SCAN_POINTS,
                   refine: bool = True) -> float:
     """inf of the killing rate V_a over the scan window.
 
@@ -250,7 +249,7 @@ def _minimize_box(names: list[str], cfg: OptConfig, objective, polish=None):
         return polish(theta)
 
     nm = minimize(boxed, np.asarray(best_theta, dtype=float), method="Nelder-Mead",
-                  options={"maxiter": cfg.nm_max_iter, "xatol": cfg.param_tol,
+                  options={"maxiter": _NM_MAX_ITER, "xatol": _PARAM_TOL,
                            "fatol": 1e-12})
     if np.isfinite(nm.fun) and float(nm.fun) < start:
         return tuple(nm.x), float(nm.fun), start
@@ -283,7 +282,7 @@ def _maximize_rho(
         if admissible is not None and not admissible(d):
             return -math.inf, None
         try:
-            return rho_of_weight(d, cfg.R, cfg.scan_points, refine=refine), d
+            return rho_of_weight(d, cfg.R, refine=refine), d
         except BoundError:
             return -math.inf, None
 
@@ -351,7 +350,7 @@ def veysseire_lower(m: md.DiffusionModel, cfg: OptConfig | None = None) -> Bound
     """Integrated lower bound lambda1 >= 1 / mu(1/V_sigma), V_sigma > 0."""
     cfg = cfg or OptConfig()
     d = md.realize_weight(m, md.WeightSpec.direct(m.sigma))
-    xs, vals, _ = _scan_rate(d, cfg.R, cfg.scan_points,
+    xs, vals, _ = _scan_rate(d, cfg.R, _SCAN_POINTS,
                              "V_sigma is not defined on the working grid (x = {bad:.6g})")
     lo, hi = xs[0], xs[-1]
     # sharpen interior minima off the grid; a rate vanishing between nodes
@@ -441,14 +440,15 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
     if clipped:
         T = float(probe[over[0]])
 
-    points = max(400, cfg.scan_points // 4)
+    points = _SCAN_POINTS // 4
     t = np.concatenate([[0.0], np.geomspace(max(1e-4, 1e-6 * T), T, points - 1)])
     dens = lambda u: np.asarray(m.density(med + sgn * np.asarray(u)), dtype=float)
     coref = lambda u: np.exp(np.asarray(m.U(med + sgn * np.asarray(u)), dtype=float))
     core = q.cumulative_on_grid(coref, t)
     cells = q.simpson_cells(dens, t)
-    qc = cfg.quad_cfg()
-    qc = replace(qc, truncation_R=max(qc.truncation_R, abs(med) + T + 10.0))
+    # a tail mass multiplies a core integral about its reciprocal in size,
+    # so it needs relative accuracy, whatever the absolute tolerance
+    qc = replace(cfg.quad_cfg(), abs_tol=0.0)
     if math.isfinite(edge) and T >= edge:
         beyond = 0.0
     elif sgn > 0:
@@ -568,7 +568,7 @@ def brascamp_lieb_var_bound(
     carries the growing factor 1/V_a).
     """
     cfg = cfg or OptConfig()
-    _, vals, _ = _scan_rate(d, cfg.R, cfg.scan_points,
+    _, vals, _ = _scan_rate(d, cfg.R, _SCAN_POINTS,
                             "killing rate is not defined on the working grid (x = {bad:.6g})")
     vmin = float(np.min(vals))
     if not vmin > 1e-12:
@@ -637,13 +637,15 @@ def _rayleigh_quotient(m: md.DiffusionModel, fam: ex.Expr, names: list[str], qc:
                 second = mu_integral(2, lambda x: ex.evaluate(ff, x, p))
         except q.QuadError:
             return math.inf, math.inf
-        var_scaled = second.value - mean.value**2 / z
-        if not (math.isfinite(num.value) and math.isfinite(var_scaled)):
+        # normalized moments: the unnormalized mean squared can overflow
+        mean_n, second_n = mean.value / z, second.value / z
+        var = second_n - mean_n * mean_n
+        if not (math.isfinite(num.value) and math.isfinite(var)):
             return math.inf, math.inf
-        if var_scaled <= 1e-13 * abs(second.value):
+        if var <= 1e-13 * abs(second_n):
             return math.inf, math.inf
-        val = num.value / var_scaled
-        err = (num.err_est + val * (second.err_est + 2.0 * abs(mean.value) * mean.err_est / z)) / var_scaled
+        val = num.value / z / var
+        err = (num.err_est + val * (second.err_est + 2.0 * abs(mean_n) * mean.err_est)) / z / var
         return val, err
 
     return quotient
@@ -712,12 +714,15 @@ def _monotone_class(d: md.DualModel, R: float | None, n: int = 801):
 
 
 def _symmetric_measure(m: md.DiffusionModel, med: float) -> bool:
+    """h(med + t) = h(med - t) for t up to 10, compared as log-densities: a
+    density compared directly goes subnormal in the tails and loses its
+    relative precision."""
     ts = np.geomspace(1e-3, 10.0, 120)
     with np.errstate(all="ignore"):
-        hp = np.asarray(m.density(med + ts), dtype=float)
-        hm = np.asarray(m.density(med - ts), dtype=float)
-    ok = hp > 0
-    return bool(np.all(np.abs(hp[ok] - hm[ok]) <= 1e-9 * hp[ok]))
+        lp = np.asarray(m.log_density(med + ts), dtype=float)
+        lm = np.asarray(m.log_density(med - ts), dtype=float)
+    ok = lp > -math.inf
+    return bool(np.all(np.abs(lp[ok] - lm[ok]) <= 1e-9 * np.maximum(1.0, np.abs(lp[ok]))))
 
 
 def lsi_lower(

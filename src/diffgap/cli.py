@@ -26,16 +26,11 @@ Full schema:
     quad:
       abs_tol: 1.0e-10
       rel_tol: 1.0e-8
-      truncation_R: 12.0
       max_subdivisions: 2000
-      infinite_method: auto
     bounds:
       methods: [chen_wang, rayleigh, muckenhoupt, veysseire, lsi]
       R: null                       # scan radius override
-      scan_points: 1600
       grid_points: 41
-      nm_max_iter: 500
-      param_tol: 1.0e-6
       chen_wang: {kind: z_form, family: "eps*x", box: {eps: [0.1, 3.0]}}
       rayleigh: {family: "x*(x^2)^((eps-1)/2)", box: {eps: [0.55, 2.0]}}
       lsi:
@@ -118,10 +113,8 @@ _SCHEMA = {
     "model": {"gallery": _STR, "params": {str: _EXPR}, "sigma": _EXPR,
               "drift": _EXPR, "target_potential": _EXPR, "domain": ("line", _PAIR),
               "boundary": _STR, "tail_kind": _STR, "name": _STR},
-    "quad": {"abs_tol": _NUM, "rel_tol": _NUM, "truncation_R": _NUM,
-             "max_subdivisions": _INT, "infinite_method": ("auto", "truncate", "tan")},
-    "bounds": {"methods": [_METHODS, ...], "R": _NUM, "scan_points": _INT,
-               "grid_points": _INT, "nm_max_iter": _INT, "param_tol": _NUM,
+    "quad": {"abs_tol": _NUM, "rel_tol": _NUM, "max_subdivisions": _INT},
+    "bounds": {"methods": [_METHODS, ...], "R": _NUM, "grid_points": _INT,
                "chen_wang": {"kind": _Req(_WEIGHT_KINDS), "family": _Req(_EXPR),
                              "box": _BOX},
                "rayleigh": {"family": _Req(_EXPR), "box": _BOX},
@@ -232,8 +225,7 @@ def _box_from(sec: dict | None) -> dict | None:
 
 def opt_from_config(cfg: dict) -> bd.OptConfig:
     sec = cfg.get("bounds", {})
-    kw = {k: sec[k] for k in ("R", "scan_points", "grid_points", "nm_max_iter",
-                              "param_tol") if k in sec}
+    kw = {k: sec[k] for k in ("R", "grid_points") if k in sec}
     return bd.OptConfig(quad=q.QuadConfig(**cfg.get("quad", {})), **kw)
 
 

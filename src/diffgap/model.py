@@ -461,10 +461,10 @@ def _normalization(m, anchor: float, what: str, cfg: quad.QuadConfig | None) -> 
     """Z = integral of m.density over the support, split at the anchor and
     cached per quadrature setting in m._z_cache."""
     cfg = cfg or quad.QuadConfig()
-    key = (cfg.abs_tol, cfg.rel_tol, cfg.truncation_R, cfg.infinite_method)
+    key = (cfg.abs_tol, cfg.rel_tol)
     if key not in m._z_cache:
         lo, hi = m.support
-        r = quad.integrate(m.density, lo, hi, quad._measure_cfg(m, cfg), breakpoints=(anchor,))
+        r = quad.integrate(m.density, lo, hi, cfg, breakpoints=(anchor,))
         if not r.converged:
             raise ModelError(
                 f"{what} did not converge (err {r.err_est:.3g} after {r.subdivisions} segments)"

@@ -19,21 +19,22 @@ panels the integrand family still needs instead of re-bisecting from scratch
 or inheriting every panel an earlier member needed.  The
 integrator is deliberately self-contained: the error budget of every bound
 downstream leans on the reported ``err_est``, so the summation order, the
-subdivision rule and the tail handling are all fixed here rather than
-delegated.
+subdivision rule and the map of an infinite endpoint are all fixed here
+rather than delegated.
 
-Unbounded domains are handled two ways.  Fast-decaying integrands are
-truncated at ``truncation_R`` with an exponential tail envelope fitted from
-samples near the cut; integrands with polynomial tails (Cauchy-type measures)
-go through the substitution x = tan(theta), which compactifies the line to
-(-pi/2, pi/2).  ``infinite_method='auto'`` picks the substitution whenever
-the fitted tail does not clear the absolute tolerance.
+An infinite endpoint is handled one way: the substitution x = shift +
+tan(theta) maps the line onto (-pi/2, pi/2) and a half line onto a quarter
+of it, whatever the integrand's tails.  The integrand is therefore also
+evaluated far out (|x| up to about 1e16), where a measure density has
+underflowed to exactly 0.  An integrand against a measure is taken as 0
+wherever the density is 0: the product of 0 with a factor that has
+overflowed is NaN in IEEE arithmetic, yet the measure puts no mass there.
 
 On top of the integrator sit the measure-level functionals (mean, variance,
 entropy, Dirichlet form), the phi-entropy pairs with their admissibility
 validator, and the median solver.  These take any object exposing the model
-attributes (density, sigma_fn, domain, tail hints) and never import the model
-module, keeping the dependency one-way.
+attributes (density, sigma_fn, support, normalization) and never import the
+model module, keeping the dependency one-way.
 """
 
 from __future__ import annotations
@@ -116,9 +117,7 @@ class QuadError(Exception):
 class QuadConfig:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    truncation_R: float = 12.0
     max_subdivisions: int = 2000
-    infinite_method: str = "auto"  # 'auto' | 'truncate' | 'tan'
 
 
 @dataclass(frozen=True)
@@ -162,10 +161,11 @@ def integrate(
     subdivision budget is returned with converged=False rather than raised.
 
     ``breakpoints`` seed the initial partition.  ``breakpoints=r.edges``
-    restarts from the final panels of an earlier result r (on the tan path
-    its edges are shift + tan(theta) of the interior panel boundaries): for
-    the same integrand this evaluates r's partition in one integrand call
-    and reproduces r's value and subdivision count.  ``breakpoints=r.carry``
+    restarts from the final panels of an earlier result r (for an infinite
+    endpoint its edges are shift + tan(theta) of the interior panel
+    boundaries in theta): for the same integrand this evaluates r's
+    partition in one integrand call and reproduces r's value and
+    subdivision count.  ``breakpoints=r.carry``
     starts a nearby integrand from r's partition with its negligible-error
     neighbours merged pairwise.  Carried panels count against
     ``max_subdivisions``.
@@ -183,23 +183,6 @@ def integrate(
     inf_a, inf_b = math.isinf(a), math.isinf(b)
     if not inf_a and not inf_b:
         return _integrate_finite(fn, a, b, cfg, breakpoints)
-
-    method = cfg.infinite_method
-    tail = 0.0
-    if method not in ("auto", "truncate", "tan"):
-        raise QuadError(f"unknown infinite_method {method!r}")
-    if method in ("auto", "truncate"):
-        lo = a if not inf_a else -cfg.truncation_R
-        hi = b if not inf_b else cfg.truncation_R
-        if lo >= hi:
-            raise QuadError("truncation_R does not cover the finite endpoint")
-        # upper side first: an integrand that fails on both sides names an upper x
-        tail, fit_ok = _tail_envelope(fn, [R for R, inf in ((hi, inf_b), (lo, inf_a)) if inf])
-        if method == "truncate" or (fit_ok and tail <= cfg.abs_tol):
-            inner = _integrate_finite(fn, lo, hi, cfg, breakpoints)
-            err = inner.err_est + tail
-            conv = bool(inner.converged and err <= max(cfg.abs_tol, cfg.rel_tol * abs(inner.value)))
-            return replace(inner, err_est=err, converged=conv)
 
     # tangent substitution: x = shift + tan(theta)
     if inf_a and inf_b:
@@ -224,40 +207,6 @@ def integrate(
     r = _integrate_finite(gn, lo_t, hi_t, cfg, bps)
     return replace(r, edges=tuple((shift + np.tan(r.edges)).tolist()),
                    carry=tuple((shift + np.tan(r.carry)).tolist()))
-
-
-def _tail_envelope(fn, cuts: Sequence[float]):
-    """Exponential tail bound past each cut |R|: fit |f| ~ C e^{-c|x|} on
-    three samples per cut, all of them in one integrand call in the order of
-    ``cuts`` (each R carries its side's sign).
-
-    Returns (summed tail estimate, every fit ok).  A tail of exactly zero
-    (integrand underflows) counts as a successful fit.
-    """
-    xs = np.array([[0.8 * R, 0.9 * R, 1.0 * R] for R in cuts]).ravel()
-    vals = np.asarray(fn(xs), dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.broadcast_to(vals, xs.shape)
-    tail, fit_ok = 0.0, True
-    for R, (v1, v2, v3) in zip(cuts, np.abs(vals).reshape(-1, 3).tolist()):
-        t, ok = _tail_fit(R, v1, v2, v3)
-        tail += t
-        fit_ok = fit_ok and ok
-    return tail, fit_ok
-
-
-def _tail_fit(R: float, v1: float, v2: float, v3: float):
-    """(tail estimate, fit ok) past one cut R from |f| at 0.8R, 0.9R, R."""
-    if math.isnan(v1) or math.isnan(v2) or math.isnan(v3):
-        return math.inf, False
-    if v3 == 0.0 and v2 == 0.0:
-        return 0.0, True
-    if v3 <= 0.0 or v2 <= v3 or v1 <= v2:
-        return math.inf, False
-    c = math.log(v2 / v3) / (0.1 * abs(R))
-    if c <= 0:
-        return math.inf, False
-    return float(v3 / c), True
 
 
 def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
@@ -378,24 +327,19 @@ def cumulative_on_grid(fn, x: np.ndarray) -> np.ndarray:
 # ---- measure functionals ------------------------------------------------
 
 
-def _measure_cfg(m, cfg: QuadConfig) -> QuadConfig:
-    """cfg for integrals against m: 'auto' means the tan substitution when
-    m has polynomial tails."""
-    if cfg.infinite_method == "auto" and getattr(m, "tail_kind", "exponential") == "polynomial":
-        return replace(cfg, infinite_method="tan")
-    return cfg
-
-
 def _mu_integral(m, g, cfg: QuadConfig, breakpoints=()) -> IntegrationResult:
-    """Integral of g against the unnormalized measure density of m."""
+    """Integral of g against the unnormalized measure density of m; the
+    integrand is 0 wherever the density is 0, even where g overflows."""
     dens = m.density
     gf = _as_vector_fn(g)
 
     def integrand(x):
-        return gf(x) * dens(x)
+        h = dens(x)
+        with np.errstate(all="ignore"):
+            return np.where(h == 0.0, 0.0, gf(x) * h)
 
     lo, hi = m.support
-    return integrate(integrand, lo, hi, _measure_cfg(m, cfg), breakpoints=breakpoints)
+    return integrate(integrand, lo, hi, cfg, breakpoints=breakpoints)
 
 
 def mu_expectation(m, g, cfg: QuadConfig | None = None, breakpoints=()) -> float:
@@ -606,39 +550,31 @@ def phi_entropy(m, f: ex.Expr, spec: PhiSpec, cfg: QuadConfig | None = None):
 
 
 def median(m, cfg: QuadConfig | None = None) -> float:
-    """Median of mu by bisection on the cumulative mass."""
+    """Median of mu by bisection on the cumulative mass.
+
+    On an interval the bisection runs in x.  On the line it runs in theta
+    with x = tan(theta) over (-pi/2, pi/2), so a median anywhere on the line
+    is bracketed: the two half-line masses are computed once, and each step
+    adds one finite integral from 0."""
     cfg = cfg or QuadConfig()
-    z = m.normalization(cfg)
     lo, hi = m.support
-    R = cfg.truncation_R
-    a = lo if math.isfinite(lo) else -R
-    b = hi if math.isfinite(hi) else R
-    # measure mass from a finite reference so the bisection probes only
-    # finite integrals (the one half-infinite piece is computed once)
-    if math.isfinite(lo):
-        ref, base_mass = lo, 0.0
+    if math.isinf(lo):
+        to_x, a, b = math.tan, -0.5 * math.pi, 0.5 * math.pi
+        ref, below = 0.0, integrate(m.density, -math.inf, 0.0, cfg).value
+        total = below + integrate(m.density, 0.0, math.inf, cfg).value
     else:
-        ref = 0.0
-        base_mass = _mu_integral_interval(m, -math.inf, 0.0, cfg)
+        to_x, a, b = float, lo, hi
+        ref, below, total = lo, 0.0, m.normalization(cfg)
 
-    def mass_below(t):
-        return (base_mass + _mu_integral_interval(m, ref, t, cfg)) / z
-
-    fa = mass_below(a) - 0.5
-    fb = mass_below(b) - 0.5
-    if fa * fb > 0:
-        raise QuadError("median not bracketed inside the working window")
+    # the mass below a is 0 and below b the total: bisect the sign change
     for _ in range(80):
         mid = 0.5 * (a + b)
-        fm = mass_below(mid) - 0.5
-        if fm == 0 or (b - a) < 1e-12 * max(1.0, abs(mid)):
-            return mid
-        if fa * fm <= 0:
-            b, fb = mid, fm
+        x_mid = to_x(mid)
+        fm = (below + integrate(m.density, ref, x_mid, cfg).value) / total - 0.5
+        if fm == 0 or not a < mid < b or to_x(b) - to_x(a) < 1e-12 * max(1.0, abs(x_mid)):
+            return x_mid
+        if fm >= 0:
+            b = mid
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
-def _mu_integral_interval(m, lo, hi, cfg: QuadConfig) -> float:
-    return integrate(m.density, lo, hi, _measure_cfg(m, cfg)).value
+            a = mid
+    return to_x(0.5 * (a + b))

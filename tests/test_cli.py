@@ -94,6 +94,15 @@ class TestExitCodes:
         assert cli.main(["bounds", "--config", cfg]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("section, key", [("quad", "infinite_method"),
+                                              ("quad", "truncation_R"),
+                                              ("bounds", "scan_points")])
+    def test_removed_setting_is_unknown(self, tmp_path, capsys, section, key):
+        value = "tan" if key == "infinite_method" else 12
+        cfg = write_cfg(tmp_path, {"model": {"gallery": "ou"}, section: {key: value}})
+        assert cli.main(["bounds", "--config", cfg]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
     def test_model_section_required(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"oracle": {"enabled": False}})
         assert cli.main(["bounds", "--config", cfg]) == 2

@@ -33,8 +33,7 @@ class TestIntegrate:
         assert abs(r.value - math.sqrt(2 * math.pi)) < 1e-10
 
     def test_cauchy_on_line_uses_substitution(self):
-        # polynomial tail: the truncation envelope cannot reach abs_tol,
-        # so the auto path must go through x = tan(theta)
+        # polynomial tail: x = tan(theta) maps it to a bounded integrand
         r = q.integrate(lambda x: 1.0 / (1.0 + x * x), -math.inf, math.inf)
         assert r.converged
         assert abs(r.value - math.pi) < 1e-12
@@ -42,7 +41,7 @@ class TestIntegrate:
     def test_half_line_exponential(self):
         r = q.integrate(lambda x: np.exp(-x), 0.0, math.inf)
         assert r.converged
-        assert abs(r.value - 1.0) < 1e-9
+        assert abs(r.value - 1.0) < 1e-10
 
     def test_half_line_against_scipy(self):
         f = lambda x: np.exp(-x) * np.sin(x) ** 2
@@ -50,11 +49,6 @@ class TestIntegrate:
         r = q.integrate(f, 0.0, math.inf)
         assert r.converged
         assert abs(r.value - ref) < 1e-9
-
-    def test_truncate_method_explicit(self):
-        cfg = q.QuadConfig(truncation_R=40.0, infinite_method="truncate")
-        r = q.integrate(lambda x: np.exp(-x), 0.0, math.inf, cfg)
-        assert abs(r.value - 1.0) < 1e-10
 
     def test_endpoint_singularity(self):
         r = q.integrate(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0)
@@ -114,11 +108,6 @@ class TestIntegrate:
         with pytest.raises(q.QuadError):
             q.integrate(ex.X, math.nan, 1.0)
 
-    def test_unknown_method_rejected(self):
-        cfg = q.QuadConfig(infinite_method="laplace")
-        with pytest.raises(q.QuadError, match="infinite_method"):
-            q.integrate(lambda x: np.exp(-x * x), -math.inf, math.inf, cfg)
-
     def test_unbound_parameter_rejected(self):
         with pytest.raises(q.QuadError, match="unbound"):
             q.integrate(ex.parse("k*x"), 0.0, 1.0)
@@ -147,9 +136,9 @@ class TestRestartFromEdges:
         (lambda x: np.sqrt(np.abs(x - 0.3)) + 1.0 / np.sqrt(x), 1e-300, 1.0, None, 0.0),
         # finite, stopped by the subdivision budget
         (lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, q.QuadConfig(max_subdivisions=17), 0.0),
-        # truncation at R with an exponential tail envelope
+        # whole line, a fast-decaying integrand
         (lambda x: np.cos(3.0 * x) * np.exp(-x * x), -math.inf, math.inf, None, 0.0),
-        # tan substitution, whole line and half line
+        # whole line and half line, polynomial tails
         (lambda x: np.abs(x) ** -0.5 * (1.0 + x * x) ** -1.5, -math.inf, math.inf, None, 1e-14),
         (lambda x: (1.0 + x) ** -3, 0.0, math.inf, None, 1e-14),
     ])
@@ -193,9 +182,9 @@ class TestCarriedPartition:
         (lambda x: np.exp(-50.0 * (x - 1.0) ** 2), 0.0, 10.0),
         # finite with an endpoint singularity
         (lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0),
-        # truncation at R
+        # whole line, a fast-decaying integrand
         (lambda x: np.cos(3.0 * x) * np.exp(-x * x), -math.inf, math.inf),
-        # tan substitution, whole line and half line
+        # whole line with polynomial tails, and a half line
         (lambda x: np.abs(x) ** -0.5 * (1.0 + x * x) ** -1.5, -math.inf, math.inf),
         (lambda x: np.exp(-x) * np.cos(x) ** 2, 0.0, math.inf),
     ]
@@ -233,34 +222,7 @@ class TestCarriedPartition:
 
 
 class TestTailProbe:
-    """On the truncation path both tail fits share one integrand call."""
-
-    def test_one_probe_call_for_both_tails(self, monkeypatch):
-        calls, rounds = [], []
-        batch = q._gk15_batch
-
-        def counted(fn, lo, hi):
-            rounds.append(len(lo))
-            return batch(fn, lo, hi)
-
-        def f(x):
-            calls.append(np.size(x))
-            return np.cos(3.0 * x) * np.exp(-x * x)
-
-        monkeypatch.setattr(q, "_gk15_batch", counted)
-        r = q.integrate(f, -math.inf, math.inf, q.QuadConfig(infinite_method="truncate"))
-        assert r.converged
-        assert calls[0] == 6
-        assert len(calls) == len(rounds) + 1
-
-    def test_upper_side_reported_first(self):
-        # both tails are bad: the upper side's first probe is named
-        cfg = q.QuadConfig(infinite_method="truncate")
-        with pytest.raises(ex.EvalError, match=f"x = {0.8 * 12.0}$"):
-            q.integrate(ex.parse("log(x^2 - 200)"), -math.inf, math.inf, cfg)
-        # only the lower side's outermost probe is bad
-        with pytest.raises(ex.EvalError, match="x = -12.0$"):
-            q.integrate(ex.parse("log(x + 11)"), -math.inf, math.inf, cfg)
+    """Integrands on an infinite domain are evaluated through x = tan(theta)."""
 
     def test_constant_integrand_broadcast(self):
         r = q.integrate(lambda x: 0.0, -math.inf, math.inf)
@@ -394,6 +356,18 @@ class TestMeasureFunctionals:
             sigma="sqrt(1+x^2)", target_potential="2.5*log(1+x^2)", name="heavy"
         )
         assert abs(q.median(m)) < 1e-9
+
+    def test_median_far_from_the_origin(self):
+        # the bisection runs in theta over the whole line, not in a window
+        m = md.build_model(sigma="1", target_potential="(x-30)^2/2", name="ou-30")
+        assert abs(q.median(m) - 30.0) < 1e-9
+
+    def test_nan_where_density_positive_raises(self):
+        # only a zero density masks the integrand; a NaN the measure weighs
+        # is still an error
+        m = std_normal()
+        with pytest.raises(q.QuadError, match="NaN at x = "):
+            q.mu_expectation(m, lambda x: np.where(np.abs(x) < 1.0, np.nan, 1.0))
 
 
 class TestPhiSpecs:
