@@ -448,29 +448,35 @@ def _check_row(check: str, item: dict, r, zscore: float, score: float) -> dict:
     }
 
 
+def _check_args(item: dict) -> dict:
+    """Keyword arguments of one MC check's call besides the model and the
+    MC settings."""
+    spec, params = weight_from_config(item["weight"])
+    args = {"w": spec, "w_params": params, "f": str(item["f"]),
+            "x0": float(item["x0"]), "t": float(item["t"])}
+    if "delta" in item:
+        args["delta"] = float(item["delta"])
+    if "phi" in item:
+        args["phi"] = (q.PhiSpec.beckner(float(item.get("p", 1.5)))
+                       if item["phi"] == "beckner"
+                       else getattr(q.PhiSpec, item["phi"])())
+    return args
+
+
 def cmd_check(cfg: dict) -> Report:
     m = model_from_config(cfg)
     mc_cfg = mc_from_config(cfg)
     sec = cfg.get("check", {})
-    rows = []
-    for item in sec.get("intertwining", []):
-        spec, params = weight_from_config(item["weight"])
-        r = mc.check_intertwining(m, spec, str(item["f"]), float(item["x0"]),
-                                  float(item["t"]), mc_cfg, w_params=params,
-                                  delta=float(item.get("delta", 1e-3)))
-        rows.append(_check_row("intertwining", item, r, r.zscore, r.zscore))
-    for item in sec.get("subintertwining", []):
-        spec, params = weight_from_config(item["weight"])
-        phi = (q.PhiSpec.beckner(float(item.get("p", 1.5)))
-               if item["phi"] == "beckner"
-               else getattr(q.PhiSpec, item["phi"])())
-        r = mc.check_subintertwining(m, spec, phi, str(item["f"]),
-                                     float(item["x0"]), float(item["t"]), mc_cfg,
-                                     w_params=params,
-                                     delta=float(item.get("delta", 1e-3)))
+    inter, sub = sec.get("intertwining", []), sec.get("subintertwining", [])
+    sub_args = [_check_args(item) for item in sub]
+    r_inter, r_sub = mc.run_checks(m, mc_cfg, [_check_args(item) for item in inter],
+                                   sub_args)
+    rows = [_check_row("intertwining", item, r, r.zscore, r.zscore)
+            for item, r in zip(inter, r_inter)]
+    for item, args, r in zip(sub, sub_args, r_sub):
         # a negative margin z-score is the violation, so the ladder tests -z
         row = _check_row("subintertwining", item, r, r.margin_zscore, -r.margin_zscore)
-        rows.append({**row, "phi": phi.name})
+        rows.append({**row, "phi": args["phi"].name})
     failed = any(row["status"] == "fail" for row in rows)
     doc = {"model": m.name, "seed": mc_cfg.seed, "paths": mc_cfg.paths,
            "checks": rows}
@@ -728,7 +734,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return report.code
-    except (ConfigError, md.ModelError, ex.ExprError, mc.PreconditionError,
+    except (ConfigError, md.ModelError, ex.ExprError, mc.MCConfigError,
             bd.BoundError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,6 +22,7 @@ from . import quad as q
 
 __all__ = [
     "MCError",
+    "MCConfigError",
     "PreconditionError",
     "MCConfig",
     "PathEnsemble",
@@ -34,6 +35,8 @@ __all__ = [
     "check_intertwining",
     "SubIntertwiningCheck",
     "check_subintertwining",
+    "BasePaths",
+    "run_checks",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -43,7 +46,12 @@ class MCError(Exception):
     pass
 
 
-class PreconditionError(MCError):
+class MCConfigError(MCError):
+    """Invalid simulation settings or check arguments: a configuration
+    error, not a numerical one."""
+
+
+class PreconditionError(MCConfigError):
     """A check was configured outside the hypotheses it needs."""
 
 
@@ -73,17 +81,19 @@ class MCConfig:
 
     def __post_init__(self):
         if not self.step > 0:
-            raise MCError(f"step must be positive, got {self.step}")
+            raise MCConfigError(f"step must be positive, got {self.step}")
+        if not math.isfinite(self.horizon):
+            raise MCConfigError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < self.step:
-            raise MCError(f"horizon {self.horizon} is smaller than the step {self.step}")
+            raise MCConfigError(f"horizon {self.horizon} is smaller than the step {self.step}")
         if self.paths < 1:
-            raise MCError(f"paths must be >= 1, got {self.paths}")
+            raise MCConfigError(f"paths must be >= 1, got {self.paths}")
         if not 0 <= int(self.seed) <= _MASK64:
-            raise MCError("seed must fit in 64 bits")
+            raise MCConfigError("seed must fit in 64 bits")
         if self.antithetic and self.paths % 2:
-            raise MCError("antithetic pairing requires an even path count")
+            raise MCConfigError("antithetic pairing requires an even path count")
         if not self.blow_up_radius > 0:
-            raise MCError("blow_up_radius must be positive")
+            raise MCConfigError("blow_up_radius must be positive")
 
     def n_steps(self) -> int:
         return max(1, int(round(self.horizon / self.step)))
@@ -116,7 +126,11 @@ def _evolve(m, starts, cfg: MCConfig, integrand=None):
 
     Returns (endpoints, integrals, alive) with shape (k, paths); integrals
     hold the trapezoidal accumulation of the integrand along each path.
-    Paths leaving the blow-up radius turn NaN and stay flagged.
+    Paths leaving the blow-up radius turn NaN and stay flagged.  Each row's
+    arithmetic is elementwise, so evolving starts together or apart gives
+    the same bits.  Memory grows with k: ``BasePaths`` passes every distinct
+    start of a horizon at once, five for the two checks of the ``mc-check``
+    workload, so each array of the loop holds 5 x paths floats.
 
     The step allocates as little as it can: the drift and sigma arrays are
     the model's own (``expr.evaluate`` never returns its input) and take
@@ -301,7 +315,83 @@ def feynman_kac_killed(d: md.DualModel, g, x0: float, cfg: MCConfig) -> FKEstima
 
 def _require_check_paths(cfg: MCConfig) -> None:
     if cfg.paths < 1000:
-        raise MCError(f"checks need at least 1000 paths, got {cfg.paths}")
+        raise MCConfigError(f"checks need at least 1000 paths, got {cfg.paths}")
+
+
+_DELTA = 1e-3  # default half-width of a check's central difference
+
+
+def _stencil(x0: float, delta: float, centre: bool = False) -> tuple:
+    """Start points of a check's base-model ensemble: x0 +/- delta, and x0
+    itself when ``centre``."""
+    if not math.isfinite(x0):
+        raise PreconditionError(f"x0 must be finite, got {x0}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise PreconditionError(f"delta must be finite and positive, got {delta}")
+    return (x0 + delta, x0, x0 - delta) if centre else (x0 + delta, x0 - delta)
+
+
+class BasePaths:
+    """Base-model paths of one run of checks, one ensemble per horizon.
+
+    Every check evolves the base model with the run's seed, so checks at the
+    same horizon would draw the same increments.  Each check reserves its
+    start points first; the first ``take`` at a horizon then evolves every
+    distinct start reserved there in one ``_evolve``, and each ``take``
+    returns the rows of its own starts, bit-identical to evolving them
+    alone.  A horizon's rows are dropped once every reservation at it has
+    been taken.
+    """
+
+    def __init__(self, m, cfg: MCConfig):
+        self.model, self.cfg = m, cfg
+        self._starts: dict[float, dict[float, None]] = {}  # horizon -> ordered starts
+        self._waiting: dict[float, int] = {}  # horizon -> reservations not yet taken
+        self._rows: dict[float, tuple] = {}  # horizon -> (row of each start, X, alive)
+
+    def reserve(self, t: float, starts) -> BasePaths:
+        self._starts.setdefault(t, {}).update(dict.fromkeys(starts))
+        self._waiting[t] = self._waiting.get(t, 0) + 1
+        return self
+
+    def take(self, t: float, starts):
+        """(endpoints, alive) of the reserved ``starts`` at horizon t, one row
+        per start."""
+        if t not in self._rows:
+            row_starts = list(self._starts[t])
+            X, _, alive = _evolve(self.model, row_starts, replace(self.cfg, horizon=t))
+            self._rows[t] = ({s: i for i, s in enumerate(row_starts)}, X, alive)
+        index, X, alive = self._rows[t]
+        self._waiting[t] -= 1
+        if not self._waiting[t]:
+            del self._rows[t]
+        rows = [index[s] for s in starts]
+        return X[rows], alive[rows]
+
+
+def _base_rows(base: BasePaths | None, m, cfg: MCConfig, t: float, starts):
+    """A check's rows from the run's shared paths, or from paths of its own
+    when it runs alone."""
+    if base is None:
+        base = BasePaths(m, cfg).reserve(t, starts)
+    elif base.model is not m or base.cfg != cfg:
+        raise ValueError("the shared paths belong to another model or settings")
+    return base.take(t, starts)
+
+
+def run_checks(m, cfg: MCConfig, intertwining=(), subintertwining=()):
+    """The checks of one run, sharing their base-model paths (``BasePaths``).
+
+    Each entry holds the keyword arguments of one ``check_intertwining`` or
+    ``check_subintertwining`` call besides ``m`` and ``cfg``.  Returns the
+    two lists of results, in order."""
+    base = BasePaths(m, cfg)
+    for kw in intertwining:
+        base.reserve(kw["t"], _stencil(kw["x0"], kw.get("delta", _DELTA)))
+    for kw in subintertwining:
+        base.reserve(kw["t"], _stencil(kw["x0"], kw.get("delta", _DELTA), centre=True))
+    return ([check_intertwining(m, cfg=cfg, base=base, **kw) for kw in intertwining],
+            [check_subintertwining(m, cfg=cfg, base=base, **kw) for kw in subintertwining])
 
 
 def _resolution(lhs, rhs, denom):
@@ -324,14 +414,18 @@ class IntertwiningCheck:
 
 def check_intertwining(m: md.DiffusionModel, w: md.WeightSpec, f, x0: float,
                        t: float, cfg: MCConfig, w_params: dict | None = None,
-                       delta: float = 1e-3) -> IntertwiningCheck:
+                       delta: float = _DELTA, base: BasePaths | None = None
+                       ) -> IntertwiningCheck:
     """Test a(x0) d/dx [P_t f](x0) = E[(a f')(X^a_t) exp(-int V_a)].
 
     The left side differentiates the plain semigroup by a central difference
     with common random numbers (the same increments drive x0 +/- delta);
     the right side is the weighted estimate under the dual dynamics from an
-    independent sub-seed.  Returns the two-sided z-score."""
+    independent sub-seed.  Returns the two-sided z-score.  ``base`` is the
+    run's shared paths from ``run_checks``; without it the check evolves its
+    own."""
     _require_check_paths(cfg)
+    starts = _stencil(x0, delta)
     d = md.realize_weight(m, w, w_params or {})
     fe = md._parse_or_expr(f, "test function")
     dfe = ex.simplify(ex.differentiate(fe))
@@ -342,17 +436,16 @@ def check_intertwining(m: md.DiffusionModel, w: md.WeightSpec, f, x0: float,
                                  zscore=0.0, conclusive=True,
                                  note="zero horizon: both sides collapse to a(x0) f'(x0)")
     if t < 0:
-        raise MCError(f"horizon must be nonnegative, got {t}")
-    cfg_l = replace(cfg, horizon=t)
+        raise MCConfigError(f"horizon must be nonnegative, got {t}")
     cfg_r = replace(cfg, horizon=t, seed=_derive_seed(int(cfg.seed), 1))
 
     ffn = ex.compile_fn(fe)
-    X, _, alive = _evolve(m, [x0 + delta, x0 - delta], cfg_l)
+    X, alive = _base_rows(base, m, cfg, t, starts)
     ok = alive[0] & alive[1]
     with np.errstate(all="ignore"):
         diffs = (np.asarray(ffn(X[0]), dtype=float)
                  - np.asarray(ffn(X[1]), dtype=float)) / (2.0 * delta)
-    mean_d, se_d, _ = _mean_se(diffs, ok, cfg_l)
+    mean_d, se_d, _ = _mean_se(diffs, ok, cfg)
     lhs, lhs_err = a0 * mean_d, abs(a0) * se_d
 
     afn = d.weight_fn
@@ -396,8 +489,8 @@ def _sign_on(vals: np.ndarray, tol: float) -> int:
 
 def check_subintertwining(m: md.DiffusionModel, w: md.WeightSpec, phi: q.PhiSpec,
                           f, x0: float, t: float, cfg: MCConfig,
-                          w_params: dict | None = None,
-                          delta: float = 1e-3) -> SubIntertwiningCheck:
+                          w_params: dict | None = None, delta: float = _DELTA,
+                          base: BasePaths | None = None) -> SubIntertwiningCheck:
     """One-sided test of phi''(P_t f) (a (P_t f)')^2 <= E[phi''(f) (a f')^2
     exp(-2 int V_a)].
 
@@ -405,8 +498,9 @@ def check_subintertwining(m: md.DiffusionModel, w: md.WeightSpec, phi: q.PhiSpec
     the entropy class, f monotone with values inside phi's interval, and
     (sigma/a)' phi''' f' of a single nonnegative sign on the probe grid.  A
     violated hypothesis raises; it is a configuration error, not a failed
-    check."""
+    check.  ``base`` is as for ``check_intertwining``."""
     _require_check_paths(cfg)
+    starts = _stencil(x0, delta, centre=True)
     val = q.validate_phi(phi)
     if not val.ok:
         raise PreconditionError("; ".join(val.reasons))
@@ -446,13 +540,12 @@ def check_subintertwining(m: md.DiffusionModel, w: md.WeightSpec, phi: q.PhiSpec
                 "the one-sided inequality is not guaranteed there")
 
     if t <= 0:
-        raise MCError(f"horizon must be positive, got {t}")
-    cfg_l = replace(cfg, horizon=t)
+        raise MCConfigError(f"horizon must be positive, got {t}")
     cfg_r = replace(cfg, horizon=t, seed=_derive_seed(int(cfg.seed), 2))
     a0 = float(d.weight_fn(x0))
 
     ffn = ex.compile_fn(fe)
-    X, _, alive = _evolve(m, [x0 + delta, x0, x0 - delta], cfg_l)
+    X, alive = _base_rows(base, m, cfg, t, starts)
     ok = alive[0] & alive[1] & alive[2]
     with np.errstate(all="ignore"):
         u = np.asarray(ffn(X[1]), dtype=float)

@@ -125,6 +125,35 @@ class TestExitCodes:
         assert cli.main(["check", "--config", cfg]) == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["intertwining", "subintertwining"])
+    def test_zero_delta_exit_2(self, tmp_path, capsys, kind):
+        # unchecked, delta = 0 reports lhs NaN as "inconclusive" with exit 0
+        item = {"weight": {"kind": "a_form", "family": "-(x-1)^2"},
+                "f": "2 + tanh(x)", "x0": 0.4, "t": 0.5, "delta": 0}
+        if kind == "subintertwining":
+            item["phi"] = "log_sobolev"
+        cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"},
+                                   "mc": {"paths": 1000, "seed": 1},
+                                   "check": {kind: [item]}})
+        assert cli.main(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "delta" in err
+
+    @pytest.mark.parametrize("mc_sec,t", [
+        ({"paths": 0}, 0.5),
+        ({"step": -1.0}, 0.5),
+        ({"paths": 1000, "step": 1.0e-2}, 5.0e-3),  # horizon below the step
+        ({"paths": 999}, 0.5),  # checks need 1000 paths
+        ({"paths": 1000}, -0.5),
+    ], ids=["no-paths", "negative-step", "t-below-step", "few-paths", "negative-t"])
+    def test_invalid_mc_settings_exit_2(self, tmp_path, capsys, mc_sec, t):
+        cfg = write_cfg(tmp_path, {
+            "model": {"gallery": "ou"}, "mc": mc_sec,
+            "check": {"intertwining": [{"weight": {"kind": "direct", "family": "1"},
+                                        "f": "tanh(x)", "x0": 0.5, "t": t}]}})
+        assert cli.main(["check", "--config", cfg]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_precondition_violation_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "model": {"gallery": "ou"},

@@ -6,7 +6,7 @@ ratio, flagged fractions) come from the recorded runs at those seeds.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -49,8 +49,13 @@ class TestMCConfig:
         ],
     )
     def test_validation(self, kw):
-        with pytest.raises(mc.MCError):
+        with pytest.raises(mc.MCConfigError):
             mc.MCConfig(**kw)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, horizon):
+        with pytest.raises(mc.MCConfigError, match="finite"):
+            mc.MCConfig(horizon=horizon)
 
 
 class TestSimulate:
@@ -288,14 +293,27 @@ class TestIntertwining:
         assert r.zscore == 0.0 and r.conclusive
 
     def test_path_count_guard(self):
-        with pytest.raises(mc.MCError, match="1000"):
+        with pytest.raises(mc.MCConfigError, match="1000"):
             mc.check_intertwining(ou(), md.WeightSpec.direct("1"), "tanh(x)",
                                   0.5, 0.5, replace(CFG_CHECK, paths=100))
 
     def test_negative_horizon_rejected(self):
-        with pytest.raises(mc.MCError, match="nonnegative"):
+        with pytest.raises(mc.MCConfigError, match="nonnegative"):
             mc.check_intertwining(ou(), md.WeightSpec.direct("1"), "tanh(x)",
                                   0.5, -0.5, CFG_CHECK)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan, math.inf])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        # delta = 0 would divide 0 by 0 and report NaN as inconclusive
+        with pytest.raises(mc.PreconditionError, match="delta"):
+            mc.check_intertwining(quartic(), md.WeightSpec.direct("1"), "tanh(x)",
+                                  0.5, 0.5, CFG_CHECK, delta=delta)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_start_must_be_finite(self, x0):
+        with pytest.raises(mc.PreconditionError, match="x0"):
+            mc.check_intertwining(quartic(), md.WeightSpec.direct("1"), "tanh(x)",
+                                  x0, 0.5, CFG_CHECK)
 
 
 class TestSubIntertwining:
@@ -347,7 +365,112 @@ class TestSubIntertwining:
                                      "2 + tanh(x)", 0.5, 0.5, CFG_CHECK)
 
     def test_path_count_guard(self):
-        with pytest.raises(mc.MCError, match="1000"):
+        with pytest.raises(mc.MCConfigError, match="1000"):
             mc.check_subintertwining(ou(), md.WeightSpec.direct("1"),
                                      q.PhiSpec.poincare(), "tanh(x)", 0.5, 0.5,
                                      replace(CFG_CHECK, paths=200))
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan, math.inf])
+    def test_delta_must_be_finite_and_positive(self, delta):
+        with pytest.raises(mc.PreconditionError, match="delta"):
+            mc.check_subintertwining(quartic(),
+                                     md.WeightSpec.a_form(ex.parse("-(x-1)^2")),
+                                     q.PhiSpec.log_sobolev(), "2 + tanh(x)",
+                                     0.4, 0.5, CFG_CHECK, delta=delta)
+
+
+def _bits(r) -> bytes:
+    """Every float field of a check result (sides, errors, z-score)."""
+    return np.array([v for v in astuple(r) if isinstance(v, float)]).tobytes()
+
+
+# the two checks of the mc-check benchmark workload, at 2000 paths
+MC_CHECK_CFG = mc.MCConfig(step=1e-3, horizon=0.5, paths=2000, seed=0)
+MC_CHECK_INTER = [{"w": md.WeightSpec.z_form(ex.parse("1.2712*x")), "f": "tanh(x)",
+                   "x0": 0.5, "t": 0.5}]
+MC_CHECK_SUB = [{"w": md.WeightSpec.a_form(ex.parse("-(x-1)^2")),
+                 "phi": q.PhiSpec.log_sobolev(), "f": "2 + tanh(x)", "x0": 0.4, "t": 0.5}]
+
+
+class TestSharedBasePaths:
+    """``run_checks`` evolves the base model once per horizon; every check
+    must come out as it does alone, bit for bit."""
+
+    @pytest.mark.parametrize("make,parts,radius", [
+        (lambda: gallery.gallery_model("cauchy"), ([0.501, 0.499], [0.401, 0.4, 0.399]), 1e6),
+        (_grow, ([2.0, 0.0], [0.5]), 4.0),  # rows blow up at different steps
+    ], ids=["cauchy", "partial-blow-up"])
+    def test_rows_do_not_depend_on_each_other(self, make, parts, radius):
+        m = make()
+        cfg = mc.MCConfig(step=1e-2, horizon=1.0, paths=1001, seed=9, blow_up_radius=radius)
+        X, integ, alive = mc._evolve(m, parts[0] + parts[1], cfg)
+        k = len(parts[0])
+        for rows, part in ((slice(0, k), parts[0]), (slice(k, None), parts[1])):
+            X1, integ1, alive1 = mc._evolve(m, part, cfg)
+            assert X[rows].tobytes() == X1.tobytes()
+            assert alive[rows].tobytes() == alive1.tobytes()
+            assert integ[rows].tobytes() == integ1.tobytes()
+
+    @staticmethod
+    def assert_same_as_alone(m, cfg, inter, sub):
+        got_inter, got_sub = mc.run_checks(m, cfg, inter, sub)
+        assert len(got_inter) == len(inter) and len(got_sub) == len(sub)
+        for kw, r in zip(inter, got_inter):
+            assert _bits(r) == _bits(mc.check_intertwining(m, cfg=cfg, **kw))
+        for kw, r in zip(sub, got_sub):
+            assert _bits(r) == _bits(mc.check_subintertwining(m, cfg=cfg, **kw))
+
+    @staticmethod
+    def count_evolves(monkeypatch):
+        """Record the number of start points of every ``_evolve`` call."""
+        sizes = []
+        evolve = mc._evolve
+
+        def counted(m, starts, cfg, integrand=None):
+            sizes.append(len(starts))
+            return evolve(m, starts, cfg, integrand)
+
+        monkeypatch.setattr(mc, "_evolve", counted)
+        return sizes
+
+    def test_mc_check_workload(self):
+        self.assert_same_as_alone(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
+
+    def test_mc_check_draws_three_streams(self, monkeypatch):
+        streams = []
+        increments = mc._increments
+
+        def counted(cfg):
+            streams.append(cfg.seed)
+            return increments(cfg)
+
+        monkeypatch.setattr(mc, "_increments", counted)
+        sizes = self.count_evolves(monkeypatch)
+        mc.run_checks(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
+        # one base ensemble of 2 + 3 starts, and the two dual ensembles
+        assert len(streams) == 3 and len(set(streams)) == 3
+        assert sorted(sizes) == [1, 1, 5]
+
+    def test_coinciding_starts(self, monkeypatch):
+        inter = [{"w": md.WeightSpec.direct("1"), "f": "tanh(x)", "x0": 0.5, "t": 0.5}]
+        sub = [{**inter[0], "phi": q.PhiSpec.poincare()}]
+        self.assert_same_as_alone(ou(), MC_CHECK_CFG, inter, sub)
+        sizes = self.count_evolves(monkeypatch)
+        mc.run_checks(ou(), MC_CHECK_CFG, inter, sub)
+        assert sorted(sizes) == [1, 1, 3]  # x0 - delta, x0, x0 + delta once each
+
+    def test_two_horizons(self, monkeypatch):
+        w = md.WeightSpec.direct("1")
+        inter = [{"w": w, "f": "tanh(x)", "x0": 0.5, "t": t} for t in (0.5, 0.25)]
+        sub = [{"w": w, "phi": q.PhiSpec.poincare(), "f": "tanh(x)", "x0": 0.3, "t": t,
+                "delta": 2e-3} for t in (0.25, 0.5)]
+        self.assert_same_as_alone(ou(), MC_CHECK_CFG, inter, sub)
+        sizes = self.count_evolves(monkeypatch)
+        mc.run_checks(ou(), MC_CHECK_CFG, inter, sub)
+        assert sorted(sizes) == [1, 1, 1, 1, 5, 5]
+
+    def test_paths_of_another_model_refused(self):
+        base = mc.BasePaths(ou(), MC_CHECK_CFG).reserve(0.5, (0.501, 0.499))
+        with pytest.raises(ValueError, match="another model"):
+            mc.check_intertwining(quartic(), md.WeightSpec.direct("1"), "tanh(x)", 0.5,
+                                  0.5, MC_CHECK_CFG, base=base)
