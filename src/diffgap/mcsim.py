@@ -12,7 +12,10 @@ stays first order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
     "check_intertwining",
     "SubIntertwiningCheck",
     "check_subintertwining",
-    "BasePaths",
     "run_checks",
 ]
 
@@ -128,9 +130,11 @@ def _evolve(m, starts, cfg: MCConfig, integrand=None):
     hold the trapezoidal accumulation of the integrand along each path.
     Paths leaving the blow-up radius turn NaN and stay flagged.  Each row's
     arithmetic is elementwise, so evolving starts together or apart gives
-    the same bits.  Memory grows with k: ``BasePaths`` passes every distinct
-    start of a horizon at once, five for the two checks of the ``mc-check``
-    workload, so each array of the loop holds 5 x paths floats.
+    the same bits.  Memory grows with k and with the ensembles that run at
+    once: ``_run`` passes every distinct start of a horizon at once, five for
+    the two checks of the ``mc-check`` workload, so each array of the loop
+    holds 5 x paths floats, and with two or more CPUs the arrays of a dual
+    ensemble (1 x paths each) are live beside them.
 
     The step allocates as little as it can: the drift and sigma arrays are
     the model's own (``expr.evaluate`` never returns its input) and take
@@ -331,67 +335,91 @@ def _stencil(x0: float, delta: float, centre: bool = False) -> tuple:
     return (x0 + delta, x0, x0 - delta) if centre else (x0 + delta, x0 - delta)
 
 
-class BasePaths:
-    """Base-model paths of one run of checks, one ensemble per horizon.
-
-    Every check evolves the base model with the run's seed, so checks at the
-    same horizon would draw the same increments.  Each check reserves its
-    start points first; the first ``take`` at a horizon then evolves every
-    distinct start reserved there in one ``_evolve``, and each ``take``
-    returns the rows of its own starts, bit-identical to evolving them
-    alone.  A horizon's rows are dropped once every reservation at it has
-    been taken.
-    """
-
-    def __init__(self, m, cfg: MCConfig):
-        self.model, self.cfg = m, cfg
-        self._starts: dict[float, dict[float, None]] = {}  # horizon -> ordered starts
-        self._waiting: dict[float, int] = {}  # horizon -> reservations not yet taken
-        self._rows: dict[float, tuple] = {}  # horizon -> (row of each start, X, alive)
-
-    def reserve(self, t: float, starts) -> BasePaths:
-        self._starts.setdefault(t, {}).update(dict.fromkeys(starts))
-        self._waiting[t] = self._waiting.get(t, 0) + 1
-        return self
-
-    def take(self, t: float, starts):
-        """(endpoints, alive) of the reserved ``starts`` at horizon t, one row
-        per start."""
-        if t not in self._rows:
-            row_starts = list(self._starts[t])
-            X, _, alive = _evolve(self.model, row_starts, replace(self.cfg, horizon=t))
-            self._rows[t] = ({s: i for i, s in enumerate(row_starts)}, X, alive)
-        index, X, alive = self._rows[t]
-        self._waiting[t] -= 1
-        if not self._waiting[t]:
-            del self._rows[t]
-        rows = [index[s] for s in starts]
-        return X[rows], alive[rows]
+def _compile_paths(m, d: md.DualModel, x0: float) -> None:
+    """Evaluate once every function a check's ensembles step through, so each
+    tree is compiled before any ensemble starts and the workers only read it."""
+    for fn in (m.drift_fn, m.sigma_fn, d.drift_fn, d.v_fn):
+        fn(x0)
 
 
-def _base_rows(base: BasePaths | None, m, cfg: MCConfig, t: float, starts):
-    """A check's rows from the run's shared paths, or from paths of its own
-    when it runs alone."""
-    if base is None:
-        base = BasePaths(m, cfg).reserve(t, starts)
-    elif base.model is not m or base.cfg != cfg:
-        raise ValueError("the shared paths belong to another model or settings")
-    return base.take(t, starts)
+class _Plan(NamedTuple):
+    """A validated check: the base-model starts it reads at horizon t, its
+    dual ensemble's ``feynman_kac`` arguments (or None), and ``finish(X,
+    alive, fk)``, its result from its starts' rows and that ensemble's future."""
+
+    t: float
+    starts: tuple
+    fk: tuple | None
+    finish: Callable
+
+
+def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
+    """Evolve every ensemble the planned checks need, then finish each check.
+
+    The base model is evolved once per horizon over every distinct start its
+    checks need there (rows bit-identical to lone ones, see ``_evolve``), and
+    each check's dual side is one ``feynman_kac`` ensemble.  One thread per
+    CPU in the process's affinity mask, the calling one included, but no more
+    than there are ensembles, runs them largest first.  Each ensemble draws
+    its own stream and does only elementwise arithmetic, so no bit depends on
+    the thread count; numpy releases the GIL in its draws and ufunc loops.
+    Each check reads its ensembles' results, and so raises their errors, in
+    order."""
+    index: dict[float, dict[float, int]] = {}  # horizon -> row of each start there
+    for p in plans:
+        for s in p.starts:
+            rows = index.setdefault(p.t, {})
+            rows.setdefault(s, len(rows))
+    base = {t: replace(cfg, horizon=t) for t in index}
+    # (size, fn, *args); the size is rows x steps, as every ensemble has cfg.paths paths
+    jobs = [(len(index[t]) * c.n_steps(), _evolve, m, list(index[t]), c) for t, c in base.items()]
+    jobs += [(p.fk[3].n_steps(), feynman_kac, *p.fk) for p in plans if p.fk]
+    order = iter(sorted(range(len(jobs)), key=lambda i: -jobs[i][0]))
+    futures = [Future() for _ in jobs]
+
+    def work(i):  # run job i, then take the next one until none is left
+        while i is not None:
+            try:
+                futures[i].set_result(jobs[i][1](*jobs[i][2:]))
+            except Exception as err:
+                futures[i].set_exception(err)
+            i = next(order, None)
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(len(jobs), cpus or 1)
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        # the calling thread runs the largest job, so its arrays reuse the main
+        # heap as they would without threads
+        first = next(order, None)
+        workers = [pool.submit(work, next(order, None)) for _ in range(threads - 1)]
+        work(first)
+    for w in workers:
+        w.result()  # raises what a job let through: a BaseException
+    futures = iter(futures)
+    paths = {t: next(futures) for t in index}
+    out = []
+    for p in plans:
+        X = alive = None
+        if p.starts:
+            X, _, alive = paths[p.t].result()
+            i = [index[p.t][s] for s in p.starts]
+            X, alive = X[i], alive[i]
+        out.append(p.finish(X, alive, next(futures) if p.fk else None))
+    return out
 
 
 def run_checks(m, cfg: MCConfig, intertwining=(), subintertwining=()):
-    """The checks of one run, sharing their base-model paths (``BasePaths``).
+    """The checks of one run, their ensembles evolved together (``_run``).
 
     Each entry holds the keyword arguments of one ``check_intertwining`` or
-    ``check_subintertwining`` call besides ``m`` and ``cfg``.  Returns the
-    two lists of results, in order."""
-    base = BasePaths(m, cfg)
-    for kw in intertwining:
-        base.reserve(kw["t"], _stencil(kw["x0"], kw.get("delta", _DELTA)))
-    for kw in subintertwining:
-        base.reserve(kw["t"], _stencil(kw["x0"], kw.get("delta", _DELTA), centre=True))
-    return ([check_intertwining(m, cfg=cfg, base=base, **kw) for kw in intertwining],
-            [check_subintertwining(m, cfg=cfg, base=base, **kw) for kw in subintertwining])
+    ``check_subintertwining`` call besides ``m`` and ``cfg``.  Every check
+    is validated before any ensemble starts.  Returns the two lists of
+    results, in order."""
+    plans = [_plan_intertwining(m, cfg=cfg, **kw) for kw in intertwining]
+    k = len(plans)
+    plans += [_plan_subintertwining(m, cfg=cfg, **kw) for kw in subintertwining]
+    out = _run(m, cfg, plans)
+    return out[:k], out[k:]
 
 
 def _resolution(lhs, rhs, denom):
@@ -414,16 +442,17 @@ class IntertwiningCheck:
 
 def check_intertwining(m: md.DiffusionModel, w: md.WeightSpec, f, x0: float,
                        t: float, cfg: MCConfig, w_params: dict | None = None,
-                       delta: float = _DELTA, base: BasePaths | None = None
-                       ) -> IntertwiningCheck:
+                       delta: float = _DELTA) -> IntertwiningCheck:
     """Test a(x0) d/dx [P_t f](x0) = E[(a f')(X^a_t) exp(-int V_a)].
 
     The left side differentiates the plain semigroup by a central difference
     with common random numbers (the same increments drive x0 +/- delta);
     the right side is the weighted estimate under the dual dynamics from an
-    independent sub-seed.  Returns the two-sided z-score.  ``base`` is the
-    run's shared paths from ``run_checks``; without it the check evolves its
-    own."""
+    independent sub-seed.  Returns the two-sided z-score."""
+    return _run(m, cfg, [_plan_intertwining(m, w, f, x0, t, cfg, w_params, delta)])[0]
+
+
+def _plan_intertwining(m, w, f, x0, t, cfg, w_params=None, delta=_DELTA) -> _Plan:
     _require_check_paths(cfg)
     starts = _stencil(x0, delta)
     d = md.realize_weight(m, w, w_params or {})
@@ -432,36 +461,41 @@ def check_intertwining(m: md.DiffusionModel, w: md.WeightSpec, f, x0: float,
     a0 = float(d.weight_fn(x0))
     if t == 0.0:
         val = a0 * float(ex.evaluate(dfe, x0))
-        return IntertwiningCheck(lhs=val, rhs=val, lhs_err=0.0, rhs_err=0.0,
+        done = IntertwiningCheck(lhs=val, rhs=val, lhs_err=0.0, rhs_err=0.0,
                                  zscore=0.0, conclusive=True,
                                  note="zero horizon: both sides collapse to a(x0) f'(x0)")
+        return _Plan(t, (), None, lambda *_: done)
     if t < 0:
         raise MCConfigError(f"horizon must be nonnegative, got {t}")
     cfg_r = replace(cfg, horizon=t, seed=_derive_seed(int(cfg.seed), 1))
 
     ffn = ex.compile_fn(fe)
-    X, alive = _base_rows(base, m, cfg, t, starts)
-    ok = alive[0] & alive[1]
-    with np.errstate(all="ignore"):
-        diffs = (np.asarray(ffn(X[0]), dtype=float)
-                 - np.asarray(ffn(X[1]), dtype=float)) / (2.0 * delta)
-    mean_d, se_d, _ = _mean_se(diffs, ok, cfg)
-    lhs, lhs_err = a0 * mean_d, abs(a0) * se_d
-
     afn = d.weight_fn
     dffn = ex.compile_fn(dfe)
     grad = lambda x: np.asarray(afn(x), dtype=float) * np.asarray(dffn(x), dtype=float)
-    fk = feynman_kac(d, grad, x0, cfg_r)
-    rhs, rhs_err = fk.mean, fk.std_err
+    _compile_paths(m, d, x0)
 
-    denom = math.hypot(lhs_err, rhs_err)
-    z = abs(lhs - rhs) / max(denom, 1e-15)
-    return IntertwiningCheck(
-        lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err, zscore=z,
-        conclusive=_resolution(lhs, rhs, denom),
-        note="" if _resolution(lhs, rhs, denom) else
-        "noise exceeds the resolution threshold; rerun with more paths",
-    )
+    def finish(X, alive, fk):
+        ok = alive[0] & alive[1]
+        with np.errstate(all="ignore"):
+            diffs = (np.asarray(ffn(X[0]), dtype=float)
+                     - np.asarray(ffn(X[1]), dtype=float)) / (2.0 * delta)
+        mean_d, se_d, _ = _mean_se(diffs, ok, cfg)
+        lhs, lhs_err = a0 * mean_d, abs(a0) * se_d
+
+        fk = fk.result()
+        rhs, rhs_err = fk.mean, fk.std_err
+
+        denom = math.hypot(lhs_err, rhs_err)
+        z = abs(lhs - rhs) / max(denom, 1e-15)
+        return IntertwiningCheck(
+            lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err, zscore=z,
+            conclusive=_resolution(lhs, rhs, denom),
+            note="" if _resolution(lhs, rhs, denom) else
+            "noise exceeds the resolution threshold; rerun with more paths",
+        )
+
+    return _Plan(t, starts, (d, grad, x0, cfg_r), finish)
 
 
 @dataclass(frozen=True)
@@ -489,8 +523,8 @@ def _sign_on(vals: np.ndarray, tol: float) -> int:
 
 def check_subintertwining(m: md.DiffusionModel, w: md.WeightSpec, phi: q.PhiSpec,
                           f, x0: float, t: float, cfg: MCConfig,
-                          w_params: dict | None = None, delta: float = _DELTA,
-                          base: BasePaths | None = None) -> SubIntertwiningCheck:
+                          w_params: dict | None = None, delta: float = _DELTA
+                          ) -> SubIntertwiningCheck:
     """One-sided test of phi''(P_t f) (a (P_t f)')^2 <= E[phi''(f) (a f')^2
     exp(-2 int V_a)].
 
@@ -498,7 +532,11 @@ def check_subintertwining(m: md.DiffusionModel, w: md.WeightSpec, phi: q.PhiSpec
     the entropy class, f monotone with values inside phi's interval, and
     (sigma/a)' phi''' f' of a single nonnegative sign on the probe grid.  A
     violated hypothesis raises; it is a configuration error, not a failed
-    check.  ``base`` is as for ``check_intertwining``."""
+    check."""
+    return _run(m, cfg, [_plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params, delta)])[0]
+
+
+def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA) -> _Plan:
     _require_check_paths(cfg)
     starts = _stencil(x0, delta, centre=True)
     val = q.validate_phi(phi)
@@ -545,32 +583,6 @@ def check_subintertwining(m: md.DiffusionModel, w: md.WeightSpec, phi: q.PhiSpec
     a0 = float(d.weight_fn(x0))
 
     ffn = ex.compile_fn(fe)
-    X, alive = _base_rows(base, m, cfg, t, starts)
-    ok = alive[0] & alive[1] & alive[2]
-    with np.errstate(all="ignore"):
-        u = np.asarray(ffn(X[1]), dtype=float)
-        v = (np.asarray(ffn(X[0]), dtype=float)
-             - np.asarray(ffn(X[2]), dtype=float)) / (2.0 * delta)
-    if cfg.antithetic:
-        half = cfg.paths // 2
-        pok = ok[:half] & ok[half:]
-        u = 0.5 * (u[:half] + u[half:])[pok]
-        v = 0.5 * (v[:half] + v[half:])[pok]
-    else:
-        u, v = u[ok], v[ok]
-    n = u.size
-    if n < 2:
-        raise MCError("too few surviving paths")
-    um, vm = float(np.mean(u)), float(np.mean(v))
-    lhs = float(phi.phi_dd_fn(um)) * (a0 * vm) ** 2
-    # delta method through (u, v) -> phi''(u) (a0 v)^2
-    cov = np.cov(np.stack([u, v])) / n
-    gvec = np.array([
-        float(phi.phi_ddd_fn(um)) * (a0 * vm) ** 2,
-        float(phi.phi_dd_fn(um)) * 2.0 * a0**2 * vm,
-    ])
-    lhs_err = float(math.sqrt(max(0.0, gvec @ cov @ gvec)))
-
     afn = d.weight_fn
     dffn = ex.compile_fn(dfe)
 
@@ -580,14 +592,44 @@ def check_subintertwining(m: md.DiffusionModel, w: md.WeightSpec, phi: q.PhiSpec
             gv = np.asarray(afn(x), dtype=float) * np.asarray(dffn(x), dtype=float)
             return np.asarray(phi.phi_dd_fn(fv), dtype=float) * gv**2
 
-    fk = feynman_kac(d, theta, x0, cfg_r, potential_scale=2.0)
-    rhs, rhs_err = fk.mean, fk.std_err
+    _compile_paths(m, d, x0)
 
-    denom = math.hypot(lhs_err, rhs_err)
-    z = (rhs - lhs) / max(denom, 1e-15)
-    return SubIntertwiningCheck(
-        lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err, margin_zscore=z,
-        conclusive=_resolution(lhs, rhs, denom),
-        note="" if _resolution(lhs, rhs, denom) else
-        "noise exceeds the resolution threshold; rerun with more paths",
-    )
+    def finish(X, alive, fk):
+        ok = alive[0] & alive[1] & alive[2]
+        with np.errstate(all="ignore"):
+            u = np.asarray(ffn(X[1]), dtype=float)
+            v = (np.asarray(ffn(X[0]), dtype=float)
+                 - np.asarray(ffn(X[2]), dtype=float)) / (2.0 * delta)
+        if cfg.antithetic:
+            half = cfg.paths // 2
+            pok = ok[:half] & ok[half:]
+            u = 0.5 * (u[:half] + u[half:])[pok]
+            v = 0.5 * (v[:half] + v[half:])[pok]
+        else:
+            u, v = u[ok], v[ok]
+        n = u.size
+        if n < 2:
+            raise MCError("too few surviving paths")
+        um, vm = float(np.mean(u)), float(np.mean(v))
+        lhs = float(phi.phi_dd_fn(um)) * (a0 * vm) ** 2
+        # delta method through (u, v) -> phi''(u) (a0 v)^2
+        cov = np.cov(np.stack([u, v])) / n
+        gvec = np.array([
+            float(phi.phi_ddd_fn(um)) * (a0 * vm) ** 2,
+            float(phi.phi_dd_fn(um)) * 2.0 * a0**2 * vm,
+        ])
+        lhs_err = float(math.sqrt(max(0.0, gvec @ cov @ gvec)))
+
+        fk = fk.result()
+        rhs, rhs_err = fk.mean, fk.std_err
+
+        denom = math.hypot(lhs_err, rhs_err)
+        z = (rhs - lhs) / max(denom, 1e-15)
+        return SubIntertwiningCheck(
+            lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err, margin_zscore=z,
+            conclusive=_resolution(lhs, rhs, denom),
+            note="" if _resolution(lhs, rhs, denom) else
+            "noise exceeds the resolution threshold; rerun with more paths",
+        )
+
+    return _Plan(t, starts, (d, theta, x0, cfg_r, 2.0), finish)

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 import diffgap.cli as cli
+from diffgap import mcsim as mc
 
 # frozen quartic results; the library tests pin the same numbers
 QUARTIC_BRACKET = (1.2408065, 1.4257976)
@@ -352,6 +353,22 @@ class TestCheckCommand:
         assert len(doc["checks"]) == 2
         assert all(r["status"] in ("pass", "warn", "inconclusive")
                    for r in doc["checks"])
+
+    def test_later_precondition_stops_the_run_before_simulating(self, tmp_path, monkeypatch):
+        evolves = []
+        evolve = mc._evolve
+        monkeypatch.setattr(mc, "_evolve", lambda *a, **kw: evolves.append(1) or evolve(*a, **kw))
+        cfg = write_cfg(tmp_path, {
+            "model": {"gallery": "ou"},
+            "check": {
+                "intertwining": [{"weight": {"kind": "direct", "family": "1"},
+                                  "f": "tanh(x)", "x0": 0.5, "t": 0.5}],
+                # a decreasing f against this weight fails the sign condition
+                "subintertwining": [{"weight": {"kind": "a_form", "family": "-(x-1)^2"},
+                                     "phi": "log_sobolev", "f": "2 - tanh(x)",
+                                     "x0": 0.4, "t": 0.5}]}})
+        code, _ = run(tmp_path, ["check", "--config", cfg])
+        assert code == 2 and evolves == []
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 5(b): both sides are deterministic here, lhs the Euler "

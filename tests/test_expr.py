@@ -3,6 +3,9 @@ symbolic differentiation and conservative simplification."""
 
 import math
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -200,6 +203,27 @@ class TestEvaluate:
         restored = pickle.loads(before)
         assert restored == e and hash(restored) == hash(e) and repr(restored) == repr(e)
         assert ex.evaluate(restored, 2.0, {"beta": 0.5}) == 9.0
+
+    def test_first_evaluations_in_two_threads(self):
+        # both threads find the tree uncompiled and lower it at the same time
+        source = "exp(-x^2/2) * (1 + tanh(3*x)) / (2 + x^2) + log(1 + x^4)"
+        xs = np.linspace(-3, 3, 2001)
+        want = ex.evaluate(ex.parse(source), xs).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the threads interleave inside the lowering
+        try:
+            for _ in range(20):
+                e = ex.parse(source)
+                start = threading.Barrier(2)
+
+                def first_evaluation(_):
+                    start.wait()
+                    return ex.evaluate(e, xs).tobytes()
+
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    assert list(pool.map(first_evaluation, range(2))) == [want, want]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDifferentiate:

@@ -6,6 +6,8 @@ ratio, flagged fractions) come from the recorded runs at those seeds.
 """
 
 import math
+import sys
+import threading
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -469,8 +471,73 @@ class TestSharedBasePaths:
         mc.run_checks(ou(), MC_CHECK_CFG, inter, sub)
         assert sorted(sizes) == [1, 1, 1, 1, 5, 5]
 
-    def test_paths_of_another_model_refused(self):
-        base = mc.BasePaths(ou(), MC_CHECK_CFG).reserve(0.5, (0.501, 0.499))
-        with pytest.raises(ValueError, match="another model"):
-            mc.check_intertwining(quartic(), md.WeightSpec.direct("1"), "tanh(x)", 0.5,
-                                  0.5, MC_CHECK_CFG, base=base)
+    @pytest.mark.parametrize("make,cfg,inter,sub,ensembles", [
+        (quartic, MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB, 3),
+        (ou, replace(MC_CHECK_CFG, paths=1000),  # four horizons: eight ensembles
+         [{"w": md.WeightSpec.direct("1"), "f": "tanh(x)", "x0": 0.5, "t": t}
+          for t in (0.05, 0.1, 0.15, 0.2)], [], 8),
+    ], ids=["mc-check", "four-horizons"])
+    def test_thread_count_changes_no_bit(self, monkeypatch, make, cfg, inter, sub, ensembles):
+        """One CPU, two, and more threads than cores switching often: every
+        ensemble runs once and no bit of any result moves."""
+        threads = []
+        evolve = mc._evolve
+
+        def recorded(*args, **kwargs):
+            threads[-1].append(threading.get_ident())
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_evolve", recorded)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in ({0}, {0, 1}, set(range(16))):
+                monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                threads.append([])
+                got = mc.run_checks(make(), cfg, inter, sub)
+                results.append([_bits(r) for part in got for r in part])
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(ids) for ids in threads] == [ensembles] * 3
+        # one CPU: every ensemble on the calling thread; two: a worker takes some
+        assert set(threads[0]) == {threading.get_ident()}
+        assert len(set(threads[1])) == 2 and len(set(threads[2])) >= 2
+        assert results[0] == results[1] == results[2]
+
+    def test_ensembles_only_read_caches(self, monkeypatch):
+        """Every tree an ensemble evaluates is compiled, and every lazy model
+        cache it reads filled, before the first ensemble starts: no worker
+        thread writes a cache another one reads."""
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})  # one at a time
+        running, lowered = [], []
+        lowering = ex._Lowering
+
+        class Watched(lowering):
+            def __init__(self):
+                lowered.append(bool(running))
+                super().__init__()
+
+        def caches(m):
+            models = [m, m.base] if isinstance(m, md.DualModel) else [m]
+            return [{k: tuple(v) if isinstance(v, dict) else id(v) for k, v in vars(o).items()}
+                    for o in models]
+
+        def watched(fn):
+            def ensemble(m, *args, **kwargs):
+                before = caches(m)
+                running.append(fn)
+                try:
+                    return fn(m, *args, **kwargs)
+                finally:
+                    running.pop()
+                    assert caches(m) == before
+            return ensemble
+
+        monkeypatch.setattr(ex, "_Lowering", Watched)
+        monkeypatch.setattr(mc, "_evolve", watched(mc._evolve))
+        monkeypatch.setattr(mc, "feynman_kac", watched(mc.feynman_kac))
+        inter = [{**MC_CHECK_INTER[0], "w": md.WeightSpec.z_form(ex.parse("1.2712*x"))}]
+        sub = [{**MC_CHECK_SUB[0], "w": md.WeightSpec.a_form(ex.parse("-(x-1)^2"))}]
+        mc.run_checks(quartic(), MC_CHECK_CFG, inter, sub)
+        assert lowered and not any(lowered)
