@@ -4,8 +4,12 @@ Paths follow dX = sqrt(2) sigma(X) dB + b(X) dt by Euler-Maruyama with a
 fixed step.  The weighted-gradient identity a (P_t f)' = E[(a f')(X^a_t)
 exp(-int V_a)] and its convex one-sided version are tested as statistical
 identities: both sides are estimated from independent ensembles and
-compared through a z-score.  Everything is deterministic given the seed;
-all checks are 3-sigma tests, not precision benchmarks, so the integrator
+compared through a z-score.  At each horizon the base-model sides of a
+run's checks draw the seed's stream and their dual sides one stream of
+their own, so the two sides of a check are independent while the checks
+share common random numbers on each side.  One Euler loop (``_evolve``)
+steps every ensemble.  Everything is deterministic given the seed; all
+checks are 3-sigma tests, not precision benchmarks, so the integrator
 stays first order.
 """
 
@@ -123,57 +127,75 @@ def _as_path_fn(g, what: str):
     return ex.compile_fn(md._parse_or_expr(g, what))
 
 
-def _evolve(m, starts, cfg: MCConfig, integrand=None):
-    """Common engine: k start points driven by common increments.
+def _evolve(groups, starts, cfg: MCConfig):
+    """The Euler loop: every start point driven by one stream of increments.
 
-    Returns (endpoints, integrals, alive) with shape (k, paths); integrals
-    hold the trapezoidal accumulation of the integrand along each path.
-    Paths leaving the blow-up radius turn NaN and stay flagged.  Each row's
-    arithmetic is elementwise, so evolving starts together or apart gives
-    the same bits.  Memory grows with k and with the ensembles that run at
-    once: ``_run`` passes every distinct start of a horizon at once, five for
-    the two checks of the ``mc-check`` workload, so each array of the loop
-    holds 5 x paths floats, and with two or more CPUs the arrays of a dual
-    ensemble (1 x paths each) are live beside them.
+    ``groups`` splits ``starts`` into consecutive runs of rows: a group
+    ``(model, k, integrand)`` steps the next k starts under its model's drift
+    and sigma and accumulates the trapezoidal integral of its integrand (or
+    None) along each path; ``starts`` stays one flat sequence, whose size the
+    benchmark's traced run counts as the job's rows.  Returns one (endpoints,
+    integrals, alive) triple per group, each of shape (k, paths).  Paths
+    leaving the blow-up radius turn NaN and stay flagged.  Every group keeps
+    its own arrays and each row's arithmetic is elementwise, so a row comes
+    out the same whether it is evolved alone or with any other rows, of its
+    group or of others, on the same stream.  ``_run`` gives a horizon's base-model starts one group
+    (five rows for the two checks of the ``mc-check`` workload) and its dual
+    ensembles one job with a one-row group each; memory grows with the rows,
+    and with two or more CPUs the two jobs' arrays are live side by side.
 
     The step allocates as little as it can: the drift and sigma arrays are
     the model's own (``expr.evaluate`` never returns its input) and take
     their products in place, and only the new state is a fresh array, since
-    an integrand may return its argument, which ``prev`` then holds.  Each
+    an integrand may return its argument, which ``prev`` then holds.  When
+    sigma is a constant c, the noise (c vol) z is one row per step, shared
+    by every group with that constant and broadcast over its rows.  Each
     product and sum is the one X + b dt + sqrt(2 dt) sigma z would compute,
     in the same order, so the paths are bit-identical to that formula's.
     """
-    drift, sig = m.drift_fn, m.sigma_fn
     dt = cfg.dt()
     vol = math.sqrt(2.0 * dt)
     radius = cfg.blow_up_radius
-    X = np.tile(np.asarray(starts, dtype=float)[:, None], (1, cfg.paths))
-    alive = np.ones(X.shape, dtype=bool)
-    integ = np.zeros(X.shape)
+    starts = np.asarray(starts, dtype=float)
+    ends = np.cumsum([k for _, k, _ in groups])
+    X = [np.tile(starts[e - k:e, None], (1, cfg.paths)) for (_, k, _), e in zip(groups, ends)]
+    alive = [np.ones(x.shape, dtype=bool) for x in X]
+    integ = [np.zeros(x.shape) for x in X]
+    drift = [m.drift_fn for m, _, _ in groups]
+    # sigma * vol where sigma is a constant, else None
+    scale = [m.sigma.value * vol if m.sigma.op == "const" else None for m, _, _ in groups]
+    scales = set(scale) - {None}
     with np.errstate(all="ignore"):
-        prev = np.broadcast_to(np.asarray(integrand(X), dtype=float), X.shape).copy() \
-            if integrand is not None else None
+        prev = [np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).copy()
+                if fn is not None else None for (_, _, fn), x in zip(groups, X)]
         for z in _increments(cfg):
-            step = np.asarray(drift(X), dtype=float)
-            step *= dt
-            noise = np.asarray(sig(X), dtype=float)
-            noise *= vol
-            noise *= z
-            X = X + step
-            X += noise
-            # a NaN anywhere fails both comparisons and takes the masked test
-            if not (X.min() >= -radius and X.max() <= radius):
-                blown = alive & (np.abs(X) > radius)
-                if np.any(blown):
-                    alive &= ~blown
-                    X = np.where(alive, X, np.nan)
-            if integrand is not None:
-                cur = np.broadcast_to(np.asarray(integrand(X), dtype=float), X.shape)
-                area = prev + cur
-                area *= 0.5 * dt
-                integ += area
-                prev = cur
-    return X, integ, alive
+            noise_of = {s: s * z for s in scales}
+            for j, (m, _, fn) in enumerate(groups):
+                x = X[j]
+                step = np.asarray(drift[j](x), dtype=float)
+                step *= dt
+                if scale[j] is None:
+                    noise = np.asarray(m.sigma_fn(x), dtype=float)
+                    noise *= vol
+                    noise *= z
+                else:
+                    noise = noise_of[scale[j]]
+                x = x + step
+                x += noise
+                # a NaN anywhere fails both comparisons and takes the masked test
+                if not (x.min() >= -radius and x.max() <= radius):
+                    blown = alive[j] & (np.abs(x) > radius)
+                    if np.any(blown):
+                        alive[j] &= ~blown
+                        x = np.where(alive[j], x, np.nan)
+                X[j] = x
+                if fn is not None:
+                    cur = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+                    area = prev[j] + cur
+                    area *= 0.5 * dt
+                    integ[j] += area
+                    prev[j] = cur
+    return list(zip(X, integ, alive))
 
 
 def _mean_se(values: np.ndarray, valid: np.ndarray, cfg: MCConfig):
@@ -210,7 +232,7 @@ def simulate(m, x0: float, cfg: MCConfig, functional=None) -> PathEnsemble:
     """Endpoint ensemble from x0; optionally the pathwise time integral of a
     functional.  Raises when most paths leave the blow-up radius."""
     fn = _as_path_fn(functional, "path functional") if functional is not None else None
-    X, integ, alive = _evolve(m, [x0], cfg, integrand=fn)
+    (X, integ, alive), = _evolve([(m, 1, fn)], [x0], cfg)
     flagged = ~alive[0]
     frac = float(np.mean(flagged))
     if frac > 0.5:
@@ -248,8 +270,9 @@ class FKEstimate:
             raise MCError("effective sample size cannot exceed the paths used")
 
 
-def _fk_core(d: md.DualModel, g, x0: float, cfg: MCConfig, potential_scale: float):
-    gfn = _as_path_fn(g, "payoff")
+def _fk_group(d: md.DualModel, potential_scale: float = 1.0) -> tuple:
+    """The ``_evolve`` group of one Feynman-Kac ensemble: one row under the
+    dual dynamics, accumulating the killing rate times ``potential_scale``."""
     vfn = d.v_fn
 
     def rate(x):
@@ -257,8 +280,13 @@ def _fk_core(d: md.DualModel, g, x0: float, cfg: MCConfig, potential_scale: floa
         v *= potential_scale
         return v
 
-    X, A, alive = _evolve(d, [x0], cfg, integrand=rate)
-    end, acc, ok = X[0], A[0], alive[0]
+    return (d, 1, rate)
+
+
+def _fk_paths(paths):
+    """Endpoints, accumulated potential and survivors of a Feynman-Kac group's
+    row; raises when most paths blew up or a weight would overflow."""
+    (end,), (acc,), (ok,) = paths
     if np.mean(~ok) > 0.5:
         raise MCError("majority of dual paths exceeded the blow-up radius")
     if np.any(acc[ok] < -700.0):
@@ -266,17 +294,13 @@ def _fk_core(d: md.DualModel, g, x0: float, cfg: MCConfig, potential_scale: floa
         raise MCError(
             f"Feynman-Kac weight overflow: accumulated potential reached {worst:.3g}; "
             "the killing rate is too negative along the visited range")
-    return end, acc, ok, gfn
+    return end, acc, ok
 
 
-def feynman_kac(d: md.DualModel, g, x0: float, cfg: MCConfig,
-                potential_scale: float = 1.0) -> FKEstimate:
-    """E[g(X^a_t) exp(-int_0^t V_a(X^a_s) ds)] by pathwise weights.
-
-    potential_scale multiplies V_a (the convex inequality needs the doubled
-    rate).  The weight integral uses the trapezoidal rule on the same grid
-    as the paths."""
-    end, acc, ok, gfn = _fk_core(d, g, x0, cfg, potential_scale)
+def _fk_estimate(paths, gfn, cfg: MCConfig) -> FKEstimate:
+    """The pathwise-weight estimate of E[g(X_t) exp(-int V)] from a
+    Feynman-Kac group's row (``_fk_group``)."""
+    end, acc, ok = _fk_paths(paths)
     with np.errstate(all="ignore"):
         w = np.where(ok, np.exp(-acc), np.nan)
         y = np.where(ok, np.asarray(gfn(end), dtype=float) * w, np.nan)
@@ -289,13 +313,27 @@ def feynman_kac(d: md.DualModel, g, x0: float, cfg: MCConfig,
     )
 
 
+def feynman_kac(d: md.DualModel, g, x0: float, cfg: MCConfig,
+                potential_scale: float = 1.0) -> FKEstimate:
+    """E[g(X^a_t) exp(-int_0^t V_a(X^a_s) ds)] by pathwise weights.
+
+    potential_scale multiplies V_a (the convex inequality needs the doubled
+    rate).  The weight integral uses the trapezoidal rule on the same grid
+    as the paths."""
+    gfn = _as_path_fn(g, "payoff")
+    paths, = _evolve([_fk_group(d, potential_scale)], [x0], cfg)
+    return _fk_estimate(paths, gfn, cfg)
+
+
 def feynman_kac_killed(d: md.DualModel, g, x0: float, cfg: MCConfig) -> FKEstimate:
     """Same target via an exponential clock: keep g(X_t) when the
     accumulated rate stays below an independent Exp(1) draw.
 
     Cross-check only, and only for nonnegative rates (a negative rate would
     need weights above one, which a survival indicator cannot express)."""
-    end, acc, ok, gfn = _fk_core(d, g, x0, cfg, 1.0)
+    gfn = _as_path_fn(g, "payoff")
+    paths, = _evolve([_fk_group(d)], [x0], cfg)
+    end, acc, ok = _fk_paths(paths)
     if np.any(acc[ok] < -1e-9):
         raise MCError("the killed-process estimator requires a nonnegative killing rate")
     clock_rng = np.random.Generator(
@@ -344,43 +382,55 @@ def _compile_paths(m, d: md.DualModel, x0: float) -> None:
 
 class _Plan(NamedTuple):
     """A validated check: the base-model starts it reads at horizon t, its
-    dual ensemble's ``feynman_kac`` arguments (or None), and ``finish(X,
-    alive, fk)``, its result from its starts' rows and that ensemble's future."""
+    dual ensemble's ``_evolve`` group and start (or None), and ``finish(X,
+    alive, dual)``, its result from its starts' rows and ``dual()``, which
+    returns its dual group's paths or raises that job's error."""
 
     t: float
     starts: tuple
-    fk: tuple | None
+    dual: tuple | None
     finish: Callable
 
 
 def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
     """Evolve every ensemble the planned checks need, then finish each check.
 
-    The base model is evolved once per horizon over every distinct start its
-    checks need there (rows bit-identical to lone ones, see ``_evolve``), and
-    each check's dual side is one ``feynman_kac`` ensemble.  One thread per
-    CPU in the process's affinity mask, the calling one included, but no more
-    than there are ensembles, runs them largest first.  Each ensemble draws
-    its own stream and does only elementwise arithmetic, so no bit depends on
-    the thread count; numpy releases the GIL in its draws and ufunc loops.
-    Each check reads its ensembles' results, and so raises their errors, in
-    order."""
-    index: dict[float, dict[float, int]] = {}  # horizon -> row of each start there
-    for p in plans:
+    Each horizon has two jobs, one ``_evolve`` call each: the base model over
+    every distinct start its checks need there, on the stream seeded
+    ``cfg.seed``, and every check's dual ensemble, one group each, on the
+    stream seeded ``_derive_seed(cfg.seed, 1)``.  Rows come out as they do
+    alone (see ``_evolve``), so the two sides of a check are independent,
+    and the checks at one horizon share common random numbers on each side.
+    One thread per CPU in the process's affinity mask, the calling one
+    included, but no more than there are jobs, runs them largest first.
+    Each job draws its own stream and does only elementwise arithmetic, so
+    no bit depends on the thread count; numpy releases the GIL in its draws
+    and ufunc loops.  Each check reads its ensembles' results, and so raises
+    their errors, in order."""
+    index: dict[float, dict[float, int]] = {}  # horizon -> row of each base start there
+    duals: dict[float, list[int]] = {}  # horizon -> the plans with a dual ensemble there
+    for i, p in enumerate(plans):
         for s in p.starts:
             rows = index.setdefault(p.t, {})
             rows.setdefault(s, len(rows))
-    base = {t: replace(cfg, horizon=t) for t in index}
-    # (size, fn, *args); the size is rows x steps, as every ensemble has cfg.paths paths
-    jobs = [(len(index[t]) * c.n_steps(), _evolve, m, list(index[t]), c) for t, c in base.items()]
-    jobs += [(p.fk[3].n_steps(), feynman_kac, *p.fk) for p in plans if p.fk]
+        if p.dual:
+            duals.setdefault(p.t, []).append(i)
+    jobs = []  # (rows x steps, groups, starts, cfg); every job has cfg.paths paths
+    for t, rows in index.items():
+        c = replace(cfg, horizon=t)
+        jobs.append((len(rows) * c.n_steps(), [(m, len(rows), None)], list(rows), c))
+    dual_seed = _derive_seed(int(cfg.seed), 1)
+    for t, ids in duals.items():
+        c = replace(cfg, horizon=t, seed=dual_seed)
+        jobs.append((len(ids) * c.n_steps(), [plans[i].dual[0] for i in ids],
+                     [plans[i].dual[1] for i in ids], c))
     order = iter(sorted(range(len(jobs)), key=lambda i: -jobs[i][0]))
     futures = [Future() for _ in jobs]
 
     def work(i):  # run job i, then take the next one until none is left
         while i is not None:
             try:
-                futures[i].set_result(jobs[i][1](*jobs[i][2:]))
+                futures[i].set_result(_evolve(*jobs[i][1:]))
             except Exception as err:
                 futures[i].set_exception(err)
             i = next(order, None)
@@ -395,16 +445,18 @@ def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
         work(first)
     for w in workers:
         w.result()  # raises what a job let through: a BaseException
-    futures = iter(futures)
-    paths = {t: next(futures) for t in index}
+    base = dict(zip(index, futures))
+    dual_of = {i: (job, g) for job, ids in zip(futures[len(index):], duals.values())
+               for g, i in enumerate(ids)}  # plan -> its dual job and group
     out = []
-    for p in plans:
+    for i, p in enumerate(plans):
         X = alive = None
         if p.starts:
-            X, _, alive = paths[p.t].result()
-            i = [index[p.t][s] for s in p.starts]
-            X, alive = X[i], alive[i]
-        out.append(p.finish(X, alive, next(futures) if p.fk else None))
+            (X, _, alive), = base[p.t].result()
+            rows = [index[p.t][s] for s in p.starts]
+            X, alive = X[rows], alive[rows]
+        job, g = dual_of.get(i, (None, None))
+        out.append(p.finish(X, alive, lambda job=job, g=g: job.result()[g]))
     return out
 
 
@@ -467,15 +519,13 @@ def _plan_intertwining(m, w, f, x0, t, cfg, w_params=None, delta=_DELTA) -> _Pla
         return _Plan(t, (), None, lambda *_: done)
     if t < 0:
         raise MCConfigError(f"horizon must be nonnegative, got {t}")
-    cfg_r = replace(cfg, horizon=t, seed=_derive_seed(int(cfg.seed), 1))
-
     ffn = ex.compile_fn(fe)
     afn = d.weight_fn
     dffn = ex.compile_fn(dfe)
     grad = lambda x: np.asarray(afn(x), dtype=float) * np.asarray(dffn(x), dtype=float)
     _compile_paths(m, d, x0)
 
-    def finish(X, alive, fk):
+    def finish(X, alive, dual):
         ok = alive[0] & alive[1]
         with np.errstate(all="ignore"):
             diffs = (np.asarray(ffn(X[0]), dtype=float)
@@ -483,7 +533,7 @@ def _plan_intertwining(m, w, f, x0, t, cfg, w_params=None, delta=_DELTA) -> _Pla
         mean_d, se_d, _ = _mean_se(diffs, ok, cfg)
         lhs, lhs_err = a0 * mean_d, abs(a0) * se_d
 
-        fk = fk.result()
+        fk = _fk_estimate(dual(), grad, cfg)
         rhs, rhs_err = fk.mean, fk.std_err
 
         denom = math.hypot(lhs_err, rhs_err)
@@ -495,7 +545,7 @@ def _plan_intertwining(m, w, f, x0, t, cfg, w_params=None, delta=_DELTA) -> _Pla
             "noise exceeds the resolution threshold; rerun with more paths",
         )
 
-    return _Plan(t, starts, (d, grad, x0, cfg_r), finish)
+    return _Plan(t, starts, (_fk_group(d), x0), finish)
 
 
 @dataclass(frozen=True)
@@ -579,7 +629,6 @@ def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA)
 
     if t <= 0:
         raise MCConfigError(f"horizon must be positive, got {t}")
-    cfg_r = replace(cfg, horizon=t, seed=_derive_seed(int(cfg.seed), 2))
     a0 = float(d.weight_fn(x0))
 
     ffn = ex.compile_fn(fe)
@@ -594,7 +643,7 @@ def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA)
 
     _compile_paths(m, d, x0)
 
-    def finish(X, alive, fk):
+    def finish(X, alive, dual):
         ok = alive[0] & alive[1] & alive[2]
         with np.errstate(all="ignore"):
             u = np.asarray(ffn(X[1]), dtype=float)
@@ -620,7 +669,7 @@ def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA)
         ])
         lhs_err = float(math.sqrt(max(0.0, gvec @ cov @ gvec)))
 
-        fk = fk.result()
+        fk = _fk_estimate(dual(), theta, cfg)
         rhs, rhs_err = fk.mean, fk.std_err
 
         denom = math.hypot(lhs_err, rhs_err)
@@ -632,4 +681,4 @@ def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA)
             "noise exceeds the resolution threshold; rerun with more paths",
         )
 
-    return _Plan(t, starts, (d, theta, x0, cfg_r, 2.0), finish)
+    return _Plan(t, starts, (_fk_group(d, 2.0), x0), finish)

@@ -146,11 +146,19 @@ def _grow():
 
 class TestEvolveMatchesReference:
     @staticmethod
-    def assert_same(m, starts, cfg, integrand=None):
-        got = mc._evolve(m, starts, cfg, integrand)
-        want = _reference_evolve(m, starts, cfg, integrand)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+    def assert_same(groups, starts, cfg):
+        """Every group of one ``mc._evolve`` job matches the reference loop run
+        on that group alone, bit for bit."""
+        got = mc._evolve(groups, starts, cfg)
+        assert len(got) == len(groups)
+        k = 0
+        for (m, rows, integrand), paths in zip(groups, got):
+            want = _reference_evolve(m, starts[k:k + rows], cfg, integrand)
+            k += rows
+            for g, w in zip(paths, want):
+                assert g.shape == (rows, cfg.paths)
+                assert g.tobytes() == w.tobytes()
+        assert k == len(starts)
         return got
 
     @pytest.mark.parametrize("antithetic", [False, True])
@@ -160,22 +168,38 @@ class TestEvolveMatchesReference:
         m = make()
         cfg = mc.MCConfig(step=1e-2, horizon=0.5, paths=2000, seed=17, antithetic=antithetic)
         d = md.realize_weight(m, md.WeightSpec.a_form("-(x-1)^2"))
-        self.assert_same(m, [0.501, 0.5, 0.499], cfg)
-        self.assert_same(d, [0.5], cfg, integrand=lambda x: 2.0 * np.asarray(d.v_fn(x)))
+        self.assert_same([(m, 3, None)], [0.501, 0.5, 0.499], cfg)
+        self.assert_same([(d, 1, lambda x: 2.0 * np.asarray(d.v_fn(x)))], [0.5], cfg)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("make", [
+        ou, quartic, lambda: gallery.gallery_model("cauchy")], ids=["ou", "quartic", "cauchy"])
+    def test_groups_of_one_job(self, make, antithetic):
+        # base rows, two duals as run_checks steps them, the base model again
+        # with an integrand that returns its input, and a model whose constant
+        # sigma differs from any other group's, all on one stream
+        m = make()
+        cfg = mc.MCConfig(step=1e-2, horizon=0.5, paths=2000, seed=17, antithetic=antithetic)
+        d1 = md.realize_weight(m, md.WeightSpec.a_form("-(x-1)^2"))
+        d2 = md.realize_weight(m, md.WeightSpec.direct("1+x^2"))
+        wide = md.build_model(sigma="2", target_potential="x^2/2", name="wide")
+        self.assert_same([(m, 3, None), mc._fk_group(d1, 2.0), mc._fk_group(d2),
+                          (m, 2, lambda x: x), (wide, 1, None)],
+                         [0.501, 0.5, 0.499, 0.5, -0.3, 0.7, 0.1, 0.2], cfg)
 
     @pytest.mark.parametrize("functional", [lambda x: x, ex.compile_fn(ex.X)],
                              ids=["callable", "compiled"])
     def test_integrand_returning_its_input(self, functional):
         cfg = mc.MCConfig(step=1e-2, horizon=1.0, paths=1000, seed=13)
-        self.assert_same(ou(), [1.5], cfg, integrand=functional)
+        self.assert_same([(ou(), 1, functional)], [1.5], cfg)
 
     def test_identity_drift(self):
         cfg = mc.MCConfig(step=1e-2, horizon=0.5, paths=1000, seed=5)
-        self.assert_same(_grow(), [0.3, -0.2], cfg, integrand=lambda x: x)
+        self.assert_same([(_grow(), 2, lambda x: x)], [0.3, -0.2], cfg)
 
     def test_partial_blow_up(self):
         cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=4.0)
-        X, _, alive = self.assert_same(_grow(), [0.5], cfg, integrand=lambda x: x)
+        (X, _, alive), = self.assert_same([(_grow(), 1, lambda x: x)], [0.5], cfg)
         assert float(np.mean(~alive)) == 0.1925
         assert np.array_equal(np.isnan(X), ~alive)
 
@@ -405,10 +429,11 @@ class TestSharedBasePaths:
     def test_rows_do_not_depend_on_each_other(self, make, parts, radius):
         m = make()
         cfg = mc.MCConfig(step=1e-2, horizon=1.0, paths=1001, seed=9, blow_up_radius=radius)
-        X, integ, alive = mc._evolve(m, parts[0] + parts[1], cfg)
+        (X, integ, alive), = mc._evolve([(m, len(parts[0]) + len(parts[1]), None)],
+                                        parts[0] + parts[1], cfg)
         k = len(parts[0])
         for rows, part in ((slice(0, k), parts[0]), (slice(k, None), parts[1])):
-            X1, integ1, alive1 = mc._evolve(m, part, cfg)
+            (X1, integ1, alive1), = mc._evolve([(m, len(part), None)], part, cfg)
             assert X[rows].tobytes() == X1.tobytes()
             assert alive[rows].tobytes() == alive1.tobytes()
             assert integ[rows].tobytes() == integ1.tobytes()
@@ -423,22 +448,44 @@ class TestSharedBasePaths:
             assert _bits(r) == _bits(mc.check_subintertwining(m, cfg=cfg, **kw))
 
     @staticmethod
-    def count_evolves(monkeypatch):
-        """Record the number of start points of every ``_evolve`` call."""
-        sizes = []
+    def count_jobs(monkeypatch):
+        """Record every ``_evolve`` job: its stream's seed and horizon, and the
+        models and row counts of its groups."""
+        jobs = []
         evolve = mc._evolve
 
-        def counted(m, starts, cfg, integrand=None):
-            sizes.append(len(starts))
-            return evolve(m, starts, cfg, integrand)
+        def counted(groups, starts, cfg):
+            jobs.append(((cfg.seed, cfg.horizon), [(m, k) for m, k, _ in groups]))
+            return evolve(groups, starts, cfg)
 
         monkeypatch.setattr(mc, "_evolve", counted)
-        return sizes
+        return jobs
+
+    @staticmethod
+    def assert_two_jobs_per_horizon(jobs, m, cfg, duals):
+        """One base job and one dual job at each horizon of ``duals`` (horizon ->
+        the row counts of the base job and the number of checks there): the
+        base job is one group of ``m`` on the stream seeded ``cfg.seed``, the
+        dual job one one-row group per check on the stream seeded
+        ``_derive_seed(cfg.seed, 1)``."""
+        dual_seed = mc._derive_seed(cfg.seed, 1)
+        assert len(jobs) == 2 * len(duals)
+        assert sorted(stream for stream, _ in jobs) == sorted(
+            (seed, t) for t in duals for seed in (cfg.seed, dual_seed))
+        for (seed, t), groups in jobs:
+            rows, checks = duals[t]
+            if seed == cfg.seed:
+                assert len(groups) == 1 and groups[0][0] is m and groups[0][1] == rows
+            else:
+                assert len(groups) == checks
+                assert all(isinstance(d, md.DualModel) and d.base is m and k == 1
+                           for d, k in groups)
+                assert len({id(d) for d, _ in groups}) == checks
 
     def test_mc_check_workload(self):
         self.assert_same_as_alone(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
 
-    def test_mc_check_draws_three_streams(self, monkeypatch):
+    def test_mc_check_draws_two_streams(self, monkeypatch):
         streams = []
         increments = mc._increments
 
@@ -447,19 +494,22 @@ class TestSharedBasePaths:
             return increments(cfg)
 
         monkeypatch.setattr(mc, "_increments", counted)
-        sizes = self.count_evolves(monkeypatch)
-        mc.run_checks(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
-        # one base ensemble of 2 + 3 starts, and the two dual ensembles
-        assert len(streams) == 3 and len(set(streams)) == 3
-        assert sorted(sizes) == [1, 1, 5]
+        jobs = self.count_jobs(monkeypatch)
+        m = quartic()
+        mc.run_checks(m, MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
+        # one base job of 2 + 3 starts, and one dual job holding both checks' duals
+        assert sorted(streams) == sorted([MC_CHECK_CFG.seed, mc._derive_seed(MC_CHECK_CFG.seed, 1)])
+        self.assert_two_jobs_per_horizon(jobs, m, MC_CHECK_CFG, {0.5: (5, 2)})
 
     def test_coinciding_starts(self, monkeypatch):
         inter = [{"w": md.WeightSpec.direct("1"), "f": "tanh(x)", "x0": 0.5, "t": 0.5}]
         sub = [{**inter[0], "phi": q.PhiSpec.poincare()}]
         self.assert_same_as_alone(ou(), MC_CHECK_CFG, inter, sub)
-        sizes = self.count_evolves(monkeypatch)
-        mc.run_checks(ou(), MC_CHECK_CFG, inter, sub)
-        assert sorted(sizes) == [1, 1, 3]  # x0 - delta, x0, x0 + delta once each
+        jobs = self.count_jobs(monkeypatch)
+        m = ou()
+        mc.run_checks(m, MC_CHECK_CFG, inter, sub)
+        # x0 - delta, x0, x0 + delta once each; the two duals stay two groups
+        self.assert_two_jobs_per_horizon(jobs, m, MC_CHECK_CFG, {0.5: (3, 2)})
 
     def test_two_horizons(self, monkeypatch):
         w = md.WeightSpec.direct("1")
@@ -467,20 +517,21 @@ class TestSharedBasePaths:
         sub = [{"w": w, "phi": q.PhiSpec.poincare(), "f": "tanh(x)", "x0": 0.3, "t": t,
                 "delta": 2e-3} for t in (0.25, 0.5)]
         self.assert_same_as_alone(ou(), MC_CHECK_CFG, inter, sub)
-        sizes = self.count_evolves(monkeypatch)
-        mc.run_checks(ou(), MC_CHECK_CFG, inter, sub)
-        assert sorted(sizes) == [1, 1, 1, 1, 5, 5]
+        jobs = self.count_jobs(monkeypatch)
+        m = ou()
+        mc.run_checks(m, MC_CHECK_CFG, inter, sub)
+        self.assert_two_jobs_per_horizon(jobs, m, MC_CHECK_CFG, {0.5: (5, 2), 0.25: (5, 2)})
 
-    @pytest.mark.parametrize("make,cfg,inter,sub,ensembles", [
-        (quartic, MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB, 3),
-        (ou, replace(MC_CHECK_CFG, paths=1000),  # four horizons: eight ensembles
+    @pytest.mark.parametrize("make,cfg,inter,sub,jobs", [
+        (quartic, MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB, {0.5: (5, 2)}),
+        (ou, replace(MC_CHECK_CFG, paths=1000),  # four horizons: eight jobs
          [{"w": md.WeightSpec.direct("1"), "f": "tanh(x)", "x0": 0.5, "t": t}
-          for t in (0.05, 0.1, 0.15, 0.2)], [], 8),
+          for t in (0.05, 0.1, 0.15, 0.2)], [], {t: (2, 1) for t in (0.05, 0.1, 0.15, 0.2)}),
     ], ids=["mc-check", "four-horizons"])
-    def test_thread_count_changes_no_bit(self, monkeypatch, make, cfg, inter, sub, ensembles):
+    def test_thread_count_changes_no_bit(self, monkeypatch, make, cfg, inter, sub, jobs):
         """One CPU, two, and more threads than cores switching often: every
-        ensemble runs once and no bit of any result moves."""
-        threads = []
+        job runs once and no bit of any result moves."""
+        threads, seen = [], self.count_jobs(monkeypatch)
         evolve = mc._evolve
 
         def recorded(*args, **kwargs):
@@ -495,15 +546,29 @@ class TestSharedBasePaths:
             for cpus in ({0}, {0, 1}, set(range(16))):
                 monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
                 threads.append([])
-                got = mc.run_checks(make(), cfg, inter, sub)
+                seen.clear()
+                m = make()
+                got = mc.run_checks(m, cfg, inter, sub)
+                self.assert_two_jobs_per_horizon(seen, m, cfg, jobs)
                 results.append([_bits(r) for part in got for r in part])
         finally:
             sys.setswitchinterval(interval)
-        assert [len(ids) for ids in threads] == [ensembles] * 3
-        # one CPU: every ensemble on the calling thread; two: a worker takes some
+        assert [len(ids) for ids in threads] == [2 * len(jobs)] * 3
+        # one CPU: every job on the calling thread; two: a worker takes some
         assert set(threads[0]) == {threading.get_ident()}
         assert len(set(threads[1])) == 2 and len(set(threads[2])) >= 2
         assert results[0] == results[1] == results[2]
+
+    def test_mc_check_intertwining_is_pinned(self):
+        """The intertwining check of the mc-check workload at 2000 paths, seed
+        0: its dual ensemble kept its stream when the duals of a horizon
+        became one job, so every float keeps its recorded bits."""
+        got, _ = mc.run_checks(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
+        r = got[0]
+        assert [v.hex() for v in (r.lhs, r.rhs, r.lhs_err, r.rhs_err, r.zscore)] == [
+            "0x1.da87f78843124p-2", "0x1.d2c3db8a40d60p-2", "0x1.b9687bc6b2340p-8",
+            "0x1.1c56871aaf4b9p-9", "0x1.12607313a2867p+0"]
+        assert r.conclusive
 
     def test_ensembles_only_read_caches(self, monkeypatch):
         """Every tree an ensemble evaluates is compiled, and every lazy model
@@ -518,26 +583,90 @@ class TestSharedBasePaths:
                 lowered.append(bool(running))
                 super().__init__()
 
-        def caches(m):
-            models = [m, m.base] if isinstance(m, md.DualModel) else [m]
+        def caches(groups):
+            models = [o for m, _, _ in groups
+                      for o in ([m, m.base] if isinstance(m, md.DualModel) else [m])]
             return [{k: tuple(v) if isinstance(v, dict) else id(v) for k, v in vars(o).items()}
                     for o in models]
 
-        def watched(fn):
-            def ensemble(m, *args, **kwargs):
-                before = caches(m)
-                running.append(fn)
-                try:
-                    return fn(m, *args, **kwargs)
-                finally:
-                    running.pop()
-                    assert caches(m) == before
-            return ensemble
+        def job(groups, *args, **kwargs):
+            before = caches(groups)
+            running.append(groups)
+            try:
+                return evolve(groups, *args, **kwargs)
+            finally:
+                running.pop()
+                assert caches(groups) == before
 
+        evolve = mc._evolve
         monkeypatch.setattr(ex, "_Lowering", Watched)
-        monkeypatch.setattr(mc, "_evolve", watched(mc._evolve))
-        monkeypatch.setattr(mc, "feynman_kac", watched(mc.feynman_kac))
+        monkeypatch.setattr(mc, "_evolve", job)
         inter = [{**MC_CHECK_INTER[0], "w": md.WeightSpec.z_form(ex.parse("1.2712*x"))}]
         sub = [{**MC_CHECK_SUB[0], "w": md.WeightSpec.a_form(ex.parse("-(x-1)^2"))}]
         mc.run_checks(quartic(), MC_CHECK_CFG, inter, sub)
         assert lowered and not any(lowered)
+
+
+class TestSharedDualJob:
+    """``run_checks`` steps the dual ensembles of every check at a horizon as
+    one job on one stream; each dual row must come out as a lone
+    ``feynman_kac`` on that stream does, bit for bit."""
+
+    @staticmethod
+    def fk_bits(fk) -> bytes:
+        return np.array([fk.mean, fk.std_err, fk.paths_used, *astuple(fk.weight_stats)]).tobytes()
+
+    def test_dual_rows_equal_lone_feynman_kac(self, monkeypatch):
+        m = quartic()
+        inter = MC_CHECK_INTER + [{"w": md.WeightSpec.direct("1"), "f": "x/2 + tanh(x)",
+                                   "x0": -0.2, "t": 0.5}]
+        jobs = []
+        evolve = mc._evolve
+
+        def recorded(groups, starts, cfg):
+            out = evolve(groups, starts, cfg)
+            jobs.append((groups, starts, cfg, out))
+            return out
+
+        monkeypatch.setattr(mc, "_evolve", recorded)
+        got_inter, got_sub = mc.run_checks(m, MC_CHECK_CFG, inter, MC_CHECK_SUB)
+        monkeypatch.setattr(mc, "_evolve", evolve)
+        cfg = replace(MC_CHECK_CFG, seed=mc._derive_seed(MC_CHECK_CFG.seed, 1))
+        (groups, starts, job_cfg, rows), = [j for j in jobs if j[2].seed == cfg.seed]
+        assert job_cfg == cfg and list(starts) == [0.5, -0.2, 0.4] and len(groups) == 3
+        for group, x0, paths in zip(groups, starts, rows):
+            alone, = mc._evolve([group], [x0], cfg)
+            assert [a.tobytes() for a in paths] == [a.tobytes() for a in alone]
+
+        def payoff(w, f):
+            d = md.realize_weight(m, w)
+            fe = ex.parse(f)
+            ffn, dffn = ex.compile_fn(fe), ex.compile_fn(ex.simplify(ex.differentiate(fe)))
+            return d, ffn, lambda x: np.asarray(d.weight_fn(x), dtype=float) * np.asarray(
+                dffn(x), dtype=float)
+
+        for kw, r in zip(inter, got_inter):
+            d, _, grad = payoff(kw["w"], kw["f"])
+            fk = mc.feynman_kac(d, grad, kw["x0"], cfg)
+            assert np.array([r.rhs, r.rhs_err]).tobytes() == np.array([fk.mean, fk.std_err]).tobytes()
+        for kw, r in zip(MC_CHECK_SUB, got_sub):
+            d, ffn, grad = payoff(kw["w"], kw["f"])
+            phi = kw["phi"]
+            theta = lambda x: np.asarray(phi.phi_dd_fn(np.asarray(ffn(x), dtype=float)),
+                                         dtype=float) * grad(x) ** 2
+            fk = mc.feynman_kac(d, theta, kw["x0"], cfg, potential_scale=2.0)
+            assert np.array([r.rhs, r.rhs_err]).tobytes() == np.array([fk.mean, fk.std_err]).tobytes()
+
+    def test_one_dual_partly_blows_up(self):
+        # the grow dual keeps drift x and loses 19.25 % of its paths past radius
+        # 4; the ou duals around it lose none, and none moves another
+        cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=4.0)
+        duals = [unit_dual(ou()), md.realize_weight(_grow(), md.WeightSpec.direct("1")),
+                 unit_dual(ou())]
+        rows = mc._evolve([mc._fk_group(d) for d in duals], [0.5, 0.5, 0.5], cfg)
+        assert [float(np.mean(~alive)) for _, _, alive in rows] == [0.0, 0.1925, 0.0]
+        for d, paths in zip(duals, rows):
+            alone, = mc._evolve([mc._fk_group(d)], [0.5], cfg)
+            assert [a.tobytes() for a in paths] == [a.tobytes() for a in alone]
+            got = mc._fk_estimate(paths, np.tanh, cfg)
+            assert self.fk_bits(got) == self.fk_bits(mc.feynman_kac(d, np.tanh, 0.5, cfg))
