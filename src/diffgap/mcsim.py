@@ -110,15 +110,19 @@ class MCConfig:
 
 def _increments(cfg: MCConfig):
     """Per-step standard-normal draws, shape (paths,); antithetic pairs share
-    magnitudes with opposite signs."""
+    magnitudes with opposite signs.  Every step's draws overwrite the one
+    array this yields."""
     rng = np.random.Generator(np.random.Philox(key=int(cfg.seed) & _MASK64))
+    z = np.empty(cfg.paths)
     half = cfg.paths // 2
+    head, tail = z[:half], z[half:]
     for _ in range(cfg.n_steps()):
         if cfg.antithetic:
-            z = rng.standard_normal(half)
-            yield np.concatenate([z, -z])
+            rng.standard_normal(out=head)
+            np.negative(head, out=tail)
         else:
-            yield rng.standard_normal(cfg.paths)
+            rng.standard_normal(out=z)
+        yield z
 
 
 def _as_path_fn(g, what: str):
@@ -127,75 +131,170 @@ def _as_path_fn(g, what: str):
     return ex.compile_fn(md._parse_or_expr(g, what))
 
 
+def _kernel_of(group) -> ex.Kernel:
+    """The compiled step of one ``_evolve`` group: its integrand when that is
+    a tree, then its model's drift and, unless it is a constant, sigma,
+    lowered together (``expr.kernel``), since the step evaluates all three at
+    the same state.  A call that is not full computes the integrand alone."""
+    m, _, integrand = group
+    head = [integrand] if isinstance(integrand, ex.Expr) else []
+    drift = m.drift_expr if isinstance(m, md.DualModel) else m.drift
+    tail = [drift] if m.sigma.op == "const" else [drift, m.sigma]
+    return ex.kernel(head + tail, len(head))
+
+
+class _Rows:
+    """One group of ``_evolve`` and the arrays it holds for the whole loop:
+    the state, the arrays its kernel writes its results into, the
+    trapezoid's previous integrand value, the integrals and the survivors.
+    ``pool`` maps a row shape to the arrays that the job's groups of that
+    shape use in turn: the spare the next state goes into, then the
+    kernels' temporaries."""
+
+    def __init__(self, group, starts: np.ndarray, paths: int, vol: float, pool: dict):
+        m, _, integrand = group
+        self.kernel = _kernel_of(group)
+        self.params = m.params if isinstance(m, md.DualModel) else {}
+        tree = isinstance(integrand, ex.Expr)
+        self.fn = None if tree else integrand
+        # sigma * vol where sigma is a constant, else None
+        self.scale = m.sigma.value * vol if m.sigma.op == "const" else None
+        # the arrays of the kernel's results, in the order _kernel_of gives
+        # its trees; the group owns them, and shares the others
+        roots = self.kernel.roots
+        self.rate = roots[0] if tree else None
+        self.drift = roots[int(tree)]
+        self.sigma = roots[int(tree) + 1] if self.scale is None else None
+        self.x = np.tile(starts[:, None], (1, paths))
+        self.pool = pool.setdefault(self.x.shape, [])
+        temps = self.kernel.size - len(roots)
+        self.pool += [np.empty_like(self.x) for _ in range(1 + temps - len(self.pool))]
+        shared = iter(self.pool[1:])
+        self.w = [np.empty_like(self.x) if k in roots else next(shared)
+                  for k in range(self.kernel.size)]
+        self.alive = np.ones(self.x.shape, dtype=bool)
+        self.integ = np.zeros(self.x.shape)
+        self.prev = self.blown = None
+
+    def start(self) -> None:
+        """The integrand, drift and sigma at the start points."""
+        x, w = self.x, self.w
+        if self.fn is not None:
+            self.prev = np.empty_like(x)
+            np.copyto(self.prev, np.asarray(self.fn(x), dtype=float))
+        self.kernel(x, self.params, w)
+        if self.rate is not None:
+            self.prev, w[self.rate] = w[self.rate], np.empty_like(x)
+
+    def step(self, z, noise: dict, dt: float, vol: float, radius: float, full: bool) -> None:
+        """One Euler step, then the integrand at the new state, and its drift
+        and sigma too when ``full`` (another step follows)."""
+        x, nxt, w = self.x, self.pool[0], self.w
+        step = w[self.drift]
+        step *= dt
+        np.add(x, step, out=nxt)
+        # a row of the (paths,) draws or noise at a time: numpy copies an
+        # operand of up to 8192 elements before broadcasting into it in place
+        if self.scale is None:
+            shock = w[self.sigma]
+            shock *= vol
+            for row in shock:
+                row *= z
+            nxt += shock
+        else:
+            for row in nxt:
+                row += noise[self.scale]
+        # a NaN anywhere fails both comparisons and takes the masked test
+        if not (nxt.min() >= -radius and nxt.max() <= radius):
+            self.flag(nxt, x, radius)
+        self.x, self.pool[0] = nxt, x
+        if self.rate is not None:
+            self.kernel(nxt, self.params, w, full)
+            self.trapezoid(w[self.rate], dt)
+            self.prev, w[self.rate] = w[self.rate], self.prev
+            return
+        if self.fn is not None:
+            cur = np.asarray(self.fn(nxt), dtype=float)
+            self.trapezoid(cur, dt)
+            np.copyto(self.prev, cur)
+        if full:
+            self.kernel(nxt, self.params, w)
+
+    def trapezoid(self, cur: np.ndarray, dt: float) -> None:
+        """Add the step's trapezoid to the integrals; ``prev`` holds the
+        area afterwards, not the integrand."""
+        prev = self.prev
+        np.add(prev, cur, out=prev)
+        prev *= 0.5 * dt
+        self.integ += prev
+
+    def flag(self, x: np.ndarray, scratch: np.ndarray, radius: float) -> None:
+        """Flag the live paths of ``x`` that left the blow-up radius and turn
+        every flagged path NaN; ``scratch`` is an array of the same shape
+        whose values are not needed any more."""
+        if self.blown is None:
+            self.blown = np.empty(x.shape, dtype=bool)
+        blown, alive = self.blown, self.alive
+        np.abs(x, out=scratch)
+        np.greater(scratch, radius, out=blown)
+        blown &= alive
+        if blown.any():
+            alive ^= blown  # blown holds live paths only, so this clears them
+            np.logical_not(alive, out=blown)
+            np.copyto(x, np.nan, where=blown)
+
+
 def _evolve(groups, starts, cfg: MCConfig):
     """The Euler loop: every start point driven by one stream of increments.
 
     ``groups`` splits ``starts`` into consecutive runs of rows: a group
     ``(model, k, integrand)`` steps the next k starts under its model's drift
-    and sigma and accumulates the trapezoidal integral of its integrand (or
-    None) along each path; ``starts`` stays one flat sequence, whose size the
-    benchmark's traced run counts as the job's rows.  Returns one (endpoints,
-    integrals, alive) triple per group, each of shape (k, paths).  Paths
-    leaving the blow-up radius turn NaN and stay flagged.  Every group keeps
-    its own arrays and each row's arithmetic is elementwise, so a row comes
-    out the same whether it is evolved alone or with any other rows, of its
-    group or of others, on the same stream.  ``_run`` gives a horizon's base-model starts one group
-    (five rows for the two checks of the ``mc-check`` workload) and its dual
-    ensembles one job with a one-row group each; memory grows with the rows,
-    and with two or more CPUs the two jobs' arrays are live side by side.
+    and sigma and accumulates the trapezoidal integral of its integrand along
+    each path.  The integrand is None, a tree evaluated with a dual model's
+    parameters, or a callable; ``starts`` stays one flat sequence, whose size
+    the benchmark's traced run counts as the job's rows.  Returns one
+    (endpoints, integrals, alive) triple per group, each of shape (k,
+    paths).  Paths leaving the blow-up radius turn NaN and stay flagged.
+    Every group keeps its own state, drift, sigma, integrals and survivors,
+    and each row's arithmetic is elementwise, so a row comes out the same
+    whether it is evolved alone or with any other rows, of its group or of
+    others, on the same stream.
+    ``_run`` gives a horizon's base-model starts one group (five rows for
+    the two checks of the ``mc-check`` workload) and its dual ensembles one
+    job with a one-row group each; with two or more CPUs the two jobs'
+    arrays are live side by side.
 
-    The step allocates as little as it can: the drift and sigma arrays are
-    the model's own (``expr.evaluate`` never returns its input) and take
-    their products in place, and only the new state is a fresh array, since
-    an integrand may return its argument, which ``prev`` then holds.  When
-    sigma is a constant c, the noise (c vol) z is one row per step, shared
-    by every group with that constant and broadcast over its rows.  Each
-    product and sum is the one X + b dt + sqrt(2 dt) sigma z would compute,
-    in the same order, so the paths are bit-identical to that formula's.
+    The loop allocates nothing per step.  Each group's integrand tree, drift
+    and sigma, all needed at the new state, are one compiled kernel
+    (``_kernel_of``) that writes into arrays allocated here, once per call,
+    so no two threads share one: each group's own results, and per row
+    shape one spare state and the kernels' temporaries, which the groups
+    use in turn.  The trapezoid accumulates into the array of the previous
+    integrand value, and the draws land in one resident row
+    (``_increments``).  When sigma is a constant c, the noise (c vol) z is
+    one row per step, shared by every group with that constant and
+    broadcast over its rows.  Each product and sum is the one X + b dt +
+    sqrt(2 dt) sigma z would compute, in the same order, so the paths are
+    bit-identical to that formula's.  The kernel of the last step computes
+    the integrand alone, as no drift is needed after it.
     """
     dt = cfg.dt()
     vol = math.sqrt(2.0 * dt)
-    radius = cfg.blow_up_radius
+    last = cfg.n_steps() - 1
     starts = np.asarray(starts, dtype=float)
     ends = np.cumsum([k for _, k, _ in groups])
-    X = [np.tile(starts[e - k:e, None], (1, cfg.paths)) for (_, k, _), e in zip(groups, ends)]
-    alive = [np.ones(x.shape, dtype=bool) for x in X]
-    integ = [np.zeros(x.shape) for x in X]
-    drift = [m.drift_fn for m, _, _ in groups]
-    # sigma * vol where sigma is a constant, else None
-    scale = [m.sigma.value * vol if m.sigma.op == "const" else None for m, _, _ in groups]
-    scales = set(scale) - {None}
+    pool: dict = {}
+    rows = [_Rows(g, starts[e - g[1]:e], cfg.paths, vol, pool) for g, e in zip(groups, ends)]
+    noise = {r.scale: np.empty(cfg.paths) for r in rows if r.scale is not None}
     with np.errstate(all="ignore"):
-        prev = [np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape).copy()
-                if fn is not None else None for (_, _, fn), x in zip(groups, X)]
-        for z in _increments(cfg):
-            noise_of = {s: s * z for s in scales}
-            for j, (m, _, fn) in enumerate(groups):
-                x = X[j]
-                step = np.asarray(drift[j](x), dtype=float)
-                step *= dt
-                if scale[j] is None:
-                    noise = np.asarray(m.sigma_fn(x), dtype=float)
-                    noise *= vol
-                    noise *= z
-                else:
-                    noise = noise_of[scale[j]]
-                x = x + step
-                x += noise
-                # a NaN anywhere fails both comparisons and takes the masked test
-                if not (x.min() >= -radius and x.max() <= radius):
-                    blown = alive[j] & (np.abs(x) > radius)
-                    if np.any(blown):
-                        alive[j] &= ~blown
-                        x = np.where(alive[j], x, np.nan)
-                X[j] = x
-                if fn is not None:
-                    cur = np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
-                    area = prev[j] + cur
-                    area *= 0.5 * dt
-                    integ[j] += area
-                    prev[j] = cur
-    return list(zip(X, integ, alive))
+        for r in rows:
+            r.start()
+        for i, z in enumerate(_increments(cfg)):
+            for s, row in noise.items():
+                np.multiply(s, z, out=row)
+            for r in rows:
+                r.step(z, noise, dt, vol, cfg.blow_up_radius, i < last)
+    return [(r.x, r.integ, r.alive) for r in rows]
 
 
 def _mean_se(values: np.ndarray, valid: np.ndarray, cfg: MCConfig):
@@ -272,14 +371,9 @@ class FKEstimate:
 
 def _fk_group(d: md.DualModel, potential_scale: float = 1.0) -> tuple:
     """The ``_evolve`` group of one Feynman-Kac ensemble: one row under the
-    dual dynamics, accumulating the killing rate times ``potential_scale``."""
-    vfn = d.v_fn
-
-    def rate(x):
-        v = np.asarray(vfn(x), dtype=float)
-        v *= potential_scale
-        return v
-
+    dual dynamics, accumulating the killing rate times ``potential_scale``
+    as a tree, which the group's kernel computes with the drift."""
+    rate = d.v_expr if potential_scale == 1.0 else ex.mul(d.v_expr, ex.const(potential_scale))
     return (d, 1, rate)
 
 
@@ -373,13 +467,6 @@ def _stencil(x0: float, delta: float, centre: bool = False) -> tuple:
     return (x0 + delta, x0, x0 - delta) if centre else (x0 + delta, x0 - delta)
 
 
-def _compile_paths(m, d: md.DualModel, x0: float) -> None:
-    """Evaluate once every function a check's ensembles step through, so each
-    tree is compiled before any ensemble starts and the workers only read it."""
-    for fn in (m.drift_fn, m.sigma_fn, d.drift_fn, d.v_fn):
-        fn(x0)
-
-
 class _Plan(NamedTuple):
     """A validated check: the base-model starts it reads at horizon t, its
     dual ensemble's ``_evolve`` group and start (or None), and ``finish(X,
@@ -424,6 +511,9 @@ def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
         c = replace(cfg, horizon=t, seed=dual_seed)
         jobs.append((len(ids) * c.n_steps(), [plans[i].dual[0] for i in ids],
                      [plans[i].dual[1] for i in ids], c))
+    for _, groups, _, _ in jobs:  # lowered here, so the workers only read the kernels
+        for g in groups:
+            _kernel_of(g)
     order = iter(sorted(range(len(jobs)), key=lambda i: -jobs[i][0]))
     futures = [Future() for _ in jobs]
 
@@ -523,7 +613,6 @@ def _plan_intertwining(m, w, f, x0, t, cfg, w_params=None, delta=_DELTA) -> _Pla
     afn = d.weight_fn
     dffn = ex.compile_fn(dfe)
     grad = lambda x: np.asarray(afn(x), dtype=float) * np.asarray(dffn(x), dtype=float)
-    _compile_paths(m, d, x0)
 
     def finish(X, alive, dual):
         ok = alive[0] & alive[1]
@@ -640,8 +729,6 @@ def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA)
             fv = np.asarray(ffn(x), dtype=float)
             gv = np.asarray(afn(x), dtype=float) * np.asarray(dffn(x), dtype=float)
             return np.asarray(phi.phi_dd_fn(fv), dtype=float) * gv**2
-
-    _compile_paths(m, d, x0)
 
     def finish(X, alive, dual):
         ok = alive[0] & alive[1] & alive[2]

@@ -8,6 +8,7 @@ ratio, flagged fractions) come from the recorded runs at those seeds.
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -118,6 +119,9 @@ def _reference_evolve(m, starts, cfg, integrand=None):
     """The Euler loop as plain whole-array expressions, one fresh array per
     operation: the reference ``mc._evolve`` must match bit for bit."""
     drift, sig = m.drift_fn, m.sigma_fn
+    if isinstance(integrand, ex.Expr):  # a tree, as _fk_group makes it
+        rate = integrand
+        integrand = lambda x: ex.evaluate(rate, x, m.params)
     dt = cfg.dt()
     vol = math.sqrt(2.0 * dt)
     X = np.tile(np.asarray(starts, dtype=float)[:, None], (1, cfg.paths))
@@ -202,6 +206,54 @@ class TestEvolveMatchesReference:
         (X, _, alive), = self.assert_same([(_grow(), 1, lambda x: x)], [0.5], cfg)
         assert float(np.mean(~alive)) == 0.1925
         assert np.array_equal(np.isnan(X), ~alive)
+
+
+def _allocating_lines(fn, nbytes: int) -> int:
+    """How many source lines run by ``fn`` raised the memory tracemalloc
+    traces, numpy's array buffers included, by ``nbytes`` or more above its
+    level when the line began: each holds at least one allocation that large,
+    whether or not it was freed before the line ended."""
+    count = level = 0
+
+    def trace(frame, event, arg):
+        nonlocal count, level
+        now, peak = tracemalloc.get_traced_memory()
+        count += peak - level >= nbytes
+        tracemalloc.reset_peak()
+        level = now
+        return trace
+
+    tracemalloc.start()
+    outer = sys.gettrace()
+    try:
+        level = tracemalloc.get_traced_memory()[0]
+        sys.settrace(trace)
+        fn()
+    finally:
+        sys.settrace(outer)
+        tracemalloc.stop()
+    return count
+
+
+class TestResidentLoop:
+    @pytest.mark.parametrize("make", [quartic, lambda: gallery.gallery_model("cauchy")],
+                             ids=["constant-sigma", "cauchy"])
+    def test_allocations_do_not_grow_with_steps(self, make):
+        """An ``_evolve`` call allocates its arrays before the loop: base rows,
+        a dual with a callable integrand that returns its input and a dual
+        whose integrand is a tree allocate as many arrays in 200 steps as in
+        20."""
+        m = make()
+        d = md.realize_weight(m, md.WeightSpec.a_form("-(x-1)^2"))
+        groups = [(m, 2, None), (d, 1, lambda x: x), mc._fk_group(d, 2.0)]
+        counts = []
+        for steps in (20, 200):
+            cfg = mc.MCConfig(step=1e-3, horizon=steps * 1e-3, paths=2000, seed=1)
+            assert cfg.n_steps() == steps
+            mc._evolve(groups, [0.6, 0.4, 0.5, 0.5], cfg)  # lowers every kernel first
+            counts.append(_allocating_lines(
+                lambda: mc._evolve(groups, [0.6, 0.4, 0.5, 0.5], cfg), 8 * cfg.paths))
+        assert counts[0] == counts[1]
 
 
 class TestFeynmanKac:
@@ -568,6 +620,39 @@ class TestSharedBasePaths:
         assert [v.hex() for v in (r.lhs, r.rhs, r.lhs_err, r.rhs_err, r.zscore)] == [
             "0x1.da87f78843124p-2", "0x1.d2c3db8a40d60p-2", "0x1.b9687bc6b2340p-8",
             "0x1.1c56871aaf4b9p-9", "0x1.12607313a2867p+0"]
+        assert r.conclusive
+
+    @staticmethod
+    def hexes(r) -> list:
+        return [v.hex() for v in astuple(r) if isinstance(v, float)]
+
+    def test_mc_check_subintertwining_is_pinned(self):
+        _, got = mc.run_checks(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
+        assert self.hexes(got[0]) == [
+            "0x1.fec5eb277fc1ap-4", "0x1.31da04fa37c5fp-3", "0x1.ed8eb588d9b4ep-9",
+            "0x1.cae4c86e9fb57p-10", "0x1.7bc635b53804fp+2"]
+        assert got[0].conclusive
+
+    def test_antithetic_mc_check_is_pinned(self):
+        cfg = replace(MC_CHECK_CFG, antithetic=True)
+        inter, sub = mc.run_checks(quartic(), cfg, MC_CHECK_INTER, MC_CHECK_SUB)
+        assert self.hexes(inter[0]) == [
+            "0x1.d4538af63515ap-2", "0x1.d795bdc0fe07cp-2", "0x1.94b9b085506b1p-8",
+            "0x1.5cccb4c45fbcfp-9", "0x1.e49440a1f7582p-2"]
+        assert self.hexes(sub[0]) == [
+            "0x1.f38752d93f79bp-4", "0x1.3635d6db0ef78p-3", "0x1.c6987338360d5p-9",
+            "0x1.f37b1d34b359ep-10", "0x1.dd5775c0bbbedp+2"]
+        assert inter[0].conclusive and sub[0].conclusive
+
+    def test_cauchy_intertwining_is_pinned(self):
+        """Cauchy's sigma depends on x, so each step evaluates it: the general
+        path of the Euler step, beside quartic's constant noise row."""
+        r = mc.check_intertwining(gallery.gallery_model("cauchy"),
+                                  md.WeightSpec.direct("sqrt(1+x^2)"), "tanh(x)", 0.5, 0.3,
+                                  MC_CHECK_CFG)
+        assert self.hexes(r) == [
+            "0x1.47e4ae97791bfp-2", "0x1.48c1ffccb77f7p-2", "0x1.867d72fbeb8bcp-10",
+            "0x1.8f62771180a49p-10", "0x1.95bca16ba507ap-2"]
         assert r.conclusive
 
     def test_ensembles_only_read_caches(self, monkeypatch):
