@@ -395,7 +395,7 @@ def cmd_oracle(cfg: dict) -> Report:
     g = orc.spectral_gap_fd(m, R=R, n=n)
     # the weight 1/g' is rebuilt from the ergodic flow's first excited state;
     # an absorbing boundary has no such flow, so that part does not apply
-    ew = orc.eigvec_weight(m, R=R) if g.boundary == "neumann" else None
+    ew = orc.eigvec_weight(m, R=R, n=n) if g.boundary == "neumann" else None
     doc = {"model": m.name, "lambda1": g.value, "err_est": g.err_est,
            "coarse": g.coarse, "fine": g.fine, "truncation_gap": g.truncation_gap,
            "n": g.n, "boundary": g.boundary,
@@ -409,8 +409,8 @@ def cmd_oracle(cfg: dict) -> Report:
         if ew is None:
             return (f"{head} eigenvector weight {weight_line}\n"
                     + _csv_lines([], ["x", "eigen_weight", "killing_rate"]))
-        # the rows are the bulk window's grid nodes: outside it the
-        # eigenvector sits at machine zero and the weight/rate are noise
+        # the rows are the bulk window's cell edges, where the eigenfunction
+        # still increases: outside it the eigenvector sits at machine zero
         head += (f" flatness={_short(ew.flatness)}"
                  f" bulk=[{_short(ew.bulk[0])},{_short(ew.bulk[1])}]\n")
         return head + _csv_lines(zip(ew.x.tolist(), ew.weight.tolist(),

@@ -373,7 +373,10 @@ def _fk_group(d: md.DualModel, potential_scale: float = 1.0) -> tuple:
     """The ``_evolve`` group of one Feynman-Kac ensemble: one row under the
     dual dynamics, accumulating the killing rate times ``potential_scale``
     as a tree, which the group's kernel computes with the drift."""
-    rate = d.v_expr if potential_scale == 1.0 else ex.mul(d.v_expr, ex.const(potential_scale))
+    rate = d.v_expr
+    if potential_scale != 1.0:
+        # one tree per dual and scale: ``expr.kernel`` keeps kernels by tree identity
+        rate = d._scaled_v.setdefault(potential_scale, ex.mul(rate, ex.const(potential_scale)))
     return (d, 1, rate)
 
 

@@ -295,6 +295,18 @@ class TestOracleCommand:
         assert lines[1] == "x,eigen_weight,killing_rate"
         assert len(lines) > 100
 
+    def test_csv_rows_follow_the_grid(self, tmp_path):
+        # one row per cell edge of the oracle's own grid: ou's eigenfunction
+        # increases across all 1,023 of them
+        cfg = write_cfg(tmp_path, {"model": {"gallery": "ou"}})
+        code, text = run(tmp_path, ["oracle", "--config", cfg, "--grid", "1024",
+                                    "--format", "csv"])
+        assert code == 0
+        rows = text.splitlines()[2:]
+        assert len(rows) == 1023
+        lam = float(text.split("lambda1=")[1].split()[0])
+        assert all(abs(float(r.split(",")[2]) - lam) < 1e-2 * lam for r in rows)
+
     @pytest.mark.parametrize("fmt", ["table", "json-like", "csv"])
     def test_dirichlet_interval_reports_the_eigenvalue(self, tmp_path, fmt):
         # absorbing ends have no ergodic flow to rebuild a weight from: the

@@ -295,6 +295,27 @@ class TestFeynmanKac:
         with pytest.raises(mc.MCError, match="overflow"):
             mc.feynman_kac(d, "1", 3.0, cfg)
 
+    def test_one_rate_kernel_per_scale(self, monkeypatch):
+        # kernels are kept by tree identity, so the doubled rate is one tree
+        # per dual and scale: repeated calls lower no new kernel
+        lowered = []
+        lowering = ex._Lowering
+
+        class Counted(lowering):
+            def __init__(self):
+                lowered.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(ex, "_Lowering", Counted)
+        d = md.realize_weight(quartic(), md.WeightSpec.z_form(ex.parse("1.2712293*x")))
+        cfg = mc.MCConfig(step=1e-2, horizon=0.1, paths=100, seed=3)
+        counts = []
+        for scale in (1.0, 1.0, 2.0, 2.0, 2.0):
+            mc.feynman_kac(d, np.tanh, 0.4, cfg, potential_scale=scale)
+            counts.append(len(lowered))
+        # the first call also compiles the trees its set-up evaluates
+        assert np.diff(counts).tolist() == [0, 1, 0, 0]
+
     def test_estimate_invariants(self):
         with pytest.raises(mc.MCError):
             mc.FKEstimate(mean=0.0, std_err=-1.0, paths_used=10,

@@ -281,15 +281,27 @@ class TestDiscretize:
 
 
 class TestEigvecWeight:
-    @pytest.mark.parametrize(
-        "tp,gap",
-        [("x^2/2", 1.0), ("x^4/4", QUARTIC_GAP), ("(x^2-1)^2/4", DWELL_GAP[1.0])],
-    )
-    def test_reconstructed_rate_is_flat(self, tp, gap):
-        m = md.build_model(sigma="1", target_potential=tp)
-        ew = orc.eigvec_weight(m, n=4096)
-        assert abs(ew.lam - gap) < 1e-4
+    @pytest.mark.parametrize("name,params,gap", [
+        pytest.param("ou", {}, 1.0, id="x^2/2-1.0"),
+        pytest.param("quartic", {}, QUARTIC_GAP, id="x^4/4-1.36859252"),
+        pytest.param("double-well", {"beta": 1.0}, DWELL_GAP[1.0], id="(x^2-1)^2/4-0.792088"),
+        pytest.param("double-well", {"beta": 0.25}, DWELL_GAP[0.25], id="double-well(0.25)"),
+        pytest.param("double-well", {"beta": 0.5}, DWELL_GAP[0.5], id="double-well(0.5)"),
+        pytest.param("double-well", {"beta": 0.883}, None, id="double-well(0.883)"),
+        pytest.param("power", {"alpha": 1.5}, None, id="power(1.5)"),
+        pytest.param("power", {"alpha": 2.918}, None, id="power(2.918)"),
+        pytest.param("power", {"alpha": 4.0}, QUARTIC_GAP, id="power(4)"),
+        pytest.param("smoothed-exponential", {}, None, id="smoothed-exponential"),
+        pytest.param("cauchy", {}, None, id="cauchy"),
+    ])
+    def test_reconstructed_rate_is_flat(self, name, params, gap):
+        # the rate is read off every printed row, tails and kinks included:
+        # power(1.5) has one at 0, smoothed-exponential a near one
+        ew = orc.eigvec_weight(gal.gallery_model(name, **params), n=2048)
+        if gap is not None:
+            assert abs(ew.lam - gap) < 1e-4
         assert ew.flatness < 0.01
+        assert ew.flatness == np.max(np.abs(ew.killing_rate - ew.lam)) / ew.lam
 
     def test_weight_shape(self):
         ew = orc.eigvec_weight(quartic(), n=4096)
