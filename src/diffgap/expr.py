@@ -746,23 +746,35 @@ class Kernel(NamedTuple):
     call writes the value of tree i into ``w[roots[i]]``, where the caller
     holds ``w``, a list of ``size`` float arrays of x's shape.  The other
     arrays hold temporaries, which no call leaves for the next, and the
-    caller may swap any array for another between calls."""
+    caller may swap any array for another between calls.
+
+    numpy runs a binary ufunc whose output is its first operand through its
+    reduction loop when the array has one element, and that loop may return
+    the second operand's NaN where ``evaluate`` returns the first one's.  So
+    a one-element ``x`` runs each tree's ``evaluate`` function instead."""
 
     fn: Callable
     consts: tuple
     size: int
     roots: tuple
+    trees: tuple
+    split: int
 
     def __call__(self, x: np.ndarray, params: Mapping[str, float], w: list, full: bool = True):
         """Evaluate every tree at the float array ``x`` into ``w``, the later
         ones only when ``full``.  Floating-point warnings follow the caller's
         ``np.errstate``; errors are those of ``evaluate``."""
+        if x.size == 1:
+            for t, r in zip(self.trees if full else self.trees[:self.split], self.roots):
+                fn, consts = _compiled(t)
+                np.copyto(w[r], fn(x, consts, params))
+            return
         self.fn(x, self.consts, params, w, full)
 
 
-# kernels by the identity of their trees; an entry keeps its trees alive, so
+# kernels by the identity of their trees; a kernel keeps its trees alive, so
 # no other tree can take their ids while it is cached
-_KERNELS: dict[tuple, tuple] = {}
+_KERNELS: dict[tuple, Kernel] = {}
 _MAX_KERNELS = 256
 
 
@@ -780,11 +792,11 @@ def kernel(trees: list[Expr], split: int | None = None) -> Kernel:
         cut = len(low.steps)
         roots += [low.node(t) for t in trees[split:]]
         source, size, slots = low.kernel_source(roots, split, cut)
-        got = (tuple(trees), Kernel(_function(source), tuple(low.consts), size, slots))
+        got = Kernel(_function(source), tuple(low.consts), size, slots, tuple(trees), split)
         if len(_KERNELS) >= _MAX_KERNELS:
             _KERNELS.pop(next(iter(_KERNELS)), None)
         _KERNELS[key] = got
-    return got[1]
+    return got
 
 
 def evaluate(e: Expr, x, params: Mapping[str, float] | None = None):

@@ -164,3 +164,16 @@ def test_kernels_are_kept_by_tree_identity():
     assert ex.kernel([a, ex.X], 1) is not ex.kernel([b, ex.X], 1)
     assert ex.kernel([a, ex.X], 1) is not ex.kernel([a, ex.X])
     assert "_compiled" not in a.__dict__  # lowering a kernel writes no tree
+
+
+def test_one_element_nan_sign_matches_evaluate():
+    # on a one-element array numpy runs out=first-operand calls through its
+    # reduction loop, which may keep the second operand's NaN: -nan + nan
+    twice = ex.add(ex.X, ex.X)
+    tree = ex.add(ex.neg(twice), ex.neg(twice), ex.X)
+    for split in (0, 1):
+        k = ex.kernel([tree], split)
+        x = np.array([[np.nan]])
+        w = workspace(k, x.shape)
+        k(x, {}, w)
+        assert w[k.roots[0]].tobytes() == ex.evaluate(tree, x).tobytes()
