@@ -15,6 +15,11 @@ search minimizes -rho).  The killing-rate infimum likewise has one scan,
 ``_scan_rate``, and one off-grid refinement, ``_refine_min``.  Each report
 carries an explicit error budget (quadrature error, optimizer gain,
 truncation) so the assembler can check bound ordering honestly.
+
+The two searches themselves, ``minimize`` (Nelder-Mead) and
+``minimize_scalar`` (bounded Brent), are ports of scipy's and take the
+same steps; ``math.gamma`` serves the closed forms.  So the module needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -22,11 +27,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.special import gamma as _gamma
 
 from . import expr as ex
 from . import model as md
@@ -130,6 +133,187 @@ def _infeasible(method: str, target: str, side: str, reason: str, **params) -> B
     )
 
 
+# ---- the two searches, ported from scipy --------------------------------
+#
+# ``minimize`` and ``minimize_scalar`` are ported from scipy.optimize
+# (``_minimize_neldermead`` and ``_minimize_scalar_bounded``, scipy 1.17),
+# which carries this notice:
+#
+#   Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+#   All rights reserved.
+#
+#   Redistribution and use in source and binary forms, with or without
+#   modification, are permitted provided that the following conditions
+#   are met:
+#
+#   1. Redistributions of source code must retain the above copyright
+#      notice, this list of conditions and the following disclaimer.
+#
+#   2. Redistributions in binary form must reproduce the above
+#      copyright notice, this list of conditions and the following
+#      disclaimer in the documentation and/or other materials provided
+#      with the distribution.
+#
+#   3. Neither the name of the copyright holder nor the names of its
+#      contributors may be used to endorse or promote products derived
+#      from this software without specific prior written permission.
+#
+#   THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+#   "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+#   LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+#   A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+#   OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+#   SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+#   LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+#   DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+#   THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+#   (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+#   OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+
+class OptResult(NamedTuple):
+    x: np.ndarray | float
+    fun: float
+    nit: int
+    nfev: int
+
+
+def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> OptResult:
+    """Nelder-Mead simplex search (Nelder and Mead 1965) for a minimum of
+    ``fun`` from ``x0``.
+
+    A port of scipy's ``minimize(method="Nelder-Mead")`` without bounds,
+    adaptive coefficients or an evaluation cap: the same initial simplex
+    (+5 % per coordinate, 0.00025 for a zero one), the same reflection,
+    expansion, contraction and shrink coefficients (1, 2, 1/2, 1/2), the
+    same order of evaluations and the same stop, once both the simplex
+    spread and its value spread are within xatol and fatol, or after
+    ``maxiter`` iterations.  So x, fun, nit and nfev match scipy's bit for
+    bit; like scipy, nit counts from 1.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x))
+
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice; argsort need not be stable on ties
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:  # inside contraction
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = f(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return OptResult(sim[0], np.min(fsim), iterations, nfev)
+
+
+def minimize_scalar(fun, bounds: tuple[float, float], xatol: float) -> OptResult:
+    """Minimum of ``fun`` on ``bounds`` by Brent's method (Brent 1973):
+    golden-section steps with parabolic interpolation, no step shorter than
+    tol1 = sqrt(2.2e-16)|x| + xatol/3, at most 500 evaluations.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` (fminbound), with
+    the same evaluations and the same stop, so x and fun match scipy's bit
+    for bit.  nit = nfev counts the evaluations.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = bounds
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = fun(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return OptResult(xf, fx, num, num)
+
+
 # ---- infimum of the killing rate ----------------------------------------
 
 
@@ -171,7 +355,7 @@ def _refine_min(d: md.DualModel, xs: np.ndarray, vals: np.ndarray, xatol: float)
         if xs[hi] <= xs[lo] or vals[lo] < vals[i] or vals[hi] < vals[i]:
             continue
         r = minimize_scalar(lambda t: float(d.v_fn(float(t))), bounds=(xs[lo], xs[hi]),
-                            method="bounded", options={"xatol": xatol})
+                            xatol=xatol)
         if np.isfinite(r.fun):
             best = min(best, float(r.fun))
     return best
@@ -248,9 +432,8 @@ def _minimize_box(names: list[str], cfg: OptConfig, objective, polish=None):
                 return math.inf
         return polish(theta)
 
-    nm = minimize(boxed, np.asarray(best_theta, dtype=float), method="Nelder-Mead",
-                  options={"maxiter": _NM_MAX_ITER, "xatol": _PARAM_TOL,
-                           "fatol": 1e-12})
+    nm = minimize(boxed, np.asarray(best_theta, dtype=float), maxiter=_NM_MAX_ITER,
+                  xatol=_PARAM_TOL, fatol=1e-12)
     if np.isfinite(nm.fun) and float(nm.fun) < start:
         return tuple(nm.x), float(nm.fun), start
     return best_theta, start, start
@@ -482,8 +665,7 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
         return tl * cr
 
     a, b = t[max(i - 1, 1)], t[min(i + 1, len(t) - 1)]
-    r = minimize_scalar(lambda tt: -prod_direct(float(tt)), bounds=(a, b),
-                        method="bounded", options={"xatol": 1e-9 * T})
+    r = minimize_scalar(lambda tt: -prod_direct(float(tt)), bounds=(a, b), xatol=1e-9 * T)
     b_best, x_best = b_grid, float(med + sgn * t[i])
     if np.isfinite(r.fun) and -r.fun > b_best:
         b_best, x_best = -float(r.fun), float(med + sgn * r.x)
@@ -521,7 +703,7 @@ def muckenhoupt_power_formula(alpha: float) -> float:
     """Closed-form relaxation of 1/(4B) for the measure exp(-|x|^alpha)."""
     if alpha <= 0:
         raise BoundError("alpha must be positive")
-    return 1.0 / (4.0 * alpha ** (2.0 / alpha) * _gamma(1.0 + 1.0 / alpha) ** 2)
+    return 1.0 / (4.0 * alpha ** (2.0 / alpha) * math.gamma(1.0 + 1.0 / alpha) ** 2)
 
 
 def veysseire_power_formula(alpha: float) -> float:
@@ -529,7 +711,7 @@ def veysseire_power_formula(alpha: float) -> float:
     if not 1.0 < alpha < 3.0:
         raise BoundError(f"closed form requires 1 < alpha < 3, got {alpha}")
     return ((alpha - 1.0) * alpha ** (1.0 - 2.0 / alpha)
-            * _gamma(1.0 / alpha) / _gamma((3.0 - alpha) / alpha))
+            * math.gamma(1.0 / alpha) / math.gamma((3.0 - alpha) / alpha))
 
 
 def power_crossover(lo: float = 1.01, hi: float = 1.5, tol: float = 1e-10) -> float:

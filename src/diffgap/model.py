@@ -40,8 +40,9 @@ In every parametrization V_a and b_a are exact expressions; the weight's
 pointwise values fall back to cumulative quadrature of W' when W has no
 closed form (z_form with general Z, a_form), and so does U for a model
 given by its drift.  Both use ``_antiderivative``: cumulative Simpson on the
-working window [-24, 24] (or the interval), a cubic spline inside it and a
-linear continuation outside.
+working window [-24, 24] (or the interval), cubic Hermite interpolation
+inside it with the exact slopes W' (or U') at the knots, and a linear
+continuation outside.  The module imports no scipy.
 
 A weight family (a payload with free parameters, such as z_form eps*x) is
 derived once and bound per parameter point.  ``derive_weight`` does all the
@@ -63,7 +64,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import expr as ex
 from . import quad
@@ -436,23 +436,31 @@ def _antiderivative(fp: ex.Expr, domain: tuple, anchor: float, params: dict | No
     as a callable on floats or arrays.
 
     Cumulative Simpson on _WORK_N points of the working window (the interval
-    itself for interval domains), a cubic spline inside it, and the tangent
-    line at each edge outside it.
+    itself for interval domains), cubic Hermite interpolation inside it with
+    the exact slopes fp at the knots, and the tangent line at each edge
+    outside it.  F is exact at the knots and F' continuous across them.
     """
     lo, hi = (-_WORK_R, _WORK_R) if domain[0] == "line" else domain[1]
     grid = np.linspace(lo, hi, _WORK_N)
     fn = lambda x: ex.evaluate(fp, x, params)
     vals = quad.cumulative_on_grid(fn, grid)
-    off = np.interp(anchor, grid, vals)
-    spline = CubicSpline(grid, vals - off, extrapolate=False)
-    flo, fhi = vals[0] - off, vals[-1] - off
-    slo, shi = float(fn(np.asarray(lo))), float(fn(np.asarray(hi)))
+    vals = vals - np.interp(anchor, grid, vals)
+    slopes = np.asarray(fn(grid), dtype=float)
+    # F = vals[i] + s (slopes[i] + s (c2[i] + s c3[i])) on [grid[i], grid[i+1]],
+    # s = x - grid[i]; the zero cubic past the last knot keeps F(hi) exact
+    h = np.diff(grid)
+    chord = np.diff(vals) / h
+    c2 = np.append((3.0 * chord - 2.0 * slopes[:-1] - slopes[1:]) / h, 0.0)
+    c3 = np.append((slopes[:-1] + slopes[1:] - 2.0 * chord) / (h * h), 0.0)
 
     def antiderivative(x):
         xs = np.asarray(x, dtype=float)
-        out = spline(np.clip(xs, lo, hi))
-        out = np.where(xs > hi, fhi + shi * (xs - hi), out)
-        out = np.where(xs < lo, flo + slo * (xs - lo), out)
+        xc = np.clip(xs, lo, hi)
+        i = np.searchsorted(grid, xc, side="right") - 1  # grid[i] <= xc
+        s = xc - grid[i]
+        out = vals[i] + s * (slopes[i] + s * (c2[i] + s * c3[i]))
+        out = np.where(xs > hi, vals[-1] + slopes[-1] * (xs - hi), out)
+        out = np.where(xs < lo, vals[0] + slopes[0] * (xs - lo), out)
         return float(out) if np.isscalar(x) else out
 
     return antiderivative

@@ -122,7 +122,7 @@ def test_refine_min_refines_each_valley_once(monkeypatch):
     vals = v(xs)
     assert sorted(np.round(xs[np.argpartition(vals, 3)[:3]], 12)) == [-1.1, -1.0, 1.0]
     xatol = 1e-10
-    valleys = [bd.minimize_scalar(v, bounds=b, method="bounded", options={"xatol": xatol}).fun
+    valleys = [bd.minimize_scalar(v, bounds=b, xatol=xatol).fun
                for b in ((xs[9], xs[11]), (xs[29], xs[31]))]
     brackets = []
     minimize_scalar = bd.minimize_scalar
@@ -136,6 +136,71 @@ def test_refine_min_refines_each_valley_once(monkeypatch):
     assert got == min(valleys) == pytest.approx(-0.01)
     # -1.1 has the strictly lower neighbour -1.0, so each valley is refined once
     assert sorted(brackets) == [(xs[9], xs[11]), (xs[29], xs[31])]
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _shifted_quadratic(x):
+    return float(np.sum((x - 0.3 * np.arange(1, len(x) + 1)) ** 2))
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _terraced(x):
+    # piecewise constant: ties between vertices and trial points
+    return float(np.floor(4.0 * np.sum((x - 0.3) ** 2)))
+
+
+def _boxed(x):
+    # +inf outside [0, 1]^n, with the unconstrained minimum outside the box
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        return math.inf
+    return float(np.sum((x - 1.2) ** 2 + 0.1 * x))
+
+
+@pytest.mark.parametrize("fun, x0", [
+    (_shifted_quadratic, [2.0]), (_shifted_quadratic, [0.0, 1.5]),
+    (_shifted_quadratic, [1.0, 0.0, -2.0]),
+    (_rosenbrock, [-1.2, 1.0]), (_rosenbrock, [0.0, 0.5, -0.5]),
+    (_terraced, [2.0]), (_terraced, [1.0, -1.5]), (_terraced, [2.0, 0.0, -1.0]),
+    (_boxed, [0.9]), (_boxed, [0.95, 0.2]), (_boxed, [0.5, 0.0, 0.99]),
+], ids=["quadratic-1d", "quadratic-2d", "quadratic-3d", "rosenbrock-2d", "rosenbrock-3d",
+        "terraced-1d", "terraced-2d", "terraced-3d", "boxed-1d", "boxed-2d", "boxed-3d"])
+@pytest.mark.parametrize("opts", [
+    {"maxiter": 500, "xatol": 1e-6, "fatol": 1e-12},  # the parameter-box polish
+    {"maxiter": 25, "xatol": 1e-4, "fatol": 1e-4},  # stopped by the iteration cap
+], ids=["polish", "capped"])
+def test_nelder_mead_port_matches_scipy(fun, x0, opts):
+    from scipy.optimize import minimize
+
+    ref = minimize(fun, np.asarray(x0), method="Nelder-Mead", options=opts)
+    got = bd.minimize(fun, np.asarray(x0), **opts)
+    assert _bits(got.x) == _bits(ref.x)
+    assert _bits(got.fun) == _bits(ref.fun)
+    assert (got.nit, got.nfev) == (ref.nit, ref.nfev)
+
+
+@pytest.mark.parametrize("fun, bounds", [
+    (lambda x: abs(x - 0.37), (0.0, 1.0)),
+    (lambda x: (x - 1.3) ** 2 - 2.0, (-4.0, 3.0)),
+    (lambda x: x * x, (1.0, 3.0)),  # minimum at the lower end of the bracket
+    (lambda x: math.floor(8.0 * abs(x - 0.6)), (0.0, 2.0)),  # ties
+    (lambda x: math.nan if x > 0.5 else (x - 0.2) ** 2, (0.0, 2.0)),
+    (lambda x: math.nan, (0.0, 1.0)),
+], ids=["abs", "quadratic", "bracket-end", "terraced", "nan-part", "nan"])
+@pytest.mark.parametrize("xatol", [1e-5, 1e-10])
+def test_bounded_brent_port_matches_scipy(fun, bounds, xatol):
+    from scipy.optimize import minimize_scalar
+
+    ref = minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
+    got = bd.minimize_scalar(fun, bounds=bounds, xatol=xatol)
+    assert _bits(got.x) == _bits(ref.x)
+    assert _bits(got.fun) == _bits(ref.fun)
+    assert got.nfev == ref.nfev
 
 
 class TestChenWang:

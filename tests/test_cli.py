@@ -671,3 +671,27 @@ def test_main_freezes_the_import_heap(freeze_counts):
 
 def test_main_freezes_once_per_process(freeze_counts):
     assert freeze_counts[2] == freeze_counts[1]
+
+
+# the bounds come from ported searches, a math.gamma and a Hermite
+# interpolant: no process imports these three scipy packages
+_SCIPY_MODULES = """
+import io, sys
+from contextlib import redirect_stdout
+import diffgap.cli as cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["bounds", "--config", sys.argv[1]])
+print(code, *sorted(m for m in ("scipy.optimize", "scipy.interpolate", "scipy.special")
+                    if m in sys.modules))
+"""
+
+
+def test_bounds_process_imports_no_optimize_interpolate_or_special(tmp_path):
+    cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, cfg],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]

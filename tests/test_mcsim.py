@@ -650,8 +650,8 @@ class TestSharedBasePaths:
     def test_mc_check_subintertwining_is_pinned(self):
         _, got = mc.run_checks(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
         assert self.hexes(got[0]) == [
-            "0x1.fec5eb277fc1ap-4", "0x1.31da04fa37c5fp-3", "0x1.ed8eb588d9b4ep-9",
-            "0x1.cae4c86e9fb57p-10", "0x1.7bc635b53804fp+2"]
+            "0x1.fec5eb277fb91p-4", "0x1.31da04fa37c62p-3", "0x1.ed8eb588d9ac8p-9",
+            "0x1.cae4c86e9fb61p-10", "0x1.7bc635b5382bdp+2"]
         assert got[0].conclusive
 
     def test_antithetic_mc_check_is_pinned(self):
@@ -661,8 +661,8 @@ class TestSharedBasePaths:
             "0x1.d4538af63515ap-2", "0x1.d795bdc0fe07cp-2", "0x1.94b9b085506b1p-8",
             "0x1.5cccb4c45fbcfp-9", "0x1.e49440a1f7582p-2"]
         assert self.hexes(sub[0]) == [
-            "0x1.f38752d93f79bp-4", "0x1.3635d6db0ef78p-3", "0x1.c6987338360d5p-9",
-            "0x1.f37b1d34b359ep-10", "0x1.dd5775c0bbbedp+2"]
+            "0x1.f38752d93f713p-4", "0x1.3635d6db0ef7dp-3", "0x1.c69873383605ap-9",
+            "0x1.f37b1d34b3594p-10", "0x1.dd5775c0bbe92p+2"]
         assert inter[0].conclusive and sub[0].conclusive
 
     def test_cauchy_intertwining_is_pinned(self):

@@ -160,6 +160,48 @@ class TestDensity:
                 assert abs((F(40.0 * s) - F(30.0 * s)) - 2.0 * step) < 1e-9 * abs(step)
 
 
+class TestAntiderivative:
+    """``_antiderivative``: cumulative Simpson at the knots, cubic Hermite
+    with the exact slopes between them."""
+
+    WP = "x^3/2 - 1.3*x/(1+x^2) + 0.2*tanh(3*x)"
+
+    @pytest.fixture(scope="class")
+    def F(self):
+        return md._antiderivative(ex.parse(self.WP), ("line",), 0.0)
+
+    def wp(self, x):
+        return ex.evaluate(ex.parse(self.WP), x)
+
+    def test_matches_adaptive_quadrature(self, F):
+        from scipy.integrate import quad as scipy_quad
+
+        def wp(t):
+            return t ** 3 / 2 - 1.3 * t / (1 + t * t) + 0.2 * math.tanh(3 * t)
+
+        xs = np.linspace(-6.0, 6.0, 200)
+        ref = np.array([scipy_quad(wp, 0.0, x, epsabs=1e-13, epsrel=1e-13)[0] for x in xs])
+        assert np.max(np.abs(F(xs) - ref)) <= 1e-10
+
+    def test_knot_values_are_the_cumulative_simpson_sums(self, F):
+        grid = np.linspace(-md._WORK_R, md._WORK_R, md._WORK_N)
+        vals = q.cumulative_on_grid(self.wp, grid)
+        vals = vals - np.interp(0.0, grid, vals)
+        assert np.array_equal(F(grid), vals)
+
+    @pytest.mark.parametrize("k", [4096 + 171, 4096 - 683, 8000])
+    def test_slope_is_continuous_across_a_knot(self, F, k):
+        knot = np.linspace(-md._WORK_R, md._WORK_R, md._WORK_N)[k]
+        eps = 1e-6
+        left = (F(knot) - F(knot - eps)) / eps
+        right = (F(knot + eps) - F(knot)) / eps
+        slope = float(self.wp(knot))
+        # a kink of the interpolant (linear interpolation jumps by about
+        # h F'' = 0.006 F'' here) would separate the one-sided slopes
+        assert abs(left - slope) < 1e-4 * (1.0 + abs(slope))
+        assert abs(right - slope) < 1e-4 * (1.0 + abs(slope))
+
+
 class TestWeightRealization:
     # each pair is realized through two independent parametrizations; the
     # killing rate, dual drift and log-weight must agree to quadrature
