@@ -50,6 +50,13 @@ Full schema:
 
 Exit codes: 0 success, 1 conclusive check failure, 2 configuration
 error, 3 numerical non-convergence.
+
+``bounds`` and ``reproduce`` compute their independent results (each
+bound method, each FD eigen-solve) on one process per CPU in the
+process's affinity mask, which ``taskset`` narrows (``_fan_out``); the
+reports are byte-identical whatever that count.  ``check`` evolves its
+ensembles on one thread per such CPU; ``oracle`` and ``inspect`` run in
+the calling process alone.  No option or variable sets the count.
 """
 
 from __future__ import annotations
@@ -59,7 +66,12 @@ import functools
 import gc
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -306,6 +318,96 @@ def _kv(d: dict) -> str:
     return ";".join(f"{k}={_short(v)}" for k, v in sorted(d.items()))
 
 
+# ---- independent computations on every CPU -------------------------------
+
+
+# the DeprecationWarning of ``os.fork`` (Python 3.12+) while any OS thread runs
+_FORK_WITH_THREADS = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
+def _fan_out(jobs: list[Callable[[], object]]) -> list:
+    """``[job() for job in jobs]``, computed on one process per CPU this one
+    may use (``mc.usable_cpus``), itself included, but on no more processes
+    than there are jobs.
+
+    Each process takes the next job from a token pipe when it finishes one,
+    and takes none after one of its jobs raises.  A forked worker sends its
+    jobs' outcomes, each a value or an exception, back pickled and ends with
+    ``os._exit``.  The first failure in job order is raised, so a run fails
+    as a serial one would; an exception from a worker keeps its type and
+    message but not its traceback (``taskset -c 0`` runs every job here).
+    Where the platform lacks ``os.fork`` or an affinity mask, or a Python
+    thread is running (fork copies only the calling one), this process runs
+    every job in order through the same loop.
+    Every worker is reaped before this returns; one still running when it
+    unwinds early is killed first.  A job's result must not depend on what
+    ran before it in its process: which process takes a job is a race."""
+    can_fork = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and threading.active_count() == 1)
+    workers = min(len(jobs), mc.usable_cpus()) if can_fork else 1
+    tokens, feed = os.pipe()
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(jobs))))
+    os.close(feed)
+
+    def take() -> dict:  # job -> (value, None) or (None, what it raised)
+        done = {}
+        while token := os.read(tokens, 4):
+            i = int.from_bytes(token, "little")
+            try:
+                done[i] = (jobs[i](), None)
+            except Exception as e:
+                done[i] = (None, e)
+                break
+        return done
+
+    outcomes, children = {}, []  # children: (pid, read end of its outcome pipe)
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # BLAS keeps an idle pool of OS threads; no Python thread
+                    # runs here (``can_fork``)
+                    warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to spare: the ones started share the jobs
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # a worker: nothing it does outlives this block
+                code = 1
+                try:
+                    with open(w, "wb") as f:
+                        f.write(pickle.dumps(take()))
+                    code = 0
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        outcomes = take()
+        for _, r in children:
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()  # up to the worker's exit
+            outcomes.update(pickle.loads(data) if data else {})
+    finally:
+        os.close(tokens)
+        for pid, r in children:
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)  # harmless once a worker has sent its outcomes
+            os.waitpid(pid, 0)
+    values = []
+    for i in range(len(jobs)):
+        if i not in outcomes:
+            raise ChildProcessError(f"job {i} of {len(jobs)} was lost: its worker ended early")
+        value, err = outcomes[i]
+        if err is not None:
+            raise err
+        values.append(value)
+    return values
+
+
 # ---- bounds command ------------------------------------------------------
 
 
@@ -333,20 +435,33 @@ def _run_bound_method(m, name, cfg, opt_cfg):
     raise ConfigError(f"unknown bound method {name!r}")
 
 
+def _bound_job(m, name, cfg, opt_cfg):
+    """One method's reports, or the ``BoundError`` that makes it a method
+    error of the report."""
+    try:
+        return _run_bound_method(m, name, cfg, opt_cfg)
+    except bd.BoundError as e:
+        return e
+
+
 def cmd_bounds(cfg: dict) -> Report:
     m = model_from_config(cfg)
     methods = cfg.get("bounds", {}).get("methods", _METHODS)
     opt_cfg = opt_from_config(cfg)
-    reports, method_errors = [], []
-    for name in methods:
-        try:
-            reports.extend(_run_bound_method(m, name, cfg, opt_cfg))
-        except bd.BoundError as e:
-            method_errors.append({"method": name, "error": str(e)})
-    oracle = None
+    # one job per method, then the FD reference: in the order a serial run
+    # takes them, so the failure raised is the one it would meet first
+    jobs = [functools.partial(_bound_job, m, name, cfg, opt_cfg) for name in methods]
     if cfg.get("oracle", {}).get("enabled", True) and methods:
         R, n = oracle_from_config(cfg)
-        oracle = orc.spectral_gap_fd(m, R=R, n=n)
+        jobs.append(functools.partial(orc.spectral_gap_fd, m, R=R, n=n))
+    outcomes = _fan_out(jobs)
+    reports, method_errors = [], []
+    for name, out in zip(methods, outcomes):
+        if isinstance(out, bd.BoundError):
+            method_errors.append({"method": name, "error": str(out)})
+        else:
+            reports.extend(out)
+    oracle = outcomes[len(methods)] if len(outcomes) > len(methods) else None
     doc = bd.assemble_report(m, reports, oracle)
     if method_errors:
         doc["method_errors"] = method_errors
@@ -511,91 +626,84 @@ def _interval_row(label, lo, hi, computed):
 
 def reproduce_rows() -> list[dict]:
     """Every displayed constant of the worked examples, recomputed from
-    scratch.  Failing rows stay in the table; they are findings, not bugs."""
+    scratch.  Failing rows stay in the table; they are findings, not bugs.
+
+    The bound computations and eigen-solves are independent jobs
+    (``_fan_out``), listed largest first; the rows read their results."""
     sq32 = math.sqrt(1.5)
-    rows = []
+    m_ou, m_q = gal.gallery_model("ou"), gal.gallery_model("quartic")
+    m_p, m_s = gal.gallery_model("power", alpha=1.5), gal.gallery_model("smoothed-exponential")
+    betas = (0.25, 0.5, 1.0)
+    m_dw = {beta: gal.gallery_model("double-well", beta=beta) for beta in betas}
 
-    m_ou = gal.gallery_model("ou")
-    rows.append(_value_row(
-        "ou unit-weight lower bound", 1.0,
-        bd.chen_wang_lower(m_ou, md.WeightSpec.direct("1")).value, 1e-12))
-    g_ou = orc.spectral_gap_fd(m_ou, n=2048)
-    rows.append(_value_row("ou reference eigenvalue", 1.0, g_ou.value, 1e-4))
-    lsi_ou = bd.lsi_lower(m_ou, inc_family=md.WeightSpec.direct("1"))
-    rows.append(_value_row("ou log-sobolev lower", 2.0, lsi_ou.value, 1e-4))
-    rows.append(_value_row("ou log-sobolev bracket upper", 2.0,
-                           2.0 * (g_ou.value + g_ou.err_est), 1e-4))
+    def slope(m):  # the slope family eps*x, as Chen-Wang weight
+        return bd.chen_wang_lower(m, md.WeightSpec.z_form(ex.parse("eps*x")),
+                                  bd.OptConfig(box={"eps": (0.1, 3.0)}))
 
-    m_q = gal.gallery_model("quartic")
-    cw_q = bd.chen_wang_lower(m_q, md.WeightSpec.z_form(ex.parse("eps*x")),
-                              bd.OptConfig(box={"eps": (0.1, 3.0)}))
-    rows.append(_value_row("quartic slope-family location", sq32,
-                           cw_q.params["eps"], 1e-3))
-    rows.append(_value_row("quartic slope-family value", sq32, cw_q.value, 1e-3))
-    ray_q = bd.rayleigh_upper(m_q, ex.parse("x*(x^2)^((eps-1)/2)"),
-                              bd.OptConfig(box={"eps": (0.55, 2.0)}))
-    rows.append(_value_row("quartic trial-family value", 1.426, ray_q.value, 5e-3))
-    rows.append(_value_row("quartic trial-family location", 0.854,
-                           ray_q.params["eps"], 5e-3))
-    g_q = orc.spectral_gap_fd(m_q, n=2048)
-    rows.append(_interval_row("quartic eigenvalue inside stated bracket",
-                              1.2247, 1.426, g_q.value))
+    def cauchy_growing():  # rho of the growing-diffusion weight a = sigma
+        m_cl = gal.gallery_model("cauchy", variant="linear")
+        return bd.rho_of_weight(md.realize_weight(m_cl, md.WeightSpec.direct(m_cl.sigma)))
 
-    rows.append(_value_row("power(4) closed-form relaxation", 0.152,
-                           bd.muckenhoupt_power_formula(4.0), 5e-3))
-    mk_q = bd.muckenhoupt(m_q)
-    rows.append(_interval_row("power(4) bracket contains eigenvalue",
-                              mk_q.lower, mk_q.upper, g_q.value))
+    jobs = {
+        "ray_q": lambda: bd.rayleigh_upper(m_q, ex.parse("x*(x^2)^((eps-1)/2)"),
+                                           bd.OptConfig(box={"eps": (0.55, 2.0)})),
+        "mk_s": lambda: bd.muckenhoupt(m_s, bd.OptConfig(R=60.0)),
+        **{("cw_dw", beta): functools.partial(slope, m_dw[beta]) for beta in betas},
+        "cw_q": lambda: slope(m_q),
+        "g_s": lambda: orc.spectral_gap_fd(m_s, R=60.0, n=4096),
+        "mk_q": lambda: bd.muckenhoupt(m_q),
+        "g_ou": lambda: orc.spectral_gap_fd(m_ou, n=2048),
+        "g_q": lambda: orc.spectral_gap_fd(m_q, n=2048),
+        **{("g_dw", beta): functools.partial(orc.spectral_gap_fd, m_dw[beta], n=2048)
+           for beta in betas},
+        "lsi_dw": lambda: bd.lsi_lower(m_dw[0.5], dec_family=md.WeightSpec.a_form(
+            ex.parse("-(1.28*x-1)^2"))),
+        "v_c": lambda: bd.veysseire_lower(gal.gallery_model("cauchy")),
+        "v_p": lambda: bd.veysseire_lower(m_p),
+        "lsi_q": lambda: bd.lsi_lower(m_q, dec_family=md.WeightSpec.a_form(
+            ex.parse("-(x-1)^2"))),
+        "lsi_ou": lambda: bd.lsi_lower(m_ou, inc_family=md.WeightSpec.direct("1")),
+        "rho_cl": cauchy_growing,
+        "cw_ou": lambda: bd.chen_wang_lower(m_ou, md.WeightSpec.direct("1")),
+    }
+    got = dict(zip(jobs, _fan_out(list(jobs.values()))))
 
-    m_p = gal.gallery_model("power", alpha=1.5)
+    g_ou, cw_q, ray_q, g_q, g_s = (got[k] for k in ("g_ou", "cw_q", "ray_q", "g_q", "g_s"))
+    mk_q, mk_s, lsi_q, lsi_dw = (got[k] for k in ("mk_q", "mk_s", "lsi_q", "lsi_dw"))
     ref_p = bd.veysseire_power_formula(1.5)
-    rows.append(_value_row("power(1.5) integrated bound", ref_p,
-                           bd.veysseire_lower(m_p).value, 1e-4 * ref_p))
-    rows.append(_value_row("integrated/relaxation crossover", 1.188,
-                           bd.power_crossover(), 1e-2))
-
-    m_s = gal.gallery_model("smoothed-exponential")
-    g_s = orc.spectral_gap_fd(m_s, R=60.0, n=4096)
-    rows.append(_value_row("smoothed-exponential eigenvalue", 0.25, g_s.value, 5e-3))
-    mk_s = bd.muckenhoupt(m_s, bd.OptConfig(R=60.0))
-    rows.append(_interval_row("smoothed-exponential bracket contains eigenvalue",
-                              mk_s.lower, mk_s.upper, g_s.value))
-
-    for beta in (0.25, 0.5, 1.0):
-        m_dw = gal.gallery_model("double-well", beta=beta)
-        cw = bd.chen_wang_lower(m_dw, md.WeightSpec.z_form(ex.parse("eps*x")),
-                                bd.OptConfig(box={"eps": (0.1, 3.0)}))
-        stated = sq32 - beta
-        rows.append(_value_row(f"double-well({beta:g}) slope-family value",
-                               stated, cw.value, 1e-3))
-        g_dw = orc.spectral_gap_fd(m_dw, n=2048)
-        rows.append(_interval_row(
-            f"double-well({beta:g}) eigenvalue above stated bound",
-            stated - 1e-3, math.inf, g_dw.value))
-
-    lsi_q = bd.lsi_lower(m_q, dec_family=md.WeightSpec.a_form(ex.parse("-(x-1)^2")))
-    rows.append(_value_row("quartic entropy-weight infimum", 0.594,
-                           lsi_q.params["rho_dec"], 1e-2))
-    rows.append(_value_row("quartic log-sobolev lower", 1.188, lsi_q.value, 2e-2))
-    rows.append(_value_row("quartic log-sobolev upper", 2.852,
-                           2.0 * ray_q.value, 1e-2))
-
-    m_dwh = gal.gallery_model("double-well", beta=0.5)
-    lsi_dw = bd.lsi_lower(m_dwh, dec_family=md.WeightSpec.a_form(
-        ex.parse("-(1.28*x-1)^2")))
-    rows.append(_value_row("double-well(0.5) entropy-weight infimum", 0.22,
-                           lsi_dw.params["rho_dec"], 1e-2))
-    rows.append(_value_row("double-well(0.5) log-sobolev lower", 0.44,
-                           lsi_dw.value, 2e-2))
-
-    m_c = gal.gallery_model("cauchy")
-    rows.append(_value_row("cauchy integrated bound", 8.0 / 3.0,
-                           bd.veysseire_lower(m_c).value, 1e-4))
-    m_cl = gal.gallery_model("cauchy", variant="linear")
-    d_cl = md.realize_weight(m_cl, md.WeightSpec.direct(m_cl.sigma))
-    rows.append(_value_row("cauchy growing-diffusion infimum", 3.0,
-                           bd.rho_of_weight(d_cl), 1e-9))
-    return rows
+    return [
+        _value_row("ou unit-weight lower bound", 1.0, got["cw_ou"].value, 1e-12),
+        _value_row("ou reference eigenvalue", 1.0, g_ou.value, 1e-4),
+        _value_row("ou log-sobolev lower", 2.0, got["lsi_ou"].value, 1e-4),
+        _value_row("ou log-sobolev bracket upper", 2.0,
+                   2.0 * (g_ou.value + g_ou.err_est), 1e-4),
+        _value_row("quartic slope-family location", sq32, cw_q.params["eps"], 1e-3),
+        _value_row("quartic slope-family value", sq32, cw_q.value, 1e-3),
+        _value_row("quartic trial-family value", 1.426, ray_q.value, 5e-3),
+        _value_row("quartic trial-family location", 0.854, ray_q.params["eps"], 5e-3),
+        _interval_row("quartic eigenvalue inside stated bracket", 1.2247, 1.426, g_q.value),
+        _value_row("power(4) closed-form relaxation", 0.152,
+                   bd.muckenhoupt_power_formula(4.0), 5e-3),
+        _interval_row("power(4) bracket contains eigenvalue", mk_q.lower, mk_q.upper, g_q.value),
+        _value_row("power(1.5) integrated bound", ref_p, got["v_p"].value, 1e-4 * ref_p),
+        _value_row("integrated/relaxation crossover", 1.188, bd.power_crossover(), 1e-2),
+        _value_row("smoothed-exponential eigenvalue", 0.25, g_s.value, 5e-3),
+        _interval_row("smoothed-exponential bracket contains eigenvalue",
+                      mk_s.lower, mk_s.upper, g_s.value),
+        *(row for beta in betas for row in (
+            _value_row(f"double-well({beta:g}) slope-family value",
+                       sq32 - beta, got["cw_dw", beta].value, 1e-3),
+            _interval_row(f"double-well({beta:g}) eigenvalue above stated bound",
+                          sq32 - beta - 1e-3, math.inf, got["g_dw", beta].value))),
+        _value_row("quartic entropy-weight infimum", 0.594, lsi_q.params["rho_dec"], 1e-2),
+        _value_row("quartic log-sobolev lower", 1.188, lsi_q.value, 2e-2),
+        _value_row("quartic log-sobolev upper", 2.852, 2.0 * ray_q.value, 1e-2),
+        _value_row("double-well(0.5) entropy-weight infimum", 0.22,
+                   lsi_dw.params["rho_dec"], 1e-2),
+        _value_row("double-well(0.5) log-sobolev lower", 0.44, lsi_dw.value, 2e-2),
+        _value_row("cauchy integrated bound", 8.0 / 3.0, got["v_c"].value, 1e-4),
+        _value_row("cauchy growing-diffusion infimum", 3.0, got["rho_cl"], 1e-9),
+    ]
 
 
 def cmd_reproduce(cfg: dict) -> Report:

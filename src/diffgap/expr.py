@@ -96,12 +96,19 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
-    """Syntax or lexical error; carries the position in the source string."""
+    """Syntax or lexical error; carries the position in the source string.
+
+    ``args`` holds the three arguments, so the error pickles (and crosses a
+    process boundary) like any exception."""
 
     def __init__(self, message: str, source: str, pos: int):
         self.source = source
         self.pos = pos
-        super().__init__(f"{message} at position {pos}: {source!r}")
+        super().__init__(message, source, pos)
+
+    def __str__(self) -> str:
+        message, source, pos = self.args
+        return f"{message} at position {pos}: {source!r}"
 
 
 class EvalError(ExprError):

@@ -43,6 +43,7 @@ __all__ = [
     "SubIntertwiningCheck",
     "check_subintertwining",
     "run_checks",
+    "usable_cpus",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -482,6 +483,14 @@ class _Plan(NamedTuple):
     finish: Callable
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, which ``taskset``
+    narrows, where the platform has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
     """Evolve every ensemble the planned checks need, then finish each check.
 
@@ -491,8 +500,8 @@ def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
     stream seeded ``_derive_seed(cfg.seed, 1)``.  Rows come out as they do
     alone (see ``_evolve``), so the two sides of a check are independent,
     and the checks at one horizon share common random numbers on each side.
-    One thread per CPU in the process's affinity mask, the calling one
-    included, but no more than there are jobs, runs them largest first.
+    One thread per CPU the process may use (``usable_cpus``), the calling
+    one included, but no more than there are jobs, runs them largest first.
     Each job draws its own stream and does only elementwise arithmetic, so
     no bit depends on the thread count; numpy releases the GIL in its draws
     and ufunc loops.  Each check reads its ensembles' results, and so raises
@@ -528,8 +537,7 @@ def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
                 futures[i].set_exception(err)
             i = next(order, None)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(len(jobs), cpus or 1)
+    threads = min(len(jobs), usable_cpus())
     with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
         # the calling thread runs the largest job, so its arrays reuse the main
         # heap as they would without threads

@@ -1,15 +1,26 @@
 import csv
+import functools
+import importlib.util
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
 import yaml
 
 import diffgap.cli as cli
+from diffgap import bounds as bd
+from diffgap import expr as ex
+from diffgap import gallery as gal
 from diffgap import mcsim as mc
+from diffgap import model as md
+from diffgap import oracle as orc
+from diffgap import quad as q
 
 # frozen quartic results; the library tests pin the same numbers
 QUARTIC_BRACKET = (1.2408065, 1.4257976)
@@ -695,3 +706,221 @@ def test_bounds_process_imports_no_optimize_interpolate_or_special(tmp_path):
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["0"]
+
+
+# ---- fan-out of bounds and reproduce over the CPUs -----------------------
+
+
+def _cpus(monkeypatch, n):
+    """Make the process's affinity mask hold n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@functools.cache
+def _gallery_session():
+    """``gallery_session`` of the benchmark (``perfbench/run.py``), which
+    imports its sibling modules by their bare names."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return mod.gallery_session
+
+
+def _gallery_session_configs(seed, work):
+    """The bounds configs the benchmark's gallery-session workload writes
+    to ``work`` at ``seed``."""
+    return [cli.load_config(argv[argv.index("--config") + 1])
+            for _, argv in _gallery_session()(seed, work) if argv[0] == "bounds"]
+
+
+def _forms(report, formats):
+    return report.code, [cli.render(report, fmt) for fmt in formats]
+
+
+@pytest.mark.parametrize("seed,index", [(s, i) for s in (0, 3) for i in range(4)])
+def test_bounds_report_same_on_one_and_two_workers(tmp_path, monkeypatch, seed, index):
+    configs = _gallery_session_configs(seed, tmp_path)
+    assert len(configs) == 4
+    cfg = configs[index]
+    got = []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        got.append(_forms(cli.cmd_bounds(cfg), ("json-like", "table")))
+    assert got[0] == got[1]
+    assert _no_child_left()
+
+
+def test_reproduce_same_on_one_and_two_workers(monkeypatch):
+    got = []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        got.append(_forms(cli.cmd_reproduce({}), ("csv", "table", "json-like")))
+    assert got[0] == got[1] and got[0][0] == cli.EXIT_CHECK_FAILED
+    assert _no_child_left()
+
+
+def _sleep_then(value, seconds=0.3):
+    time.sleep(seconds)
+    return value
+
+
+def test_two_cpus_run_jobs_in_two_processes(monkeypatch):
+    _cpus(monkeypatch, 2)
+    pids = cli._fan_out([lambda: _sleep_then(os.getpid())] * 2)
+    assert os.getpid() in pids and len(set(pids)) == 2
+    assert _no_child_left()
+
+
+def test_one_cpu_runs_every_job_in_order_without_a_fork(monkeypatch):
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+    order = []
+    assert cli._fan_out([lambda i=i: order.append(i) or i for i in range(5)]) == list(range(5))
+    assert order == list(range(5))
+
+
+def test_no_process_to_spare_runs_the_jobs_here(monkeypatch):
+    _cpus(monkeypatch, 4)
+
+    def fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert cli._fan_out([lambda i=i: i * i for i in range(4)]) == [0, 1, 4, 9]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_first_failure_in_job_order_is_raised(monkeypatch, n):
+    """On two CPUs job 1 fails after job 2 has: job 1's error is the one
+    raised, as on one CPU, where job 2 never runs.  A returned exception is
+    a value like any other."""
+    _cpus(monkeypatch, n)
+
+    def fail(message, seconds):
+        time.sleep(seconds)
+        raise ValueError(message)
+
+    jobs = [lambda: bd.BoundError("returned"), lambda: fail("first", 0.3),
+            lambda: fail("second", 0.0)]
+    with pytest.raises(ValueError, match="first"):
+        cli._fan_out(jobs)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bad_rayleigh_family_exits_2_on_any_worker_count(tmp_path, capsys, monkeypatch, n):
+    _cpus(monkeypatch, n)
+    cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"},
+                               "bounds": {"rayleigh": {"family": "x*("}}})
+    code, _ = run(tmp_path, ["bounds", "--config", cfg])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: unexpected 'end of input' at position 3: 'x*('\n")
+    assert _no_child_left()
+
+
+def _failing_in(monkeypatch, where):
+    """Make every bound method raise a ParseError in the processes ``where``
+    names ("worker" or "parent") and take 0.3 s elsewhere first."""
+    parent, method = os.getpid(), cli._run_bound_method
+
+    def patched(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise ex.ParseError("unexpected 'end of input'", "x*(", 3)
+        time.sleep(0.3)
+        return method(*args)
+
+    monkeypatch.setattr(cli, "_run_bound_method", patched)
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+def test_no_worker_outlives_a_failing_job(tmp_path, capsys, monkeypatch, where):
+    _cpus(monkeypatch, 2)
+    _failing_in(monkeypatch, where)
+    cfg = write_cfg(tmp_path, {"model": {"gallery": "ou"},
+                               "bounds": {"methods": ["chen_wang", "veysseire"]}})
+    code, _ = run(tmp_path, ["bounds", "--config", cfg])
+    assert code == cli.EXIT_CONFIG
+    assert "position 3" in capsys.readouterr().err
+    assert _no_child_left()
+
+
+def test_fork_warning_of_os_threads_is_not_shown(tmp_path, capsys, monkeypatch):
+    """Python 3.12+ warns on a fork while any OS thread runs, and BLAS keeps
+    an idle pool of them: the fan-out forks with no Python thread running,
+    so that warning says nothing to it, even where warnings are errors."""
+    _cpus(monkeypatch, 2)
+    fork = os.fork
+
+    def warning_fork():  # the warning of os.fork in Python 3.12+
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                      "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    cfg = write_cfg(tmp_path, {"model": {"gallery": "ou"}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, ["bounds", "--config", cfg])
+    assert code == cli.EXIT_OK and text.startswith("model: ou\n")
+    assert capsys.readouterr().err == ""
+    assert _no_child_left()
+
+
+def test_no_worker_outlives_main(tmp_path, monkeypatch):
+    _cpus(monkeypatch, 2)
+    cfg = write_cfg(tmp_path, {"model": {"gallery": "ou"}})
+    code, text = run(tmp_path, ["bounds", "--config", cfg])
+    assert code == cli.EXIT_OK and text.startswith("model: ou\n")
+    assert _no_child_left()
+
+
+def test_interrupt_kills_the_running_workers(monkeypatch):
+    """An interrupt in the calling process ends the fan-out at once: the
+    worker still in its 30 s job is killed and reaped."""
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def job():
+        if os.getpid() == parent:
+            time.sleep(0.2)  # the worker has taken the other job by now
+            raise KeyboardInterrupt
+        time.sleep(30.0)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cli._fan_out([job, job])
+    assert time.perf_counter() - t0 < 10.0
+    assert _no_child_left()
+
+
+def _exception_classes():
+    mods = [bd, cli, ex, gal, mc, md, orc, q]
+    return sorted({c for m in mods for c in vars(m).values()
+                   if isinstance(c, type) and issubclass(c, BaseException)
+                   and c.__module__.startswith("diffgap.")}, key=lambda c: c.__qualname__)
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda c: c.__qualname__)
+def test_exception_survives_pickling(cls):
+    """A worker's failure crosses the process boundary pickled: it comes
+    back with its type, message and attributes."""
+    err = cls("unexpected 'end of input'", "x*(", 3) if cls is ex.ParseError else cls("boom")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls and str(back) == str(err) and vars(back) == vars(err)
+    if cls is ex.ParseError:
+        assert (back.source, back.pos) == ("x*(", 3)
+        assert str(back) == "unexpected 'end of input' at position 3: 'x*('"
