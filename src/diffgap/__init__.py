@@ -9,9 +9,10 @@ The package splits into small submodules, imported explicitly:
     diffgap.oracle   finite-difference eigensolver and exact interval kernels
     diffgap.mcsim    Monte-Carlo simulation and identity checks
     diffgap.gallery  ready-made models
+    diffgap.jobs     independent jobs on one forked process per CPU
     diffgap.cli      command-line front end (entry point: diffgap)
 """
 
 __version__ = "0.1.0"
 
-__all__ = ["expr", "model", "quad", "bounds", "oracle", "mcsim", "gallery", "cli"]
+__all__ = ["expr", "model", "quad", "bounds", "oracle", "mcsim", "gallery", "jobs", "cli"]

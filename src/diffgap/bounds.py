@@ -669,7 +669,8 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
     b_best, x_best = b_grid, float(med + sgn * t[i])
     if np.isfinite(r.fun) and -r.fun > b_best:
         b_best, x_best = -float(r.fun), float(med + sgn * r.x)
-    return b_best, x_best, abs(b_best - b_grid), ()
+    # plus the grid's own error, measured by the direct product at its argmax
+    return b_best, x_best, abs(b_best - b_grid) + abs(prod_direct(float(t[i])) - b_grid), ()
 
 
 def muckenhoupt(m: md.DiffusionModel, cfg: OptConfig | None = None) -> MuckenhouptResult:

@@ -51,12 +51,12 @@ Full schema:
 Exit codes: 0 success, 1 conclusive check failure, 2 configuration
 error, 3 numerical non-convergence.
 
-``bounds`` and ``reproduce`` compute their independent results (each
-bound method, each FD eigen-solve) on one process per CPU in the
-process's affinity mask, which ``taskset`` narrows (``_fan_out``); the
-reports are byte-identical whatever that count.  ``check`` evolves its
-ensembles on one thread per such CPU; ``oracle`` and ``inspect`` run in
-the calling process alone.  No option or variable sets the count.
+``bounds``, ``reproduce`` and ``check`` compute their independent jobs
+(each bound method, each FD eigen-solve, each ensemble job of ``check``)
+on one process per CPU in the process's affinity mask, which ``taskset``
+narrows (``jobs.fan_out``); the reports are byte-identical whatever that
+count.  ``oracle`` and ``inspect`` run in the calling process alone.  No
+option or variable sets the count.
 """
 
 from __future__ import annotations
@@ -66,12 +66,7 @@ import functools
 import gc
 import json
 import math
-import os
-import pickle
-import signal
 import sys
-import threading
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -81,6 +76,7 @@ import yaml
 from . import bounds as bd
 from . import expr as ex
 from . import gallery as gal
+from . import jobs as jb
 from . import mcsim as mc
 from . import model as md
 from . import oracle as orc
@@ -318,96 +314,6 @@ def _kv(d: dict) -> str:
     return ";".join(f"{k}={_short(v)}" for k, v in sorted(d.items()))
 
 
-# ---- independent computations on every CPU -------------------------------
-
-
-# the DeprecationWarning of ``os.fork`` (Python 3.12+) while any OS thread runs
-_FORK_WITH_THREADS = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
-
-
-def _fan_out(jobs: list[Callable[[], object]]) -> list:
-    """``[job() for job in jobs]``, computed on one process per CPU this one
-    may use (``mc.usable_cpus``), itself included, but on no more processes
-    than there are jobs.
-
-    Each process takes the next job from a token pipe when it finishes one,
-    and takes none after one of its jobs raises.  A forked worker sends its
-    jobs' outcomes, each a value or an exception, back pickled and ends with
-    ``os._exit``.  The first failure in job order is raised, so a run fails
-    as a serial one would; an exception from a worker keeps its type and
-    message but not its traceback (``taskset -c 0`` runs every job here).
-    Where the platform lacks ``os.fork`` or an affinity mask, or a Python
-    thread is running (fork copies only the calling one), this process runs
-    every job in order through the same loop.
-    Every worker is reaped before this returns; one still running when it
-    unwinds early is killed first.  A job's result must not depend on what
-    ran before it in its process: which process takes a job is a race."""
-    can_fork = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and threading.active_count() == 1)
-    workers = min(len(jobs), mc.usable_cpus()) if can_fork else 1
-    tokens, feed = os.pipe()
-    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(jobs))))
-    os.close(feed)
-
-    def take() -> dict:  # job -> (value, None) or (None, what it raised)
-        done = {}
-        while token := os.read(tokens, 4):
-            i = int.from_bytes(token, "little")
-            try:
-                done[i] = (jobs[i](), None)
-            except Exception as e:
-                done[i] = (None, e)
-                break
-        return done
-
-    outcomes, children = {}, []  # children: (pid, read end of its outcome pipe)
-    try:
-        for _ in range(workers - 1):
-            r, w = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # BLAS keeps an idle pool of OS threads; no Python thread
-                    # runs here (``can_fork``)
-                    warnings.filterwarnings("ignore", _FORK_WITH_THREADS, DeprecationWarning)
-                    pid = os.fork()
-            except OSError:  # no process to spare: the ones started share the jobs
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:  # a worker: nothing it does outlives this block
-                code = 1
-                try:
-                    with open(w, "wb") as f:
-                        f.write(pickle.dumps(take()))
-                    code = 0
-                except Exception:
-                    sys.excepthook(*sys.exc_info())
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children.append((pid, r))
-        outcomes = take()
-        for _, r in children:
-            with open(r, "rb", closefd=False) as f:
-                data = f.read()  # up to the worker's exit
-            outcomes.update(pickle.loads(data) if data else {})
-    finally:
-        os.close(tokens)
-        for pid, r in children:
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)  # harmless once a worker has sent its outcomes
-            os.waitpid(pid, 0)
-    values = []
-    for i in range(len(jobs)):
-        if i not in outcomes:
-            raise ChildProcessError(f"job {i} of {len(jobs)} was lost: its worker ended early")
-        value, err = outcomes[i]
-        if err is not None:
-            raise err
-        values.append(value)
-    return values
-
-
 # ---- bounds command ------------------------------------------------------
 
 
@@ -454,7 +360,7 @@ def cmd_bounds(cfg: dict) -> Report:
     if cfg.get("oracle", {}).get("enabled", True) and methods:
         R, n = oracle_from_config(cfg)
         jobs.append(functools.partial(orc.spectral_gap_fd, m, R=R, n=n))
-    outcomes = _fan_out(jobs)
+    outcomes = jb.fan_out(jobs)
     reports, method_errors = [], []
     for name, out in zip(methods, outcomes):
         if isinstance(out, bd.BoundError):
@@ -629,7 +535,7 @@ def reproduce_rows() -> list[dict]:
     scratch.  Failing rows stay in the table; they are findings, not bugs.
 
     The bound computations and eigen-solves are independent jobs
-    (``_fan_out``), listed largest first; the rows read their results."""
+    (``jobs.fan_out``), listed largest first; the rows read their results."""
     sq32 = math.sqrt(1.5)
     m_ou, m_q = gal.gallery_model("ou"), gal.gallery_model("quartic")
     m_p, m_s = gal.gallery_model("power", alpha=1.5), gal.gallery_model("smoothed-exponential")
@@ -666,7 +572,7 @@ def reproduce_rows() -> list[dict]:
         "rho_cl": cauchy_growing,
         "cw_ou": lambda: bd.chen_wang_lower(m_ou, md.WeightSpec.direct("1")),
     }
-    got = dict(zip(jobs, _fan_out(list(jobs.values()))))
+    got = dict(zip(jobs, jb.fan_out(list(jobs.values()))))
 
     g_ou, cw_q, ray_q, g_q, g_s = (got[k] for k in ("g_ou", "cw_q", "ray_q", "g_q", "g_s"))
     mk_q, mk_s, lsi_q, lsi_dw = (got[k] for k in ("mk_q", "mk_s", "lsi_q", "lsi_dw"))

@@ -15,15 +15,15 @@ stays first order.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import expr as ex
+from . import jobs as jb
 from . import model as md
 from . import quad as q
 
@@ -43,7 +43,6 @@ __all__ = [
     "SubIntertwiningCheck",
     "check_subintertwining",
     "run_checks",
-    "usable_cpus",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -262,22 +261,21 @@ def _evolve(groups, starts, cfg: MCConfig):
     others, on the same stream.
     ``_run`` gives a horizon's base-model starts one group (five rows for
     the two checks of the ``mc-check`` workload) and its dual ensembles one
-    job with a one-row group each; with two or more CPUs the two jobs'
-    arrays are live side by side.
+    job with a one-row group each.
 
     The loop allocates nothing per step.  Each group's integrand tree, drift
     and sigma, all needed at the new state, are one compiled kernel
-    (``_kernel_of``) that writes into arrays allocated here, once per call,
-    so no two threads share one: each group's own results, and per row
-    shape one spare state and the kernels' temporaries, which the groups
-    use in turn.  The trapezoid accumulates into the array of the previous
-    integrand value, and the draws land in one resident row
-    (``_increments``).  When sigma is a constant c, the noise (c vol) z is
-    one row per step, shared by every group with that constant and
-    broadcast over its rows.  Each product and sum is the one X + b dt +
-    sqrt(2 dt) sigma z would compute, in the same order, so the paths are
-    bit-identical to that formula's.  The kernel of the last step computes
-    the integrand alone, as no drift is needed after it.
+    (``_kernel_of``) that writes into arrays allocated here, once per call:
+    each group's own results, and per row shape one spare state and the
+    kernels' temporaries, which the groups use in turn.  The trapezoid
+    accumulates into the array of the previous integrand value, and the
+    draws land in one resident row (``_increments``).  When sigma is a
+    constant c, the noise (c vol) z is one row per step, shared by every
+    group with that constant and broadcast over its rows.  Each product and
+    sum is the one X + b dt + sqrt(2 dt) sigma z would compute, in the same
+    order, so the paths are bit-identical to that formula's.  The kernel of
+    the last step computes the integrand alone, as no drift is needed after
+    it.
     """
     dt = cfg.dt()
     vol = math.sqrt(2.0 * dt)
@@ -383,7 +381,7 @@ def _fk_group(d: md.DualModel, potential_scale: float = 1.0) -> tuple:
 
 def _fk_paths(paths):
     """Endpoints, accumulated potential and survivors of a Feynman-Kac group's
-    row; raises when most paths blew up or a weight would overflow."""
+    row; raises when most paths blew up or a weight would overflow or be NaN."""
     (end,), (acc,), (ok,) = paths
     if np.mean(~ok) > 0.5:
         raise MCError("majority of dual paths exceeded the blow-up radius")
@@ -392,6 +390,9 @@ def _fk_paths(paths):
         raise MCError(
             f"Feynman-Kac weight overflow: accumulated potential reached {worst:.3g}; "
             "the killing rate is too negative along the visited range")
+    if np.isnan(acc[ok]).any():
+        raise MCError("non-finite killing rate: the accumulated potential is NaN on "
+                      f"{np.isnan(acc[ok]).sum()} of {ok.sum()} surviving dual paths")
     return end, acc, ok
 
 
@@ -483,12 +484,12 @@ class _Plan(NamedTuple):
     finish: Callable
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, which ``taskset``
-    narrows, where the platform has one, else every CPU of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _job(groups, starts, cfg: MCConfig):
+    """One ``_evolve`` call, or the exception it raised: ``_run`` raises it."""
+    try:
+        return _evolve(groups, starts, cfg)
+    except Exception as err:
+        return err
 
 
 def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
@@ -500,12 +501,10 @@ def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
     stream seeded ``_derive_seed(cfg.seed, 1)``.  Rows come out as they do
     alone (see ``_evolve``), so the two sides of a check are independent,
     and the checks at one horizon share common random numbers on each side.
-    One thread per CPU the process may use (``usable_cpus``), the calling
-    one included, but no more than there are jobs, runs them largest first.
-    Each job draws its own stream and does only elementwise arithmetic, so
-    no bit depends on the thread count; numpy releases the GIL in its draws
-    and ufunc loops.  Each check reads its ensembles' results, and so raises
-    their errors, in order."""
+    ``jobs.fan_out`` runs the jobs, largest first, on one process per CPU
+    the process may use.  Each job draws its own stream and does only
+    elementwise arithmetic, so no bit depends on the CPU count.  Each check
+    reads its ensembles' results, and so raises their errors, in order."""
     index: dict[float, dict[float, int]] = {}  # horizon -> row of each base start there
     duals: dict[float, list[int]] = {}  # horizon -> the plans with a dual ensemble there
     for i, p in enumerate(plans):
@@ -514,50 +513,34 @@ def _run(m, cfg: MCConfig, plans: list[_Plan]) -> list:
             rows.setdefault(s, len(rows))
         if p.dual:
             duals.setdefault(p.t, []).append(i)
-    jobs = []  # (rows x steps, groups, starts, cfg); every job has cfg.paths paths
+    jobs = []  # (key, groups, starts, cfg); every job has cfg.paths paths
     for t, rows in index.items():
-        c = replace(cfg, horizon=t)
-        jobs.append((len(rows) * c.n_steps(), [(m, len(rows), None)], list(rows), c))
+        jobs.append((("base", t), [(m, len(rows), None)], list(rows), replace(cfg, horizon=t)))
     dual_seed = _derive_seed(int(cfg.seed), 1)
     for t, ids in duals.items():
-        c = replace(cfg, horizon=t, seed=dual_seed)
-        jobs.append((len(ids) * c.n_steps(), [plans[i].dual[0] for i in ids],
-                     [plans[i].dual[1] for i in ids], c))
-    for _, groups, _, _ in jobs:  # lowered here, so the workers only read the kernels
-        for g in groups:
+        jobs.append((("dual", t), [plans[i].dual[0] for i in ids], [plans[i].dual[1] for i in ids],
+                     replace(cfg, horizon=t, seed=dual_seed)))
+    for job in jobs:  # lowered here, so forked workers inherit the kernels
+        for g in job[1]:
             _kernel_of(g)
-    order = iter(sorted(range(len(jobs)), key=lambda i: -jobs[i][0]))
-    futures = [Future() for _ in jobs]
+    jobs.sort(key=lambda job: -len(job[2]) * job[3].n_steps())  # largest first: rows x steps
+    done = dict(zip([job[0] for job in jobs],
+                    jb.fan_out([functools.partial(_job, *job[1:]) for job in jobs])))
 
-    def work(i):  # run job i, then take the next one until none is left
-        while i is not None:
-            try:
-                futures[i].set_result(_evolve(*jobs[i][1:]))
-            except Exception as err:
-                futures[i].set_exception(err)
-            i = next(order, None)
+    def paths(key):  # a job's ``_evolve`` result; raises the error it returned
+        if isinstance(done[key], Exception):
+            raise done[key]
+        return done[key]
 
-    threads = min(len(jobs), usable_cpus())
-    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
-        # the calling thread runs the largest job, so its arrays reuse the main
-        # heap as they would without threads
-        first = next(order, None)
-        workers = [pool.submit(work, next(order, None)) for _ in range(threads - 1)]
-        work(first)
-    for w in workers:
-        w.result()  # raises what a job let through: a BaseException
-    base = dict(zip(index, futures))
-    dual_of = {i: (job, g) for job, ids in zip(futures[len(index):], duals.values())
-               for g, i in enumerate(ids)}  # plan -> its dual job and group
     out = []
     for i, p in enumerate(plans):
         X = alive = None
         if p.starts:
-            (X, _, alive), = base[p.t].result()
+            (X, _, alive), = paths(("base", p.t))
             rows = [index[p.t][s] for s in p.starts]
             X, alive = X[rows], alive[rows]
-        job, g = dual_of.get(i, (None, None))
-        out.append(p.finish(X, alive, lambda job=job, g=g: job.result()[g]))
+        g = duals[p.t].index(i) if p.dual else None  # its group in the dual job
+        out.append(p.finish(X, alive, lambda t=p.t, g=g: paths(("dual", t))[g]))
     return out
 
 

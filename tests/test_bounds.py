@@ -22,6 +22,7 @@ from scipy.special import gamma
 
 from diffgap import bounds as bd
 from diffgap import expr as ex
+from diffgap import gallery as gal
 from diffgap import model as md
 from diffgap import quad as q
 
@@ -315,6 +316,23 @@ class TestMuckenhoupt:
         # the true gap which sits just above 1/4
         assert 1.0 - 1e-6 <= mk.b <= 1.01
         assert mk.lower <= 0.2516 <= mk.upper
+
+    @pytest.mark.parametrize("R", [None, 60.0])
+    def test_budget_covers_the_grid_error(self, R):
+        """On smoothed-exponential the grid's product reads B = 1.0014 (1.0081
+        at R = 60), where the product computed directly at the reported point
+        is 1.0000000: the budget covers the difference this makes to 2/B."""
+        m = gal.gallery_model("smoothed-exponential")
+        mk = bd.muckenhoupt(m, bd.OptConfig(R=R))
+        x, med = (mk.x_plus if mk.b_plus >= mk.b_minus else mk.x_minus), mk.median
+        qc = q.QuadConfig(abs_tol=0.0)
+        core = q.integrate(lambda u: np.exp(np.asarray(m.U(u), dtype=float)),
+                           min(x, med), max(x, med), qc).value
+        tail = q.integrate(m.density, *((x, m.support[1]) if x > med else (m.support[0], x)),
+                           qc).value
+        b_direct = tail * core
+        assert abs(b_direct - 1.0) < 1e-6 < mk.b - b_direct
+        assert mk.error_budget["quad_err"] >= abs(2.0 / mk.b - 2.0 / b_direct)
 
     def test_no_gap_detected(self):
         m = md.build_model(sigma="1", target_potential="1.5*log(1+x^2)", name="heavy")

@@ -6,8 +6,9 @@ ratio, flagged fractions) come from the recorded runs at those seeds.
 """
 
 import math
+import os
 import sys
-import threading
+import time
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -295,6 +296,13 @@ class TestFeynmanKac:
         with pytest.raises(mc.MCError, match="overflow"):
             mc.feynman_kac(d, "1", 3.0, cfg)
 
+    def test_nan_killing_rate_is_named(self):
+        # the dual drift carries the paths past x ~ 25, where a''/a is 0/0 and
+        # the surviving paths' accumulated rate turns NaN
+        with pytest.raises(mc.MCError, match="non-finite killing rate"):
+            mc.check_intertwining(ou(), md.WeightSpec.direct("exp(-30*x)"), "tanh(x)", 0.5,
+                                  1.0, mc.MCConfig(paths=2000))
+
     def test_one_rate_kernel_per_scale(self, monkeypatch):
         # kernels are kept by tree identity, so the doubled rate is one tree
         # per dual and scale: repeated calls lower no new kernel
@@ -483,6 +491,12 @@ def _bits(r) -> bytes:
     return np.array([v for v in astuple(r) if isinstance(v, float)]).tobytes()
 
 
+def one_cpu(monkeypatch):
+    """Make the process's affinity mask one CPU: ``run_checks`` then runs
+    every job in this process, where a test's spy sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
 # the two checks of the mc-check benchmark workload, at 2000 paths
 MC_CHECK_CFG = mc.MCConfig(step=1e-3, horizon=0.5, paths=2000, seed=0)
 MC_CHECK_INTER = [{"w": md.WeightSpec.z_form(ex.parse("1.2712*x")), "f": "tanh(x)",
@@ -523,7 +537,9 @@ class TestSharedBasePaths:
     @staticmethod
     def count_jobs(monkeypatch):
         """Record every ``_evolve`` job: its stream's seed and horizon, and the
-        models and row counts of its groups."""
+        models and row counts of its groups.  Every job runs in this process:
+        a forked worker's calls would not reach the record."""
+        one_cpu(monkeypatch)
         jobs = []
         evolve = mc._evolve
 
@@ -601,36 +617,48 @@ class TestSharedBasePaths:
          [{"w": md.WeightSpec.direct("1"), "f": "tanh(x)", "x0": 0.5, "t": t}
           for t in (0.05, 0.1, 0.15, 0.2)], [], {t: (2, 1) for t in (0.05, 0.1, 0.15, 0.2)}),
     ], ids=["mc-check", "four-horizons"])
-    def test_thread_count_changes_no_bit(self, monkeypatch, make, cfg, inter, sub, jobs):
-        """One CPU, two, and more threads than cores switching often: every
-        job runs once and no bit of any result moves."""
-        threads, seen = [], self.count_jobs(monkeypatch)
+    def test_cpu_count_changes_no_bit(self, monkeypatch, make, cfg, inter, sub, jobs):
+        """One CPU, two and sixteen: no bit of any result moves.  One CPU runs
+        every job once in this process; n CPUs fork one process fewer than
+        they use, and no more processes run than there are jobs."""
+        seen, forks, fork = self.count_jobs(monkeypatch), [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        results = []
+        for cpus in ({0}, {0, 1}, set(range(16))):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            seen.clear()
+            forks.clear()
+            m = make()
+            got = mc.run_checks(m, cfg, inter, sub)
+            if len(cpus) == 1:
+                self.assert_two_jobs_per_horizon(seen, m, cfg, jobs)
+            assert len(forks) == min(len(cpus), 2 * len(jobs)) - 1
+            results.append([_bits(r) for part in got for r in part])
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_first_failing_check_in_plan_order_raises(self, monkeypatch, n):
+        """The second check's base job, first in job order, and the first
+        check's dual job fail after a pause, so on two CPUs the worker takes
+        one of them.  The first check's error is raised, with its type and
+        message, on one CPU and on two."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
         evolve = mc._evolve
 
-        def recorded(*args, **kwargs):
-            threads[-1].append(threading.get_ident())
-            return evolve(*args, **kwargs)
+        def failing(groups, starts, cfg):
+            if (cfg.horizon == 0.25) != (cfg.seed == MC_CHECK_CFG.seed):
+                time.sleep(0.2)
+                raise mc.MCError(f"job at t = {cfg.horizon} on seed {cfg.seed} failed")
+            return evolve(groups, starts, cfg)
 
-        monkeypatch.setattr(mc, "_evolve", recorded)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for cpus in ({0}, {0, 1}, set(range(16))):
-                monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-                threads.append([])
-                seen.clear()
-                m = make()
-                got = mc.run_checks(m, cfg, inter, sub)
-                self.assert_two_jobs_per_horizon(seen, m, cfg, jobs)
-                results.append([_bits(r) for part in got for r in part])
-        finally:
-            sys.setswitchinterval(interval)
-        assert [len(ids) for ids in threads] == [2 * len(jobs)] * 3
-        # one CPU: every job on the calling thread; two: a worker takes some
-        assert set(threads[0]) == {threading.get_ident()}
-        assert len(set(threads[1])) == 2 and len(set(threads[2])) >= 2
-        assert results[0] == results[1] == results[2]
+        monkeypatch.setattr(mc, "_evolve", failing)
+        inter = [{"w": md.WeightSpec.direct("1"), "f": "tanh(x)", "x0": 0.5, "t": t}
+                 for t in (0.25, 0.5)]
+        with pytest.raises(mc.MCError) as err:
+            mc.run_checks(ou(), MC_CHECK_CFG, inter)
+        assert type(err.value) is mc.MCError
+        assert str(err.value) == (
+            f"job at t = 0.25 on seed {mc._derive_seed(MC_CHECK_CFG.seed, 1)} failed")
 
     def test_mc_check_intertwining_is_pinned(self):
         """The intertwining check of the mc-check workload at 2000 paths, seed
@@ -678,9 +706,9 @@ class TestSharedBasePaths:
 
     def test_ensembles_only_read_caches(self, monkeypatch):
         """Every tree an ensemble evaluates is compiled, and every lazy model
-        cache it reads filled, before the first ensemble starts: no worker
-        thread writes a cache another one reads."""
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0})  # one at a time
+        cache it reads filled, before the first ensemble starts: forked
+        workers inherit them all, and no job writes a cache."""
+        one_cpu(monkeypatch)  # one job at a time, each in this process
         running, lowered = [], []
         lowering = ex._Lowering
 
@@ -723,6 +751,7 @@ class TestSharedDualJob:
         return np.array([fk.mean, fk.std_err, fk.paths_used, *astuple(fk.weight_stats)]).tobytes()
 
     def test_dual_rows_equal_lone_feynman_kac(self, monkeypatch):
+        one_cpu(monkeypatch)  # every job in this process, where the record is
         m = quartic()
         inter = MC_CHECK_INTER + [{"w": md.WeightSpec.direct("1"), "f": "x/2 + tanh(x)",
                                    "x0": -0.2, "t": 0.5}]
