@@ -223,8 +223,12 @@ def model_from_config(cfg: dict) -> md.DiffusionModel:
 
 
 def weight_from_config(sec: dict) -> tuple[md.WeightSpec, dict]:
-    spec = getattr(md.WeightSpec, sec["kind"])(ex.parse(str(sec["family"])))
-    return spec, dict(sec.get("params", {}))
+    family = ex.parse(str(sec["family"]))
+    params = dict(sec.get("params", {}))
+    unknown = sorted(params.keys() - ex.free_params(family))
+    if unknown:
+        raise ConfigError(f"weight params {unknown} name no parameter of {sec['family']!r}")
+    return getattr(md.WeightSpec, sec["kind"])(family), params
 
 
 def _box_from(sec: dict | None) -> dict | None:
@@ -477,10 +481,15 @@ def _check_args(item: dict) -> dict:
             "x0": float(item["x0"]), "t": float(item["t"])}
     if "delta" in item:
         args["delta"] = float(item["delta"])
-    if "phi" in item:
-        args["phi"] = (q.PhiSpec.beckner(float(item.get("p", 1.5)))
-                       if item["phi"] == "beckner"
-                       else getattr(q.PhiSpec, item["phi"])())
+    if item.get("phi") == "beckner":
+        try:
+            args["phi"] = q.PhiSpec.beckner(float(item.get("p", 1.5)))
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+    elif "phi" in item:
+        if "p" in item:
+            raise ConfigError(f"p is the Beckner exponent; phi {item['phi']} takes none")
+        args["phi"] = getattr(q.PhiSpec, item["phi"])()
     return args
 
 

@@ -41,10 +41,11 @@ multiplies, so they may differ from ``np.power`` in the last bit; ``^2``,
 
 :func:`kernel` lowers several trees together, so that their common subtrees
 are computed once, into a function that writes every result into a
-workspace of arrays its caller allocates once and passes in; the operations
-and their order are those of :func:`evaluate`, so the results are
-bit-identical to it.  The Monte-Carlo loop evaluates a path's drift, sigma
-and killing rate through one kernel per step, allocating nothing.  On
+workspace of arrays its caller allocates once and passes in.  Every call
+computes every tree; the operations and their order are those of
+:func:`evaluate`, so the results are bit-identical to it.  The Monte-Carlo
+loop evaluates a path's integrand, drift and sigma through one kernel call
+per step, allocating nothing.  On
 arrays of a few hundred points :func:`evaluate` is as fast or faster, since
 each call with ``out=`` costs a little more; on arrays of 2e4 points the
 kernel takes about a third of its time.  So :func:`evaluate` keeps its own
@@ -601,12 +602,10 @@ class _Lowering:
         lines.append(f"    return {result}")
         return "\n".join(lines) + "\n"
 
-    def kernel_source(self, roots: list[str], split: int, cut: int) -> tuple[str, int, tuple]:
-        """A kernel ``_f(x, c, p, w, full)`` that writes the value of every
-        root into its own workspace array: the source, the workspace size,
-        and the index in ``w`` of each root's array.  The first ``split``
-        roots, computed by the steps before ``cut``, are written on every
-        call, the others only when ``full``.
+    def kernel_source(self, roots: list[str]) -> tuple[str, int, tuple]:
+        """A kernel ``_f(x, c, p, w)`` that writes the value of every root
+        into its own workspace array: the source, the workspace size, and
+        the index in ``w`` of each root's array.
 
         A step whose operands are all scalars (constants, parameters) stays
         a scalar expression as in ``source``; every other step is one ufunc
@@ -640,28 +639,23 @@ class _Lowering:
             return f"w{slot[v]}" if v in slot else v
 
         body: list[str] = []
+        for i, (name, kind, reads, arg) in enumerate(self.steps):
+            if not any(v == "x" or v in slot for v in reads):
+                body.append(f"    {name} = {_text(kind, reads, arg)}")
+                continue
+            dying = [v for v in dict.fromkeys(reads) if v in slot and last[v] == i]
+            into = next((v for v in dying if v not in reads[2:]), None)
+            slot[name] = slot[into] if into else take()
+            free += [slot[v] for v in dying if v != into]
+            body += _ufunc_calls(kind, [ref(v) for v in reads], f"w{slot[name]}")
         out: list[int] = []
-        for later, (steps, part) in enumerate(((range(cut), roots[:split]),
-                                               (range(cut, len(self.steps)), roots[split:]))):
-            if later and part:
-                body.append("    if not full:\n        return")
-            for i in steps:
-                name, kind, reads, arg = self.steps[i]
-                if not any(v == "x" or v in slot for v in reads):
-                    body.append(f"    {name} = {_text(kind, reads, arg)}")
-                    continue
-                dying = [v for v in dict.fromkeys(reads) if v in slot and last[v] == i]
-                into = next((v for v in dying if v not in reads[2:]), None)
-                slot[name] = slot[into] if into else take()
-                free += [slot[v] for v in dying if v != into]
-                body += _ufunc_calls(kind, [ref(v) for v in reads], f"w{slot[name]}")
-            for r in part:
-                k = slot.get(r)
-                if k is None or k in out:
-                    k = take()
-                    body.append(f"    np.copyto(w{k}, {ref(r)})")
-                out.append(k)
-        lines = ["def _f(x, c, p, w, full):"]
+        for r in roots:
+            k = slot.get(r)
+            if k is None or k in out:
+                k = take()
+                body.append(f"    np.copyto(w{k}, {ref(r)})")
+            out.append(k)
+        lines = ["def _f(x, c, p, w):"]
         if self.consts:
             lines.append("    " + "".join(f"c{k}, " for k in range(len(self.consts))) + "= c")
         lines.append("    " + "".join(f"w{k}, " for k in range(size)) + "= w")
@@ -765,18 +759,17 @@ class Kernel(NamedTuple):
     size: int
     roots: tuple
     trees: tuple
-    split: int
 
-    def __call__(self, x: np.ndarray, params: Mapping[str, float], w: list, full: bool = True):
-        """Evaluate every tree at the float array ``x`` into ``w``, the later
-        ones only when ``full``.  Floating-point warnings follow the caller's
-        ``np.errstate``; errors are those of ``evaluate``."""
+    def __call__(self, x: np.ndarray, params: Mapping[str, float], w: list):
+        """Evaluate every tree at the float array ``x`` into ``w``.
+        Floating-point warnings follow the caller's ``np.errstate``; errors
+        are those of ``evaluate``."""
         if x.size == 1:
-            for t, r in zip(self.trees if full else self.trees[:self.split], self.roots):
+            for t, r in zip(self.trees, self.roots):
                 fn, consts = _compiled(t)
                 np.copyto(w[r], fn(x, consts, params))
             return
-        self.fn(x, self.consts, params, w, full)
+        self.fn(x, self.consts, params, w)
 
 
 # kernels by the identity of their trees; a kernel keeps its trees alive, so
@@ -785,21 +778,16 @@ _KERNELS: dict[tuple, Kernel] = {}
 _MAX_KERNELS = 256
 
 
-def kernel(trees: list[Expr], split: int | None = None) -> Kernel:
+def kernel(trees: list[Expr]) -> Kernel:
     """The kernel of ``trees``, lowered together so that their common
-    subtrees are computed once: every call computes the first ``split``
-    trees (all of them by default), a full call the others too.  Kernels
+    subtrees are computed once; every call computes every tree.  Kernels
     are kept by the identity of their trees; lowering one writes no tree."""
-    split = len(trees) if split is None else split
-    key = (tuple(map(id, trees)), split)
+    key = tuple(map(id, trees))
     got = _KERNELS.get(key)
     if got is None:
         low = _Lowering()
-        roots = [low.node(t) for t in trees[:split]]
-        cut = len(low.steps)
-        roots += [low.node(t) for t in trees[split:]]
-        source, size, slots = low.kernel_source(roots, split, cut)
-        got = Kernel(_function(source), tuple(low.consts), size, slots, tuple(trees), split)
+        source, size, slots = low.kernel_source([low.node(t) for t in trees])
+        got = Kernel(_function(source), tuple(low.consts), size, slots, tuple(trees))
         if len(_KERNELS) >= _MAX_KERNELS:
             _KERNELS.pop(next(iter(_KERNELS)), None)
         _KERNELS[key] = got

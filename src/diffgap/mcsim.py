@@ -125,28 +125,30 @@ def _increments(cfg: MCConfig):
         yield z
 
 
-def _as_path_fn(g, what: str):
+def _payoff_fn(g):
+    """A payoff of the endpoints: a callable as it is, else an expression."""
     if callable(g) and not isinstance(g, ex.Expr):
         return g
-    return ex.compile_fn(md._parse_or_expr(g, what))
+    return ex.compile_fn(md._parse_or_expr(g, "payoff"))
 
 
 def _kernel_of(group) -> ex.Kernel:
-    """The compiled step of one ``_evolve`` group: its integrand when that is
-    a tree, then its model's drift and, unless it is a constant, sigma,
-    lowered together (``expr.kernel``), since the step evaluates all three at
-    the same state.  A call that is not full computes the integrand alone."""
+    """The compiled step of one ``_evolve`` group: its integrand, if any,
+    then its model's drift and, unless it is a constant, sigma, lowered
+    together (``expr.kernel``), since the step evaluates all three at the
+    same state."""
     m, _, integrand = group
-    head = [integrand] if isinstance(integrand, ex.Expr) else []
+    head = [] if integrand is None else [integrand]
     drift = m.drift_expr if isinstance(m, md.DualModel) else m.drift
     tail = [drift] if m.sigma.op == "const" else [drift, m.sigma]
-    return ex.kernel(head + tail, len(head))
+    return ex.kernel(head + tail)
 
 
 class _Rows:
     """One group of ``_evolve`` and the arrays it holds for the whole loop:
-    the state, the arrays its kernel writes its results into, the
-    trapezoid's previous integrand value, the integrals and the survivors.
+    the state, the arrays its kernel writes the integrand, drift and sigma
+    into at each state, the trapezoid's previous integrand value, the
+    integrals and the survivors.
     ``pool`` maps a row shape to the arrays that the job's groups of that
     shape use in turn: the spare the next state goes into, then the
     kernels' temporaries."""
@@ -155,8 +157,7 @@ class _Rows:
         m, _, integrand = group
         self.kernel = _kernel_of(group)
         self.params = m.params if isinstance(m, md.DualModel) else {}
-        tree = isinstance(integrand, ex.Expr)
-        self.fn = None if tree else integrand
+        tree = integrand is not None
         # sigma * vol where sigma is a constant, else None
         self.scale = m.sigma.value * vol if m.sigma.op == "const" else None
         # the arrays of the kernel's results, in the order _kernel_of gives
@@ -179,16 +180,13 @@ class _Rows:
     def start(self) -> None:
         """The integrand, drift and sigma at the start points."""
         x, w = self.x, self.w
-        if self.fn is not None:
-            self.prev = np.empty_like(x)
-            np.copyto(self.prev, np.asarray(self.fn(x), dtype=float))
         self.kernel(x, self.params, w)
         if self.rate is not None:
             self.prev, w[self.rate] = w[self.rate], np.empty_like(x)
 
-    def step(self, z, noise: dict, dt: float, vol: float, radius: float, full: bool) -> None:
-        """One Euler step, then the integrand at the new state, and its drift
-        and sigma too when ``full`` (another step follows)."""
+    def step(self, z, noise: dict, dt: float, vol: float, radius: float) -> None:
+        """One Euler step, then the integrand, drift and sigma at the new
+        state."""
         x, nxt, w = self.x, self.pool[0], self.w
         step = w[self.drift]
         step *= dt
@@ -208,25 +206,15 @@ class _Rows:
         if not (nxt.min() >= -radius and nxt.max() <= radius):
             self.flag(nxt, x, radius)
         self.x, self.pool[0] = nxt, x
+        self.kernel(nxt, self.params, w)
         if self.rate is not None:
-            self.kernel(nxt, self.params, w, full)
-            self.trapezoid(w[self.rate], dt)
-            self.prev, w[self.rate] = w[self.rate], self.prev
-            return
-        if self.fn is not None:
-            cur = np.asarray(self.fn(nxt), dtype=float)
-            self.trapezoid(cur, dt)
-            np.copyto(self.prev, cur)
-        if full:
-            self.kernel(nxt, self.params, w)
-
-    def trapezoid(self, cur: np.ndarray, dt: float) -> None:
-        """Add the step's trapezoid to the integrals; ``prev`` holds the
-        area afterwards, not the integrand."""
-        prev = self.prev
-        np.add(prev, cur, out=prev)
-        prev *= 0.5 * dt
-        self.integ += prev
+            # the step's trapezoid goes into the previous integrand value's
+            # array, which then takes the new value's place in ``w``
+            prev, cur = self.prev, w[self.rate]
+            np.add(prev, cur, out=prev)
+            prev *= 0.5 * dt
+            self.integ += prev
+            self.prev, w[self.rate] = cur, prev
 
     def flag(self, x: np.ndarray, scratch: np.ndarray, radius: float) -> None:
         """Flag the live paths of ``x`` that left the blow-up radius and turn
@@ -250,8 +238,8 @@ def _evolve(groups, starts, cfg: MCConfig):
     ``groups`` splits ``starts`` into consecutive runs of rows: a group
     ``(model, k, integrand)`` steps the next k starts under its model's drift
     and sigma and accumulates the trapezoidal integral of its integrand along
-    each path.  The integrand is None, a tree evaluated with a dual model's
-    parameters, or a callable; ``starts`` stays one flat sequence, whose size
+    each path.  The integrand is None or a tree, evaluated with a dual
+    model's parameters; ``starts`` stays one flat sequence, whose size
     the benchmark's traced run counts as the job's rows.  Returns one
     (endpoints, integrals, alive) triple per group, each of shape (k,
     paths).  Paths leaving the blow-up radius turn NaN and stay flagged.
@@ -263,23 +251,20 @@ def _evolve(groups, starts, cfg: MCConfig):
     the two checks of the ``mc-check`` workload) and its dual ensembles one
     job with a one-row group each.
 
-    The loop allocates nothing per step.  Each group's integrand tree, drift
-    and sigma, all needed at the new state, are one compiled kernel
-    (``_kernel_of``) that writes into arrays allocated here, once per call:
-    each group's own results, and per row shape one spare state and the
-    kernels' temporaries, which the groups use in turn.  The trapezoid
-    accumulates into the array of the previous integrand value, and the
-    draws land in one resident row (``_increments``).  When sigma is a
-    constant c, the noise (c vol) z is one row per step, shared by every
-    group with that constant and broadcast over its rows.  Each product and
-    sum is the one X + b dt + sqrt(2 dt) sigma z would compute, in the same
-    order, so the paths are bit-identical to that formula's.  The kernel of
-    the last step computes the integrand alone, as no drift is needed after
-    it.
+    The loop allocates nothing per step.  Each group's integrand, drift and
+    sigma are one compiled kernel (``_kernel_of``), called once at the start
+    points and once after every step, that writes into arrays allocated
+    here, once per call: each group's own results, and per row shape one
+    spare state and the kernels' temporaries, which the groups use in turn.
+    The trapezoid accumulates into the array of the previous integrand
+    value, and the draws land in one resident row (``_increments``).  When
+    sigma is a constant c, the noise (c vol) z is one row per step, shared
+    by every group with that constant and broadcast over its rows.  Each
+    product and sum is the one X + b dt + sqrt(2 dt) sigma z would compute,
+    in the same order, so the paths are bit-identical to that formula's.
     """
     dt = cfg.dt()
     vol = math.sqrt(2.0 * dt)
-    last = cfg.n_steps() - 1
     starts = np.asarray(starts, dtype=float)
     ends = np.cumsum([k for _, k, _ in groups])
     pool: dict = {}
@@ -288,32 +273,37 @@ def _evolve(groups, starts, cfg: MCConfig):
     with np.errstate(all="ignore"):
         for r in rows:
             r.start()
-        for i, z in enumerate(_increments(cfg)):
+        for z in _increments(cfg):
             for s, row in noise.items():
                 np.multiply(s, z, out=row)
             for r in rows:
-                r.step(z, noise, dt, vol, cfg.blow_up_radius, i < last)
+                r.step(z, noise, dt, vol, cfg.blow_up_radius)
     return [(r.x, r.integ, r.alive) for r in rows]
 
 
-def _mean_se(values: np.ndarray, valid: np.ndarray, cfg: MCConfig):
-    """Ensemble mean and standard error honoring antithetic pairing.
-
-    A pair counts only when both members are valid.  Returns
-    (mean, std_err, paths_used)."""
+def _samples(values: np.ndarray, valid: np.ndarray, cfg: MCConfig) -> np.ndarray:
+    """The independent samples of an ensemble's values: the valid ones, or
+    under antithetic pairing the means of the pairs whose members are both
+    valid.  Raises when fewer than two are left."""
     if cfg.antithetic:
         half = cfg.paths // 2
         ok = valid[:half] & valid[half:]
-        pairs = 0.5 * (values[:half][ok] + values[half:][ok])
-        n = pairs.size
-        if n < 2:
+        out = 0.5 * (values[:half][ok] + values[half:][ok])
+        if out.size < 2:
             raise MCError("too few surviving antithetic pairs")
-        return float(np.mean(pairs)), float(np.std(pairs, ddof=1) / math.sqrt(n)), 2 * n
-    vals = values[valid]
-    n = vals.size
-    if n < 2:
+        return out
+    out = values[valid]
+    if out.size < 2:
         raise MCError("too few surviving paths")
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(n)), n
+    return out
+
+
+def _mean_se(values: np.ndarray, valid: np.ndarray, cfg: MCConfig):
+    """Ensemble mean and standard error of the ``_samples``; returns (mean,
+    std_err, paths_used)."""
+    s = _samples(values, valid, cfg)
+    n = s.size
+    return float(np.mean(s)), float(np.std(s, ddof=1) / math.sqrt(n)), 2 * n if cfg.antithetic else n
 
 
 @dataclass(frozen=True)
@@ -328,9 +318,11 @@ class PathEnsemble:
 
 def simulate(m, x0: float, cfg: MCConfig, functional=None) -> PathEnsemble:
     """Endpoint ensemble from x0; optionally the pathwise time integral of a
-    functional.  Raises when most paths leave the blow-up radius."""
-    fn = _as_path_fn(functional, "path functional") if functional is not None else None
-    (X, integ, alive), = _evolve([(m, 1, fn)], [x0], cfg)
+    functional, an expression (a string, a number or a tree) evaluated with
+    a dual model's parameters.  Raises when most paths leave the blow-up
+    radius."""
+    fe = None if functional is None else md._parse_or_expr(functional, "path functional")
+    (X, integ, alive), = _evolve([(m, 1, fe)], [x0], cfg)
     flagged = ~alive[0]
     frac = float(np.mean(flagged))
     if frac > 0.5:
@@ -339,7 +331,7 @@ def simulate(m, x0: float, cfg: MCConfig, functional=None) -> PathEnsemble:
             "the dynamics look explosive from this start point")
     return PathEnsemble(
         endpoints=X[0],
-        integrals=integ[0] if fn is not None else None,
+        integrals=integ[0] if fe is not None else None,
         flagged=flagged,
         flagged_fraction=frac,
         dt=cfg.dt(),
@@ -419,7 +411,7 @@ def feynman_kac(d: md.DualModel, g, x0: float, cfg: MCConfig,
     potential_scale multiplies V_a (the convex inequality needs the doubled
     rate).  The weight integral uses the trapezoidal rule on the same grid
     as the paths."""
-    gfn = _as_path_fn(g, "payoff")
+    gfn = _payoff_fn(g)
     paths, = _evolve([_fk_group(d, potential_scale)], [x0], cfg)
     return _fk_estimate(paths, gfn, cfg)
 
@@ -430,7 +422,7 @@ def feynman_kac_killed(d: md.DualModel, g, x0: float, cfg: MCConfig) -> FKEstima
 
     Cross-check only, and only for nonnegative rates (a negative rate would
     need weights above one, which a survival indicator cannot express)."""
-    gfn = _as_path_fn(g, "payoff")
+    gfn = _payoff_fn(g)
     paths, = _evolve([_fk_group(d)], [x0], cfg)
     end, acc, ok = _fk_paths(paths)
     if np.any(acc[ok] < -1e-9):
@@ -558,11 +550,14 @@ def run_checks(m, cfg: MCConfig, intertwining=(), subintertwining=()):
     return out[:k], out[k:]
 
 
-def _resolution(lhs, rhs, denom):
-    """A z-score is meaningful only when the combined noise could actually
-    resolve a discrepancy at the scale of the quantities."""
-    scale = max(abs(lhs), abs(rhs), 1e-9)
-    return denom <= 0.2 * scale
+def _verdict(lhs, rhs, lhs_err, rhs_err) -> tuple:
+    """(denom, conclusive, note) of a check: the combined noise of its two
+    sides, and whether it could resolve a discrepancy at the scale of the
+    quantities, without which a z-score means nothing."""
+    denom = math.hypot(lhs_err, rhs_err)
+    conclusive = denom <= 0.2 * max(abs(lhs), abs(rhs), 1e-9)
+    return denom, conclusive, ("" if conclusive else
+                               "noise exceeds the resolution threshold; rerun with more paths")
 
 
 @dataclass(frozen=True)
@@ -619,14 +614,10 @@ def _plan_intertwining(m, w, f, x0, t, cfg, w_params=None, delta=_DELTA) -> _Pla
         fk = _fk_estimate(dual(), grad, cfg)
         rhs, rhs_err = fk.mean, fk.std_err
 
-        denom = math.hypot(lhs_err, rhs_err)
-        z = abs(lhs - rhs) / max(denom, 1e-15)
+        denom, conclusive, note = _verdict(lhs, rhs, lhs_err, rhs_err)
         return IntertwiningCheck(
-            lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err, zscore=z,
-            conclusive=_resolution(lhs, rhs, denom),
-            note="" if _resolution(lhs, rhs, denom) else
-            "noise exceeds the resolution threshold; rerun with more paths",
-        )
+            lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err,
+            zscore=abs(lhs - rhs) / max(denom, 1e-15), conclusive=conclusive, note=note)
 
     return _Plan(t, starts, (_fk_group(d), x0), finish)
 
@@ -730,16 +721,8 @@ def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA)
             u = np.asarray(ffn(X[1]), dtype=float)
             v = (np.asarray(ffn(X[0]), dtype=float)
                  - np.asarray(ffn(X[2]), dtype=float)) / (2.0 * delta)
-        if cfg.antithetic:
-            half = cfg.paths // 2
-            pok = ok[:half] & ok[half:]
-            u = 0.5 * (u[:half] + u[half:])[pok]
-            v = 0.5 * (v[:half] + v[half:])[pok]
-        else:
-            u, v = u[ok], v[ok]
+        u, v = _samples(u, ok, cfg), _samples(v, ok, cfg)
         n = u.size
-        if n < 2:
-            raise MCError("too few surviving paths")
         um, vm = float(np.mean(u)), float(np.mean(v))
         lhs = float(phi.phi_dd_fn(um)) * (a0 * vm) ** 2
         # delta method through (u, v) -> phi''(u) (a0 v)^2
@@ -753,13 +736,9 @@ def _plan_subintertwining(m, w, phi, f, x0, t, cfg, w_params=None, delta=_DELTA)
         fk = _fk_estimate(dual(), theta, cfg)
         rhs, rhs_err = fk.mean, fk.std_err
 
-        denom = math.hypot(lhs_err, rhs_err)
-        z = (rhs - lhs) / max(denom, 1e-15)
+        denom, conclusive, note = _verdict(lhs, rhs, lhs_err, rhs_err)
         return SubIntertwiningCheck(
-            lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err, margin_zscore=z,
-            conclusive=_resolution(lhs, rhs, denom),
-            note="" if _resolution(lhs, rhs, denom) else
-            "noise exceeds the resolution threshold; rerun with more paths",
-        )
+            lhs=lhs, rhs=rhs, lhs_err=lhs_err, rhs_err=rhs_err,
+            margin_zscore=(rhs - lhs) / max(denom, 1e-15), conclusive=conclusive, note=note)
 
     return _Plan(t, starts, (_fk_group(d, 2.0), x0), finish)

@@ -166,6 +166,31 @@ class TestExitCodes:
         assert cli.main(["check", "--config", cfg]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi, p, message", [
+        ("beckner", 2.5, "beckner exponent must lie in (1, 2), got 2.5"),
+        ("poincare", 7, "p is the Beckner exponent; phi poincare takes none"),
+    ], ids=["beckner-outside-1-2", "p-without-beckner"])
+    def test_bad_beckner_exponent_exit_2(self, tmp_path, capsys, phi, p, message):
+        cfg = write_cfg(tmp_path, {
+            "model": {"gallery": "quartic"}, "mc": {"paths": 1000},
+            "check": {"subintertwining": [
+                {"weight": {"kind": "direct", "family": "1"}, "phi": phi, "p": p,
+                 "f": "2 + tanh(x)", "x0": 0.4, "t": 0.5}]}})
+        assert cli.main(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and message in err
+
+    def test_weight_param_outside_the_family_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "model": {"gallery": "quartic"}, "mc": {"paths": 1000},
+            "check": {"intertwining": [
+                {"weight": {"kind": "z_form", "family": "eps*x",
+                            "params": {"eps": 1.27, "epz": 3}},
+                 "f": "tanh(x)", "x0": 0.5, "t": 0.5}]}})
+        assert cli.main(["check", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "['epz']" in err
+
     def test_precondition_violation_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "model": {"gallery": "ou"},

@@ -69,7 +69,7 @@ def outcome(run):
 
 
 def assert_kernel_matches(trees_, x, params, k, w):
-    """One full kernel call on ``w`` against ``evaluate`` of every tree: the
+    """One kernel call on ``w`` against ``evaluate`` of every tree: the
     same arrays bit for bit, or the first tree's EvalError."""
     x.setflags(write=False)  # a kernel never writes its argument
     with np.errstate(all="ignore"):
@@ -86,37 +86,27 @@ def assert_kernel_matches(trees_, x, params, k, w):
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(tree_lists(), xs_strategy, xs_strategy, st.booleans(), st.data())
-def test_kernel_equals_evaluate(trees_, xs1, xs2, bound, data):
+@hypothesis.given(tree_lists(), xs_strategy, xs_strategy, st.booleans())
+def test_kernel_equals_evaluate(trees_, xs1, xs2, bound):
     params = {"p": 0.75} if bound else {}  # unbound: the kernel raises as evaluate does
-    split = data.draw(st.integers(0, len(trees_)))
-    k = ex.kernel(trees_, split)
+    k = ex.kernel(trees_)
     assert len(set(k.roots)) == len(trees_)  # every tree gets an array of its own
     w = workspace(k, (1, len(xs1)))
     # twice on one workspace: nothing a call leaves behind leaks into the next
     assert_kernel_matches(trees_, np.array([xs1]), params, k, w)
     x2 = np.array([(xs2 * len(xs1))[:len(xs1)]])
     assert_kernel_matches(trees_, x2, params, k, w)
-    # a call that is not full computes the first split trees alone
-    if split and not any(isinstance(outcome(lambda t=t: ex.evaluate(t, x2, params)), str)
-                         for t in trees_):
-        w = workspace(k, x2.shape)
-        with np.errstate(all="ignore"):
-            k(x2, params, w, full=False)
-            for t, r in zip(trees_[:split], k.roots):
-                assert w[r].tobytes() == ex.evaluate(t, x2, params).tobytes()
 
 
 def test_log_of_a_negative_argument_raises_at_the_same_x():
     tree = ex.add(ex.exp(ex.X), ex.log(ex.add(ex.X, ex.const(-1.0))))
-    k = ex.kernel([ex.tanh(ex.X), tree], 1)
+    k = ex.kernel([ex.tanh(ex.X), tree])
     x = np.array([[3.0, 2.0, np.nan, 0.5, -1.0]])
     with pytest.raises(ex.EvalError) as want:
         ex.evaluate(tree, x)
     with pytest.raises(ex.EvalError) as got, np.errstate(all="ignore"):
         k(x, {}, workspace(k, x.shape))
     assert str(got.value) == str(want.value) == "log of negative argument at x = 0.5"
-    k(x, {}, workspace(k, x.shape), full=False)  # the log is not reached
 
 
 def test_unbound_parameter_raises():
@@ -160,9 +150,8 @@ def test_leaf_root_gets_its_own_array(root):
 
 def test_kernels_are_kept_by_tree_identity():
     a, b = ex.parse("exp(-x^2)*x"), ex.parse("exp(-x^2)*x")
-    assert ex.kernel([a, ex.X], 1) is ex.kernel([a, ex.X], 1)
-    assert ex.kernel([a, ex.X], 1) is not ex.kernel([b, ex.X], 1)
-    assert ex.kernel([a, ex.X], 1) is not ex.kernel([a, ex.X])
+    assert ex.kernel([a, ex.X]) is ex.kernel([a, ex.X])
+    assert ex.kernel([a, ex.X]) is not ex.kernel([b, ex.X])
     assert "_compiled" not in a.__dict__  # lowering a kernel writes no tree
 
 
@@ -171,9 +160,8 @@ def test_one_element_nan_sign_matches_evaluate():
     # reduction loop, which may keep the second operand's NaN: -nan + nan
     twice = ex.add(ex.X, ex.X)
     tree = ex.add(ex.neg(twice), ex.neg(twice), ex.X)
-    for split in (0, 1):
-        k = ex.kernel([tree], split)
-        x = np.array([[np.nan]])
-        w = workspace(k, x.shape)
-        k(x, {}, w)
-        assert w[k.roots[0]].tobytes() == ex.evaluate(tree, x).tobytes()
+    k = ex.kernel([tree])
+    x = np.array([[np.nan]])
+    w = workspace(k, x.shape)
+    k(x, {}, w)
+    assert w[k.roots[0]].tobytes() == ex.evaluate(tree, x).tobytes()

@@ -96,6 +96,12 @@ class TestSimulate:
         exact = 1.5 * (1.0 - math.exp(-1.0))
         assert abs(float(np.mean(vals)) - exact) < 3.0 * se + 5.0 * cfg.dt() * exact
 
+    def test_callable_functional_is_refused(self):
+        # the loop integrates expressions only; a payoff may still be a callable
+        cfg = mc.MCConfig(step=5e-3, horizon=0.5, paths=1000, seed=13)
+        with pytest.raises(md.ModelError, match="path functional must be an expression"):
+            mc.simulate(ou(), 1.5, cfg, functional=lambda x: x)
+
     def test_determinism(self):
         cfg = mc.MCConfig(step=5e-3, horizon=0.5, paths=1000, seed=29)
         a = mc.simulate(ou(), 0.0, cfg)
@@ -174,7 +180,7 @@ class TestEvolveMatchesReference:
         cfg = mc.MCConfig(step=1e-2, horizon=0.5, paths=2000, seed=17, antithetic=antithetic)
         d = md.realize_weight(m, md.WeightSpec.a_form("-(x-1)^2"))
         self.assert_same([(m, 3, None)], [0.501, 0.5, 0.499], cfg)
-        self.assert_same([(d, 1, lambda x: 2.0 * np.asarray(d.v_fn(x)))], [0.5], cfg)
+        self.assert_same([(d, 1, ex.mul(ex.const(2.0), d.v_expr))], [0.5], cfg)
 
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("make", [
@@ -189,22 +195,20 @@ class TestEvolveMatchesReference:
         d2 = md.realize_weight(m, md.WeightSpec.direct("1+x^2"))
         wide = md.build_model(sigma="2", target_potential="x^2/2", name="wide")
         self.assert_same([(m, 3, None), mc._fk_group(d1, 2.0), mc._fk_group(d2),
-                          (m, 2, lambda x: x), (wide, 1, None)],
+                          (m, 2, ex.X), (wide, 1, None)],
                          [0.501, 0.5, 0.499, 0.5, -0.3, 0.7, 0.1, 0.2], cfg)
 
-    @pytest.mark.parametrize("functional", [lambda x: x, ex.compile_fn(ex.X)],
-                             ids=["callable", "compiled"])
-    def test_integrand_returning_its_input(self, functional):
+    def test_integrand_returning_its_input(self):
         cfg = mc.MCConfig(step=1e-2, horizon=1.0, paths=1000, seed=13)
-        self.assert_same([(ou(), 1, functional)], [1.5], cfg)
+        self.assert_same([(ou(), 1, ex.X)], [1.5], cfg)
 
     def test_identity_drift(self):
         cfg = mc.MCConfig(step=1e-2, horizon=0.5, paths=1000, seed=5)
-        self.assert_same([(_grow(), 2, lambda x: x)], [0.3, -0.2], cfg)
+        self.assert_same([(_grow(), 2, ex.X)], [0.3, -0.2], cfg)
 
     def test_partial_blow_up(self):
         cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=4.0)
-        (X, _, alive), = self.assert_same([(_grow(), 1, lambda x: x)], [0.5], cfg)
+        (X, _, alive), = self.assert_same([(_grow(), 1, ex.X)], [0.5], cfg)
         assert float(np.mean(~alive)) == 0.1925
         assert np.array_equal(np.isnan(X), ~alive)
 
@@ -241,12 +245,12 @@ class TestResidentLoop:
                              ids=["constant-sigma", "cauchy"])
     def test_allocations_do_not_grow_with_steps(self, make):
         """An ``_evolve`` call allocates its arrays before the loop: base rows,
-        a dual with a callable integrand that returns its input and a dual
-        whose integrand is a tree allocate as many arrays in 200 steps as in
-        20."""
+        a dual whose integrand returns its input and a dual whose integrand
+        is its doubled killing rate allocate as many arrays in 200 steps as
+        in 20."""
         m = make()
         d = md.realize_weight(m, md.WeightSpec.a_form("-(x-1)^2"))
-        groups = [(m, 2, None), (d, 1, lambda x: x), mc._fk_group(d, 2.0)]
+        groups = [(m, 2, None), (d, 1, ex.X), mc._fk_group(d, 2.0)]
         counts = []
         for steps in (20, 200):
             cfg = mc.MCConfig(step=1e-3, horizon=steps * 1e-3, paths=2000, seed=1)
