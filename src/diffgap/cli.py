@@ -231,6 +231,13 @@ def weight_from_config(sec: dict) -> tuple[md.WeightSpec, dict]:
     return getattr(md.WeightSpec, sec["kind"])(family), params
 
 
+def _bound_family(sec: dict) -> md.WeightSpec:
+    """A bound's weight family with its ``params`` bound, so that only the
+    parameters left free need a box."""
+    spec, params = weight_from_config(sec)
+    return replace(spec, payload=ex.substitute(spec.payload, params))
+
+
 def _box_from(sec: dict | None) -> dict | None:
     return {k: (float(v[0]), float(v[1])) for k, v in sec.items()} if sec else None
 
@@ -338,7 +345,7 @@ def _run_bound_method(m, name, cfg, opt_cfg):
         return [bd.veysseire_lower(m, opt_cfg)]
     if name == "lsi":
         conf = sec.get("lsi") or _DEFAULT_LSI
-        fams = {f"{side}_family": weight_from_config(conf[side])[0]
+        fams = {f"{side}_family": _bound_family(conf[side])
                 for side in ("inc", "dec") if conf.get(side)}
         return [bd.lsi_lower(m, opt_cfg=replace(opt_cfg, box=_box_from(conf.get("box"))),
                              **fams)]
@@ -731,11 +738,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _freeze_import_heap() -> None:
-    """Move every object alive after the imports (about 41k: 21k from numpy
-    and yaml, 18k from scipy.linalg) into the collector's permanent
-    generation, once per process.  A fresh process has no garbage among
-    them, yet each full collection, several of which run at interpreter
-    shutdown, would scan them all again."""
+    """Move every object alive after the imports (about 25k: 22k from numpy
+    and yaml) into the collector's permanent generation, once per process.
+    A fresh process has no garbage among them, yet each full collection,
+    several of which run at interpreter shutdown, would scan them all
+    again."""
     gc.freeze()
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+import numpy.random  # numpy imports it lazily; here it stays out of a command's run time
 
 from . import expr as ex
 from . import jobs as jb

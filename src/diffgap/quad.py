@@ -233,7 +233,10 @@ def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
 
 def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> IntegrationResult:
     pts = np.asarray(breakpoints, dtype=float)
-    pts = np.unique(np.concatenate(([a], pts[(a < pts) & (pts < b)], [b])))
+    # sorted and without repeats, as np.unique gives them, but without the
+    # numpy.ma import np.unique makes on first use
+    pts = np.sort(np.concatenate(([a], pts[(a < pts) & (pts < b)], [b])))
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
     # panels in position order
     lo, hi = pts[:-1], pts[1:]

@@ -269,6 +269,22 @@ class TestBoundsCommand:
         vey = doc["targets"]["lambda1"]["methods"][0]
         assert vey["value"] == pytest.approx(8.0 / 3.0, abs=1e-6)
 
+    def test_lsi_family_params_are_bound(self, tmp_path):
+        # params bind the family before the search: no box is needed for c,
+        # and the report is the one of the family with c written out
+        texts = []
+        for name, dec in (("bound", {"kind": "a_form", "family": "-(x-c)^2",
+                                     "params": {"c": 1.0}}),
+                          ("literal", {"kind": "a_form", "family": "-(x-1)^2"})):
+            cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"},
+                                       "bounds": {"methods": ["lsi"], "lsi": {"dec": dec}},
+                                       "oracle": {"enabled": False}}, f"{name}.yaml")
+            code, text = run(tmp_path, ["bounds", "--config", cfg, "--format", "json-like"])
+            assert code == 0
+            texts.append(text)
+        assert "method_errors" not in json.loads(texts[0])
+        assert texts[0] == texts[1]
+
     def test_csv_format(self, tmp_path):
         cfg = write_cfg(tmp_path, {"model": {"gallery": "ou"},
                                    "bounds": {"methods": ["chen_wang"]},
@@ -711,27 +727,40 @@ def test_main_freezes_once_per_process(freeze_counts):
 
 
 # the bounds come from ported searches, a math.gamma and a Hermite
-# interpolant: no process imports these three scipy packages
+# interpolant, the oracle calls LAPACK's wrappers without the rest of
+# scipy.linalg, and no array goes through np.unique: no process imports these
+# packages.  The process keeps one CPU, so every job runs in it and shows
+# its imports in sys.modules.
 _SCIPY_MODULES = """
-import io, sys
+import io, os, sys
 from contextlib import redirect_stdout
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import diffgap.cli as cli
-with redirect_stdout(io.StringIO()):
-    code = cli.main(["bounds", "--config", sys.argv[1]])
-print(code, *sorted(m for m in ("scipy.optimize", "scipy.interpolate", "scipy.special")
-                    if m in sys.modules))
+codes = []
+for argv in (["bounds", "--config", sys.argv[1]], ["oracle", "--config", sys.argv[1]],
+             ["inspect", "--config", sys.argv[1]], ["check", "--config", sys.argv[2]],
+             ["reproduce"]):
+    with redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(*codes, *sorted(m for m in ("scipy.linalg", "scipy.optimize", "scipy.interpolate",
+                                  "scipy.special", "numpy.ma") if m in sys.modules))
 """
 
 
-def test_bounds_process_imports_no_optimize_interpolate_or_special(tmp_path):
+def test_commands_import_no_unneeded_scipy_package_or_numpy_ma(tmp_path):
     cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"}})
+    mc_cfg = write_cfg(tmp_path, {
+        "model": {"gallery": "quartic"}, "mc": {"paths": 1000},
+        "check": {"intertwining": [{"weight": {"kind": "z_form", "family": "1.2712*x"},
+                                    "f": "tanh(x)", "x0": 0.5, "t": 0.5}]}}, "mc.yaml")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, cfg],
+    out = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, cfg, mc_cfg],
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0"]
+    # reproduce exits 1 on the table's pinned FAIL rows
+    assert out.stdout.split() == ["0", "0", "0", "0", "1"]
 
 
 # ---- fan-out of bounds and reproduce over the CPUs -----------------------

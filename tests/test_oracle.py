@@ -243,6 +243,106 @@ class TestEigensolver:
         assert abs(np.dot(v, ground)) < 1e-10
 
 
+class _ScipyLinalg:
+    """The two LAPACK wrappers the oracle calls with a matrix alone, at the
+    wrappers' call signatures, computed by scipy.linalg's public routines
+    instead."""
+
+    def __init__(self):
+        from scipy.linalg import eigh_tridiagonal, solve_banded
+
+        self.eigh_tridiagonal, self.solve_banded = eigh_tridiagonal, solve_banded
+
+    def dgtsv(self, dl, d, du, b):
+        ab = np.zeros((3, len(d)))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        return None, None, None, self.solve_banded((1, 1), ab, b), 0
+
+    def dstevd(self, d, e, compute_v):
+        assert compute_v == 1
+        return (*self.eigh_tridiagonal(d, e), 0)
+
+
+def _interval(boundary):
+    return md.build_model(sigma="1", drift="-x", domain=(-1.0, 2.0),
+                          boundary=boundary, name=f"ou-{boundary}")
+
+
+_LAPACK_OPERATORS = {
+    "stiff-quartic": lambda: orc.discretize(quartic(), R=12.0, n=2048),
+    "neumann-interval": lambda: orc.discretize(_interval("neumann"), n=1000),
+    "dirichlet-interval": lambda: orc.discretize(_interval("dirichlet"), n=1000),
+}
+
+
+class TestLapackWrappers:
+    """The oracle calls LAPACK's wrappers directly, with the arguments
+    scipy.linalg would pass: its results are scipy.linalg's bit for bit."""
+
+    @staticmethod
+    def _both(monkeypatch, compute):
+        direct = compute()
+        with monkeypatch.context() as mp:
+            mp.setattr(orc, "_flapack", _ScipyLinalg())
+            return direct, compute()
+
+    @pytest.mark.parametrize("name", sorted(_LAPACK_OPERATORS))
+    def test_eigenvalues_equal_eigh_tridiagonal(self, name):
+        from scipy.linalg import eigh_tridiagonal
+
+        op = _LAPACK_OPERATORS[name]()
+        if name == "stiff-quartic":
+            assert np.max(op.diag) > 1e8
+        for k in (1, 2, 3):
+            for first in (1, k):
+                ref = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
+                                       select_range=(first - 1, k - 1),
+                                       tol=np.finfo(float).tiny)
+                direct = orc._eigenvalues(op.diag, op.offdiag, first, k)
+                assert direct.tobytes() == ref.tobytes(), (first, k)
+
+    @pytest.mark.parametrize("name", sorted(_LAPACK_OPERATORS))
+    def test_eigenvector_equals_solve_banded(self, monkeypatch, name):
+        op = _LAPACK_OPERATORS[name]()
+        lam = orc._gap_of(op)
+        direct, ref = self._both(monkeypatch, lambda: orc.eigenvector(op, lam))
+        assert direct.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_heat_evolution_equals_eigh_tridiagonal(self, monkeypatch, boundary):
+        f = lambda y: np.cos(3.0 * y) + y
+        direct, ref = self._both(
+            monkeypatch, lambda: orc.heat_evolve_fd(_interval(boundary), f, 0.05, n=256))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(direct, ref))
+
+    def test_non_finite_entry_never_reaches_lapack(self, monkeypatch):
+        op = orc.discretize(gaussian(), n=64)
+        monkeypatch.setattr(orc, "_flapack", None)  # any LAPACK call fails otherwise
+        diag = op.diag.copy()
+        diag[5] = np.nan
+        with pytest.raises(orc.OracleError, match="non-finite"):
+            orc.kth_smallest_eigenvalue(diag, op.offdiag, 2)
+        off = op.offdiag.copy()
+        off[7] = np.inf
+        with pytest.raises(orc.OracleError, match="non-finite"):
+            orc.smallest_eigenvalues(op.diag, off, 2)
+        with pytest.raises(orc.OracleError, match="non-finite"):
+            orc.eigenvector(op, np.nan)
+        with pytest.raises(orc.OracleError, match="do not match"):
+            orc.kth_smallest_eigenvalue(op.diag, op.offdiag[:-1], 2)
+
+    def test_singular_shift_raises(self):
+        # decoupled rows: the one whose diagonal equals the shift is a zero pivot
+        lam = 1.0
+        diag = np.linspace(3.0, 5.0, 16)
+        diag[4] = lam + 1e-8 * max(1.0, abs(lam))
+        grid = np.linspace(0.0, 1.0, 16)
+        op = orc.DiscreteOperator(grid=grid, dx=grid[1], diag=diag, offdiag=np.zeros(15),
+                                  boundary="dirichlet", log_weights=np.zeros(16))
+        with pytest.raises(orc.OracleError, match="singular"):
+            orc.eigenvector(op, lam)
+
+
 class TestDiscretize:
     def test_constant_in_kernel(self):
         # reflecting flux form annihilates constants exactly
