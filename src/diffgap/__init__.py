@@ -4,7 +4,7 @@ The package splits into small submodules, imported explicitly:
 
     diffgap.expr     symbolic expressions and exact derivatives
     diffgap.model    diffusion models, weights, dual (weighted) models
-    diffgap.quad     adaptive quadrature and entropy functionals
+    diffgap.quad     adaptive quadrature, expectations and entropy phi checks
     diffgap.bounds   the bound methods and report assembly
     diffgap.oracle   finite-difference eigensolver and exact interval kernels
     diffgap.mcsim    Monte-Carlo simulation and identity checks

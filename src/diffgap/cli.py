@@ -242,8 +242,18 @@ def _box_from(sec: dict | None) -> dict | None:
     return {k: (float(v[0]), float(v[1])) for k, v in sec.items()} if sec else None
 
 
+def _check_radius(cfg: dict, section: str) -> dict:
+    """The section, once its R (from the YAML or ``--radius``) is absent or
+    finite and positive."""
+    sec = cfg.get(section, {})
+    R = sec.get("R")
+    if R is not None and not (math.isfinite(R) and R > 0):
+        raise ConfigError(f"{section}.R must be finite and positive, got {R}")
+    return sec
+
+
 def opt_from_config(cfg: dict) -> bd.OptConfig:
-    sec = cfg.get("bounds", {})
+    sec = _check_radius(cfg, "bounds")
     kw = {k: sec[k] for k in ("R", "grid_points") if k in sec}
     return bd.OptConfig(quad=q.QuadConfig(**cfg.get("quad", {})), **kw)
 
@@ -254,7 +264,7 @@ def mc_from_config(cfg: dict) -> mc.MCConfig:
 
 def oracle_from_config(cfg: dict) -> tuple[float | None, int]:
     """Truncation radius (None: the model's own) and grid size of the FD reference."""
-    sec = cfg.get("oracle", {})
+    sec = _check_radius(cfg, "oracle")
     return sec.get("R"), sec.get("n", 2048)
 
 

@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 

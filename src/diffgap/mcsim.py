@@ -33,10 +33,8 @@ __all__ = [
     "MCConfigError",
     "PreconditionError",
     "MCConfig",
-    "PathEnsemble",
     "WeightStats",
     "FKEstimate",
-    "simulate",
     "feynman_kac",
     "feynman_kac_killed",
     "IntertwiningCheck",
@@ -305,39 +303,6 @@ def _mean_se(values: np.ndarray, valid: np.ndarray, cfg: MCConfig):
     s = _samples(values, valid, cfg)
     n = s.size
     return float(np.mean(s)), float(np.std(s, ddof=1) / math.sqrt(n)), 2 * n if cfg.antithetic else n
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    endpoints: np.ndarray
-    integrals: np.ndarray | None
-    flagged: np.ndarray
-    flagged_fraction: float
-    dt: float
-    steps: int
-
-
-def simulate(m, x0: float, cfg: MCConfig, functional=None) -> PathEnsemble:
-    """Endpoint ensemble from x0; optionally the pathwise time integral of a
-    functional, an expression (a string, a number or a tree) evaluated with
-    a dual model's parameters.  Raises when most paths leave the blow-up
-    radius."""
-    fe = None if functional is None else md._parse_or_expr(functional, "path functional")
-    (X, integ, alive), = _evolve([(m, 1, fe)], [x0], cfg)
-    flagged = ~alive[0]
-    frac = float(np.mean(flagged))
-    if frac > 0.5:
-        raise MCError(
-            f"{frac:.0%} of paths exceeded |x| > {cfg.blow_up_radius:g}; "
-            "the dynamics look explosive from this start point")
-    return PathEnsemble(
-        endpoints=X[0],
-        integrals=integ[0] if fe is not None else None,
-        flagged=flagged,
-        flagged_fraction=frac,
-        dt=cfg.dt(),
-        steps=cfg.n_steps(),
-    )
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,6 @@ __all__ = [
     "feynman_kac_potential",
     "derive_weight",
     "realize_weight",
-    "check_assumptions",
-    "AssumptionsReport",
-    "distance",
 ]
 
 _WORK_R = 24.0  # half-width of the numeric working window for U and W
@@ -179,10 +176,6 @@ class DiffusionModel:
 
     def normalization(self, cfg: quad.QuadConfig | None = None) -> float:
         return _normalization(self, self.anchor, "normalization", cfg)
-
-    @property
-    def logZ(self) -> float:
-        return math.log(self.normalization())
 
 
 def build_model(
@@ -636,130 +629,3 @@ def _symbolic_linear_integral(z: ex.Expr) -> ex.Expr | None:
         if c.op == "param":
             return ex.mul(ex.const(0.5), c, ex.X, ex.X)
     return None
-
-
-# ---- assumption checks --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionsReport:
-    sigma_min: float
-    completeness: tuple[str, str]  # verdict per side: diverging/converging/inconclusive
-    non_explosion: tuple[str, str]
-    non_explosive: bool
-    notes: tuple[str, ...]
-
-
-def _trend(j1: float, j2: float, j3: float) -> str:
-    """Verdict from values at R, 2R, 4R.  The increments of a convergent
-    integral collapse geometrically under radius doubling (ratio < 1); a
-    logarithmically or faster divergent one keeps the increment ratio at or
-    above 1."""
-    if not all(map(math.isfinite, (j1, j2, j3))):
-        return "diverging"
-    d1, d2 = j2 - j1, j3 - j2
-    if j3 <= 0:
-        return "inconclusive"
-    if d2 <= 1e-6 * max(j3, 1e-300):
-        return "converging"
-    if d1 <= 0:
-        return "inconclusive"
-    r = d2 / d1
-    if r >= 0.8:
-        return "diverging"
-    if r <= 0.6:
-        return "converging"
-    return "inconclusive"
-
-
-def check_assumptions(m, radii=(5.0, 10.0, 20.0)) -> AssumptionsReport:
-    """Completeness of the sigma-metric and non-explosion of the diffusion.
-
-    Works for a base model or a dual (anything with sigma_fn/density).  The
-    non-explosion integrals J(R) = int_0^R [int_0^x h] / (sigma^2 h) dx are
-    evaluated on grids with an overflow escape: once the outer integrand
-    exceeds e^600 the integral is declared diverging outright.  Non-explosion
-    holds when both sides diverge.
-    """
-    base = m.base if isinstance(m, DualModel) else m
-    sig_fn = m.sigma_fn
-    grid = base.probe_grid()
-    sigma_min = float(np.min(sig_fn(grid)))
-    notes = []
-    if base.domain[0] == "interval":
-        return AssumptionsReport(
-            sigma_min=sigma_min,
-            completeness=("n/a", "n/a"),
-            non_explosion=("n/a", "n/a"),
-            non_explosive=True,
-            notes=("interval model: boundary conditions replace growth conditions",),
-        )
-
-    r1, r2, r3 = radii
-    comp = []
-    for side in (+1, -1):
-        vals = []
-        for R in radii:
-            r = quad.integrate(lambda x: 1.0 / np.asarray(sig_fn(x), dtype=float), 0.0, side * R)
-            vals.append(abs(r.value))
-        comp.append(_trend(*vals))
-
-    nonexp = []
-    for side in (+1, -1):
-        vals = []
-        overflowed = False
-        for R in radii:
-            j, of = _nonexplosion_integral(m, side, R)
-            if of:
-                overflowed = True
-                break
-            vals.append(j)
-        if overflowed:
-            nonexp.append("diverging")
-        else:
-            nonexp.append(_trend(*vals))
-
-    non_explosive = nonexp[0] == "diverging" and nonexp[1] == "diverging"
-    if "converging" in nonexp:
-        notes.append("a non-explosion integral saturates: explosion cannot be ruled out")
-    return AssumptionsReport(
-        sigma_min=sigma_min,
-        completeness=(comp[0], comp[1]),
-        non_explosion=(nonexp[0], nonexp[1]),
-        non_explosive=non_explosive,
-        notes=tuple(notes),
-    )
-
-
-def _nonexplosion_integral(m, side: int, R: float, n: int = 2001):
-    """J(R) on one side, computed in log space so that densities far beyond
-    floating range (either direction) keep the integrand representable.  The
-    overflow escape fires when the J-integrand itself passes e^600: past that
-    the integral is divergent for any practical purpose."""
-    xs = np.linspace(0.0, side * R, n)
-    with np.errstate(all="ignore"):
-        logh = np.asarray(m.log_density(xs), dtype=float)
-        sig = np.asarray(m.sigma_fn(xs), dtype=float)
-    # cumulative trapezoid of h in log space: cell_i = (h_i + h_{i+1}) dx/2
-    dx = np.abs(np.diff(xs))
-    with np.errstate(all="ignore"):
-        log_cells = np.logaddexp(logh[:-1], logh[1:]) + np.log(0.5 * dx)
-    log_inner = np.full_like(logh, -np.inf)
-    np.logaddexp.accumulate(log_cells, out=log_inner[1:])
-    with np.errstate(all="ignore"):
-        log_outer = log_inner - 2.0 * np.log(sig) - logh
-    finite = np.isfinite(log_outer)
-    if np.any(log_outer[finite] > 600.0):
-        return math.inf, True
-    with np.errstate(all="ignore"):
-        outer = np.where(finite, np.exp(np.where(finite, log_outer, 0.0)), 0.0)
-    return float(abs(np.sum(0.5 * (outer[1:] + outer[:-1]) * np.diff(xs)))), False
-
-
-def distance(m: DiffusionModel, x: float, y: float) -> float:
-    """Intrinsic metric d(x, y) = |int_x^y du / sigma(u)|."""
-    if x == y:
-        return 0.0
-    sig_fn = m.sigma_fn
-    r = quad.integrate(lambda u: 1.0 / np.asarray(sig_fn(u), dtype=float), x, y)
-    return abs(r.value)

@@ -7,8 +7,7 @@ below floating range still produce finite matrix entries), eigenvalues come
 from LAPACK's Sturm bisection on the symmetric tridiagonal matrix, and grid
 halving plus a truncation sensitivity run turn the raw eigenvalue into an
 estimate with an explicit error budget.  LAPACK contributes that bisection
-(``stebz``), the tridiagonal solves of inverse iteration (``gtsv``) and the
-full tridiagonal eigendecomposition used for heat evolution (``stevd``),
+(``stebz``) and the tridiagonal solves of inverse iteration (``gtsv``),
 called through scipy's compiled wrappers (``scipy.linalg._flapack``) with
 the arguments ``scipy.linalg`` would pass, so the results are bit for bit
 those of ``eigh_tridiagonal`` and ``solve_banded``.  The wrappers are loaded
@@ -23,9 +22,9 @@ solve its gradient chain on the cell edges, the discrete weighted-derivative
 intertwining (Chafai-Joulin); ``eigvec_weight`` reads the optimal weight and
 its killing rate off that chain, with no interpolation or symbolic derivative.
 
-On the unit interval with constant diffusion the reflected and absorbed
-heat kernels are available in closed form as image sums, which gives a
-discretization-free second route to the same semigroup.
+On an interval with constant diffusion the reflected and absorbed heat
+kernels are available in closed form as image sums: a discretization-free
+reference semigroup for the intertwining of the two boundary conditions.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "discretize",
     "sturm_count",
     "kth_smallest_eigenvalue",
-    "smallest_eigenvalues",
     "eigenvector",
     "GapEstimate",
     "spectral_gap_fd",
@@ -56,7 +54,6 @@ __all__ = [
     "eigvec_weight",
     "heat_kernel",
     "kernel_apply",
-    "heat_evolve_fd",
 ]
 
 
@@ -143,6 +140,8 @@ def discretize(m, R: float | None = None, n: int = 4096,
     """
     if m.support[0] == -math.inf:
         R = R if R is not None else _auto_radius(m)
+        if not (math.isfinite(R) and R > 0):
+            raise OracleError(f"truncation radius must be finite and positive, got {R}")
         lo, hi = -float(R), float(R)
         bc = "neumann"
     else:
@@ -224,33 +223,22 @@ def sturm_count(diag, offdiag, lam: float) -> int:
     return count
 
 
-def _eigenvalues(diag, offdiag, first: int, last: int):
-    """Eigenvalues first..last (1-based, ascending) by LAPACK's Sturm
+def kth_smallest_eigenvalue(diag, offdiag, k: int) -> float:
+    """k-th smallest eigenvalue (k = 1 is the smallest) by LAPACK's Sturm
     bisection (``stebz``).
 
-    Each eigenvalue is bisected to an absolute width of the smallest normal
+    The eigenvalue is bisected to an absolute width of the smallest normal
     float, which leaves LAPACK's own relative floor of about 2 ulp |lam| in
     charge; LAPACK's default of eps ||T|| would be far coarser on stiff
     operators, whose norm reaches 1e8."""
     d, e = _tridiagonal(diag, offdiag)
-    if not 1 <= first <= last <= len(d):
-        raise OracleError(f"eigenvalue index {first if first < 1 else last} out of range")
+    if not 1 <= k <= len(d):
+        raise OracleError(f"eigenvalue index {k} out of range")
     # range 2 selects by index; vl and vu are unused, "E" orders the whole
     # spectrum rather than by split-off block
-    m, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, first, last,
-                                       np.finfo(float).tiny, "E")
+    _, w, _, _, info = _flapack.dstebz(d, e, 2, 0.0, 1.0, k, k, np.finfo(float).tiny, "E")
     _lapack_ok(info, "stebz")
-    return w[:m]
-
-
-def kth_smallest_eigenvalue(diag, offdiag, k: int) -> float:
-    """k-th smallest eigenvalue (k = 1 is the smallest)."""
-    return float(_eigenvalues(diag, offdiag, k, k)[0])
-
-
-def smallest_eigenvalues(diag, offdiag, k: int = 2):
-    """The k smallest eigenvalues in ascending order, from one bisection."""
-    return _eigenvalues(diag, offdiag, 1, k).tolist()
+    return float(w[0])
 
 
 def eigenvector(op: DiscreteOperator, lam: float) -> np.ndarray:
@@ -470,33 +458,3 @@ def kernel_apply(t: float, f, xs, boundary: str = "neumann",
         )
         out[i] = r.value
     return out
-
-
-def heat_evolve_fd(m, f, t: float, n: int = 1024) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve f for time t under the semigroup of an interval model, through
-    the full eigendecomposition of the discretized generator.  Returns the
-    grid and the evolved values on it.
-
-    On a Neumann interval the ground mode is known exactly: h^{1/2} with
-    eigenvalue 0.  Its component is carried unchanged, so constants are
-    conserved to round-off, and only the orthogonal remainder goes through
-    the other eigenpairs.  The ground eigenvalue is not taken from LAPACK,
-    which returns it as about ||H|| eps rather than 0."""
-    if m.support[0] == -math.inf:
-        raise OracleError("heat evolution needs an interval model")
-    op = discretize(m, n=n)
-    w, vecs, info = _flapack.dstevd(*_tridiagonal(op.diag, op.offdiag), compute_v=1)
-    _lapack_ok(info, "stevd")
-    w = np.clip(w, 0.0, None)
-    logh = op.log_weights - np.max(op.log_weights)
-    half = np.exp(0.5 * logh)
-    fv = np.asarray(f(op.grid), dtype=float) if callable(f) else np.asarray(f, dtype=float)
-    g = half * fv
-    ground = 0.0
-    if op.boundary == "neumann":
-        u0 = half / np.linalg.norm(half)
-        ground = (u0 @ g) * u0
-        g = g - ground
-        w, vecs = w[1:], vecs[:, 1:]
-    evolved = ground + vecs @ (np.exp(-w * t) * (vecs.T @ g))
-    return op.grid, evolved / half

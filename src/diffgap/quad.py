@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature and measure functionals.
+"""Deterministic adaptive quadrature against a measure.
 
 The integrator is a 7/15 Gauss-Kronrod pair with round-based bisection.
 Each round sums the panel estimates and errors (``math.fsum``) and stops once
@@ -30,11 +30,11 @@ underflowed to exactly 0.  An integrand against a measure is taken as 0
 wherever the density is 0: the product of 0 with a factor that has
 overflowed is NaN in IEEE arithmetic, yet the measure puts no mass there.
 
-On top of the integrator sit the measure-level functionals (mean, variance,
-entropy, Dirichlet form), the phi-entropy pairs with their admissibility
-validator, and the median solver.  These take any object exposing the model
-attributes (density, sigma_fn, support, normalization) and never import the
-model module, keeping the dependency one-way.
+On top of the integrator sit the normalized expectation against a measure
+(``mu_expectation``), the median solver, and the phi of an entropy
+inequality (``PhiSpec``) with its admissibility validator.  These take any
+object exposing the model attributes (density, support, normalization) and
+never import the model module, keeping the dependency one-way.
 """
 
 from __future__ import annotations
@@ -55,12 +55,9 @@ __all__ = [
     "chebyshev_grid",
     "simpson_cells",
     "cumulative_on_grid",
-    "Functionals",
-    "functionals",
     "PhiSpec",
     "PhiValidation",
     "validate_phi",
-    "phi_entropy",
     "median",
 ]
 
@@ -352,46 +349,6 @@ def mu_expectation(m, g, cfg: QuadConfig | None = None, breakpoints=()) -> float
     return _mu_integral(m, g, cfg, breakpoints).value / z
 
 
-@dataclass(frozen=True)
-class Functionals:
-    mean: float
-    var: float
-    entropy: float | None
-    dirichlet: float | None
-
-
-def functionals(m, f, cfg: QuadConfig | None = None) -> Functionals:
-    """mu-mean, mu-variance, entropy Ent(f) and Dirichlet energy of f.
-
-    entropy requires f > 0 on the working grid (else None); dirichlet
-    requires f to be an expression so its derivative exists symbolically
-    (None is reported if f is a bare callable).
-    """
-    cfg = cfg or QuadConfig()
-    z = m.normalization(cfg)
-    fn = _as_vector_fn(f)
-
-    mean = _mu_integral(m, f, cfg).value / z
-    second = _mu_integral(m, lambda x: fn(x) ** 2, cfg).value / z
-    var = second - mean * mean
-
-    grid = m.probe_grid()
-    fvals = fn(grid)
-    entropy = None
-    if np.all(fvals > 0):
-        flogf = _mu_integral(m, lambda x: fn(x) * np.log(fn(x)), cfg).value / z
-        entropy = flogf - mean * math.log(mean) if mean > 0 else None
-    dirichlet = None
-    if isinstance(f, ex.Expr):
-        df = ex.simplify(ex.differentiate(f))
-        dfn = _as_vector_fn(df)
-        sig = m.sigma_fn
-        dirichlet = _mu_integral(
-            m, lambda x: (sig(x) * dfn(x)) ** 2, cfg
-        ).value / z
-    return Functionals(mean=mean, var=var, entropy=entropy, dirichlet=dirichlet)
-
-
 # ---- phi-entropy --------------------------------------------------------
 
 
@@ -403,7 +360,6 @@ class PhiSpec:
 
     name: str
     interval: tuple[float, float]
-    phi_fn: Callable[[np.ndarray], np.ndarray]
     phi_dd_fn: Callable[[np.ndarray], np.ndarray]
     phi_ddd_fn: Callable[[np.ndarray], np.ndarray]
     p: float | None = None
@@ -413,7 +369,6 @@ class PhiSpec:
         return PhiSpec(
             name="poincare",
             interval=(-math.inf, math.inf),
-            phi_fn=lambda u: u * u,
             phi_dd_fn=lambda u: np.full_like(np.asarray(u, dtype=float), 2.0),
             phi_ddd_fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         )
@@ -423,7 +378,6 @@ class PhiSpec:
         return PhiSpec(
             name="log_sobolev",
             interval=(0.0, math.inf),
-            phi_fn=lambda u: u * np.log(u),
             phi_dd_fn=lambda u: 1.0 / np.asarray(u, dtype=float),
             phi_ddd_fn=lambda u: -1.0 / np.asarray(u, dtype=float) ** 2,
         )
@@ -435,7 +389,6 @@ class PhiSpec:
         return PhiSpec(
             name=f"beckner({p})",
             interval=(0.0, math.inf),
-            phi_fn=lambda u: np.power(u, p),
             phi_dd_fn=lambda u: p * (p - 1.0) * np.power(u, p - 2.0),
             phi_ddd_fn=lambda u: p * (p - 1.0) * (p - 2.0) * np.power(u, p - 3.0),
             p=p,
@@ -448,25 +401,8 @@ class PhiSpec:
         return PhiSpec(
             name="custom",
             interval=(float(interval[0]), float(interval[1])),
-            phi_fn=ex.compile_fn(phi),
             phi_dd_fn=ex.compile_fn(dd),
             phi_ddd_fn=ex.compile_fn(ddd),
-        )
-
-    @staticmethod
-    def custom_callable(
-        phi: Callable,
-        phi_dd: Callable,
-        phi_ddd: Callable,
-        interval: tuple[float, float],
-        name: str = "custom",
-    ) -> "PhiSpec":
-        return PhiSpec(
-            name=name,
-            interval=(float(interval[0]), float(interval[1])),
-            phi_fn=phi,
-            phi_dd_fn=phi_dd,
-            phi_ddd_fn=phi_ddd,
         )
 
 
@@ -516,37 +452,6 @@ def validate_phi(spec: PhiSpec) -> PhiValidation:
         if np.any(np.diff(slopes) < -1e-9 * max(slope_scale, 1.0)):
             reasons.append("-1/phi'' is not convex on the interval")
     return PhiValidation(ok=not reasons, reasons=tuple(reasons))
-
-
-def phi_entropy(m, f: ex.Expr, spec: PhiSpec, cfg: QuadConfig | None = None):
-    """The phi-entropy pair: (Ent^phi(f), int phi''(f) sigma^2 (f')^2 dmu).
-
-    Rejects phi outside the admissible class and f whose range leaves phi's
-    interval.  Both integrals are normalized by Z.
-    """
-    cfg = cfg or QuadConfig()
-    check = validate_phi(spec)
-    if not check.ok:
-        raise QuadError(f"phi not admissible: {'; '.join(check.reasons)}")
-    fn = _as_vector_fn(f)
-    grid = m.probe_grid()
-    fvals = np.asarray(fn(grid), dtype=float)
-    lo, hi = spec.interval
-    if np.any(fvals <= lo) or np.any(fvals >= hi):
-        raise QuadError(
-            f"f range [{fvals.min():.3g}, {fvals.max():.3g}] leaves the phi interval"
-        )
-    z = m.normalization(cfg)
-    mean = _mu_integral(m, f, cfg).value / z
-    phi_of_f = _mu_integral(m, lambda x: spec.phi_fn(fn(x)), cfg).value / z
-    ent = phi_of_f - float(spec.phi_fn(np.asarray(mean)))
-    df = ex.simplify(ex.differentiate(f))
-    dfn = _as_vector_fn(df)
-    sig = m.sigma_fn
-    rhs = _mu_integral(
-        m, lambda x: spec.phi_dd_fn(fn(x)) * (sig(x) * dfn(x)) ** 2, cfg
-    ).value / z
-    return ent, rhs
 
 
 # ---- median -------------------------------------------------------------

@@ -191,6 +191,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "['epz']" in err
 
+    @pytest.mark.parametrize("section", ["bounds", "oracle"])
+    @pytest.mark.parametrize("R", [0, -1, float("nan")], ids=["zero", "negative", "nan"])
+    def test_bad_radius_exit_2(self, tmp_path, capsys, section, R):
+        # R = -1 on quartic used to exit 0 with false "no spectral gap" rows
+        cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"}, section: {"R": R}})
+        assert cli.main([section, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"{section}.R must be finite" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "oracle"])
+    @pytest.mark.parametrize("R", ["0", "-1", "nan"])
+    def test_bad_radius_flag_exit_2(self, tmp_path, capsys, command, R):
+        cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"}})
+        assert cli.main([command, "--config", cfg, "--radius", R]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "R must be finite and positive" in err
+
     def test_precondition_violation_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "model": {"gallery": "ou"},

@@ -62,64 +62,59 @@ class TestMCConfig:
             mc.MCConfig(horizon=horizon)
 
 
+def evolve(m, x0, cfg, integrand=None):
+    """One start point through the Euler loop: its endpoints, pathwise
+    integrals of ``integrand`` and survivors."""
+    (X, integ, alive), = mc._evolve([(m, 1, integrand)], [x0], cfg)
+    return X[0], integ[0], alive[0]
+
+
 class TestSimulate:
+    """Path simulation by the Euler loop, from one start point."""
+
     def test_mean_reversion(self):
         # E X_t = x0 e^{-t} for drift -x
         cfg = mc.MCConfig(step=5e-3, horizon=3.0, paths=20000, seed=7)
-        ens = mc.simulate(ou(), 2.0, cfg)
-        vals = ens.endpoints[~ens.flagged]
+        vals, _, alive = evolve(ou(), 2.0, cfg)
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
         assert abs(float(np.mean(vals)) - 2.0 * math.exp(-3.0)) < 3.0 * se
-        assert ens.flagged_fraction == 0.0
-        assert ens.steps == 600
+        assert alive.all()
+        assert cfg.n_steps() == 600
 
     def test_driftless_variance_speed_two(self):
         # dX = sqrt(2) dB gives Var X_t = 2t
         m = md.build_model(sigma="1", drift="0", name="free", tail_kind="exponential")
         cfg = mc.MCConfig(step=2e-3, horizon=1.0, paths=20000, seed=3)
-        ens = mc.simulate(m, 0.0, cfg)
-        v = float(np.var(ens.endpoints, ddof=1))
+        ends, _, _ = evolve(m, 0.0, cfg)
+        v = float(np.var(ends, ddof=1))
         assert abs(v - 2.0) < 3.0 * 2.0 * math.sqrt(2.0 / cfg.paths)
 
     def test_unit_weight_dual_shares_the_law(self):
         cfg = mc.MCConfig(step=5e-3, horizon=0.5, paths=2000, seed=11)
-        a = mc.simulate(ou(), 0.7, cfg)
-        b = mc.simulate(unit_dual(ou()), 0.7, cfg)
-        assert np.array_equal(a.endpoints, b.endpoints)
+        a = evolve(ou(), 0.7, cfg)[0]
+        b = evolve(unit_dual(ou()), 0.7, cfg)[0]
+        assert np.array_equal(a, b)
 
     def test_pathwise_functional_integral(self):
         # E int_0^t X_s ds = x0 (1 - e^{-t})
         cfg = mc.MCConfig(step=2e-3, horizon=1.0, paths=20000, seed=13)
-        ens = mc.simulate(ou(), 1.5, cfg, functional="x")
-        vals = ens.integrals
+        _, vals, _ = evolve(ou(), 1.5, cfg, integrand=ex.X)
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
         exact = 1.5 * (1.0 - math.exp(-1.0))
         assert abs(float(np.mean(vals)) - exact) < 3.0 * se + 5.0 * cfg.dt() * exact
 
-    def test_callable_functional_is_refused(self):
-        # the loop integrates expressions only; a payoff may still be a callable
-        cfg = mc.MCConfig(step=5e-3, horizon=0.5, paths=1000, seed=13)
-        with pytest.raises(md.ModelError, match="path functional must be an expression"):
-            mc.simulate(ou(), 1.5, cfg, functional=lambda x: x)
-
     def test_determinism(self):
         cfg = mc.MCConfig(step=5e-3, horizon=0.5, paths=1000, seed=29)
-        a = mc.simulate(ou(), 0.0, cfg)
-        b = mc.simulate(ou(), 0.0, cfg)
-        assert np.array_equal(a.endpoints, b.endpoints)
-
-    def test_majority_blow_up_raises(self):
-        m = md.build_model(sigma="1", drift="x", name="grow", tail_kind="exponential")
-        cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=4.0)
-        with pytest.raises(mc.MCError, match="explosive"):
-            mc.simulate(m, 2.0, cfg)
+        a = evolve(ou(), 0.0, cfg)[0]
+        b = evolve(ou(), 0.0, cfg)[0]
+        assert np.array_equal(a, b)
 
     def test_partial_blow_up_flags_nan(self):
         m = md.build_model(sigma="1", drift="x", name="grow", tail_kind="exponential")
         cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=3.5)
-        ens = mc.simulate(m, 0.0, cfg)
-        assert 0.0 < ens.flagged_fraction <= 0.5
-        assert int(np.isnan(ens.endpoints).sum()) == int(ens.flagged.sum())
+        ends, _, alive = evolve(m, 0.0, cfg)
+        assert 0.0 < float(np.mean(~alive)) <= 0.5
+        assert int(np.isnan(ends).sum()) == int((~alive).sum())
 
 
 def _reference_evolve(m, starts, cfg, integrand=None):

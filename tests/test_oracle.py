@@ -186,17 +186,6 @@ class TestEigensolver:
         assert _decimal_sturm_count(op.diag, op.offdiag, lo * (1.0 - 1e-13)) == 1
         assert _decimal_sturm_count(op.diag, op.offdiag, hi * (1.0 + 1e-13)) == 2
 
-    @pytest.mark.parametrize("make", [gaussian, quartic])
-    def test_smallest_eigenvalues_match_kth(self, make):
-        op = orc.discretize(make(), n=1500)
-        together = orc.smallest_eigenvalues(op.diag, op.offdiag, k=3)
-        one_by_one = [orc.kth_smallest_eigenvalue(op.diag, op.offdiag, j)
-                      for j in (1, 2, 3)]
-        # both bracket the same Sturm transitions to LAPACK's relative
-        # floor of 2 ulp, so they agree to a few ulp
-        np.testing.assert_allclose(together, one_by_one,
-                                   rtol=4 * np.finfo(float).eps, atol=0)
-
     def test_reflecting_kernel_mode_is_zero(self):
         op = orc.discretize(gaussian(), n=1000)
         lam0 = orc.kth_smallest_eigenvalue(op.diag, op.offdiag, 1)
@@ -218,10 +207,6 @@ class TestEigensolver:
             orc.kth_smallest_eigenvalue(op.diag, op.offdiag, 0)
         with pytest.raises(orc.OracleError):
             orc.kth_smallest_eigenvalue(op.diag, op.offdiag, 65)
-        with pytest.raises(orc.OracleError):
-            orc.smallest_eigenvalues(op.diag, op.offdiag, k=0)
-        with pytest.raises(orc.OracleError):
-            orc.smallest_eigenvalues(op.diag, op.offdiag, k=65)
 
     def test_eigenvector_residual(self):
         op = orc.discretize(quartic(), n=2000)
@@ -244,23 +229,19 @@ class TestEigensolver:
 
 
 class _ScipyLinalg:
-    """The two LAPACK wrappers the oracle calls with a matrix alone, at the
-    wrappers' call signatures, computed by scipy.linalg's public routines
+    """The LAPACK wrapper the oracle calls with a matrix alone, at the
+    wrapper's call signature, computed by scipy.linalg's public routine
     instead."""
 
     def __init__(self):
-        from scipy.linalg import eigh_tridiagonal, solve_banded
+        from scipy.linalg import solve_banded
 
-        self.eigh_tridiagonal, self.solve_banded = eigh_tridiagonal, solve_banded
+        self.solve_banded = solve_banded
 
     def dgtsv(self, dl, d, du, b):
         ab = np.zeros((3, len(d)))
         ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
         return None, None, None, self.solve_banded((1, 1), ab, b), 0
-
-    def dstevd(self, d, e, compute_v):
-        assert compute_v == 1
-        return (*self.eigh_tridiagonal(d, e), 0)
 
 
 def _interval(boundary):
@@ -294,12 +275,10 @@ class TestLapackWrappers:
         if name == "stiff-quartic":
             assert np.max(op.diag) > 1e8
         for k in (1, 2, 3):
-            for first in (1, k):
-                ref = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
-                                       select_range=(first - 1, k - 1),
-                                       tol=np.finfo(float).tiny)
-                direct = orc._eigenvalues(op.diag, op.offdiag, first, k)
-                assert direct.tobytes() == ref.tobytes(), (first, k)
+            ref = eigh_tridiagonal(op.diag, op.offdiag, eigvals_only=True, select="i",
+                                   select_range=(k - 1, k - 1), tol=np.finfo(float).tiny)
+            direct = orc.kth_smallest_eigenvalue(op.diag, op.offdiag, k)
+            assert np.float64(direct).tobytes() == ref.tobytes(), k
 
     @pytest.mark.parametrize("name", sorted(_LAPACK_OPERATORS))
     def test_eigenvector_equals_solve_banded(self, monkeypatch, name):
@@ -307,13 +286,6 @@ class TestLapackWrappers:
         lam = orc._gap_of(op)
         direct, ref = self._both(monkeypatch, lambda: orc.eigenvector(op, lam))
         assert direct.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-    def test_heat_evolution_equals_eigh_tridiagonal(self, monkeypatch, boundary):
-        f = lambda y: np.cos(3.0 * y) + y
-        direct, ref = self._both(
-            monkeypatch, lambda: orc.heat_evolve_fd(_interval(boundary), f, 0.05, n=256))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(direct, ref))
 
     def test_non_finite_entry_never_reaches_lapack(self, monkeypatch):
         op = orc.discretize(gaussian(), n=64)
@@ -325,7 +297,7 @@ class TestLapackWrappers:
         off = op.offdiag.copy()
         off[7] = np.inf
         with pytest.raises(orc.OracleError, match="non-finite"):
-            orc.smallest_eigenvalues(op.diag, off, 2)
+            orc.kth_smallest_eigenvalue(op.diag, off, 2)
         with pytest.raises(orc.OracleError, match="non-finite"):
             orc.eigenvector(op, np.nan)
         with pytest.raises(orc.OracleError, match="do not match"):
@@ -369,6 +341,12 @@ class TestDiscretize:
             orc.discretize(free_ends)
         with pytest.raises(orc.OracleError, match="coarse"):
             orc.discretize(gaussian(), n=4)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_radius_refused(self, R):
+        # R = 0 used to divide by zero, and R < 0 built a reversed grid
+        with pytest.raises(orc.OracleError, match="finite and positive"):
+            orc.discretize(gaussian(), R=R, n=64)
 
     def test_killed_dual_ground_state_equals_base_gap(self):
         # the optimally weighted dual killed at its own rate has ground
@@ -488,38 +466,3 @@ class TestHeatKernels:
             orc.heat_kernel(0.0, 0.3, 0.4, "neumann")
         with pytest.raises(orc.OracleError, match="boundary"):
             orc.heat_kernel(0.1, 0.3, 0.4, "robin")
-
-
-class TestHeatEvolution:
-    def test_fd_matches_kernel(self):
-        f = lambda y: y * y * (3.0 - 2.0 * y)
-        grid, ev = orc.heat_evolve_fd(unit_heat(), f, t=0.1, n=1024)
-        sub = slice(None, None, 97)
-        ref = orc.kernel_apply(0.1, f, grid[sub], boundary="neumann")
-        assert np.max(np.abs(ev[sub] - ref)) < 1e-5
-
-    def test_fd_matches_kernel_dirichlet(self):
-        f = lambda y: y * y * (3.0 - 2.0 * y)
-        grid, ev = orc.heat_evolve_fd(unit_heat("dirichlet"), f, t=0.1, n=1024)
-        sub = slice(None, None, 97)
-        ref = orc.kernel_apply(0.1, f, grid[sub], boundary="dirichlet")
-        assert np.max(np.abs(ev[sub] - ref)) < 1e-5
-
-    def test_conserves_constants(self):
-        # reflected Ornstein-Uhlenbeck on (0,1) makes the conserved ground
-        # mode a genuine h^{1/2}, not a flat vector
-        ou01 = md.build_model(sigma="1", drift="-x", domain=(0.0, 1.0),
-                              boundary="neumann", name="ou01")
-        for m in (unit_heat(), ou01):
-            for n in (256, 1024):
-                grid, ev = orc.heat_evolve_fd(m, lambda y: np.ones_like(y), 0.3, n=n)
-                assert np.max(np.abs(ev - 1.0)) < 1e-12, (m.name, n)
-
-    def test_long_time_limit_is_mean(self):
-        f = lambda y: y * y * (3.0 - 2.0 * y)  # mean over (0,1) is 1/2
-        grid, ev = orc.heat_evolve_fd(unit_heat(), f, t=5.0, n=512)
-        assert np.max(np.abs(ev - 0.5)) < 1e-8
-
-    def test_line_models_rejected(self):
-        with pytest.raises(orc.OracleError, match="interval"):
-            orc.heat_evolve_fd(gaussian(), lambda y: y, 0.1)

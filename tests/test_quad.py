@@ -1,4 +1,4 @@
-"""Quadrature, measure functionals and the phi-entropy machinery.
+"""Quadrature, measure expectations and the phi admissibility check.
 
 Reference values are closed forms or scipy.integrate results computed
 independently of the adaptive integrator under test.
@@ -314,27 +314,15 @@ class TestGridsAndCumulative:
 
 
 class TestMeasureFunctionals:
-    def test_gaussian_moments(self):
-        m = std_normal()
-        f = q.functionals(m, ex.X)
-        assert abs(f.mean) < 1e-10
-        assert abs(f.var - 1.0) < 1e-8
-        assert f.entropy is None  # x is not positive
-        assert abs(f.dirichlet - 1.0) < 1e-8
-
     def test_gaussian_exponential_moments(self):
-        # for X ~ N(0,1): E e^X = sqrt(e), E e^{2X} = e^2, Ent(e^X) = sqrt(e)/2
+        # for X ~ N(0,1): E e^X = sqrt(e), E e^{2X} = e^2, E X e^X = sqrt(e),
+        # so Ent(e^X) = E e^X log e^X - E e^X log E e^X = sqrt(e)/2
         m = std_normal()
-        f = q.functionals(m, ex.exp(ex.X))
-        assert abs(f.mean - math.exp(0.5)) < 1e-8
-        assert abs(f.var - (math.exp(2.0) - math.exp(1.0))) < 1e-7
-        assert abs(f.entropy - math.exp(0.5) / 2.0) < 1e-8
-        assert abs(f.dirichlet - math.exp(2.0)) < 1e-7
-
-    def test_dirichlet_none_for_bare_callables(self):
-        m = std_normal()
-        f = q.functionals(m, lambda x: x * x)
-        assert f.dirichlet is None
+        mean = q.mu_expectation(m, ex.exp(ex.X))
+        assert abs(mean - math.exp(0.5)) < 1e-8
+        assert abs(q.mu_expectation(m, ex.parse("exp(2*x)")) - math.exp(2.0)) < 1e-7
+        ent = q.mu_expectation(m, ex.parse("x*exp(x)")) - mean * math.log(mean)
+        assert abs(ent - math.exp(0.5) / 2.0) < 1e-8
 
     def test_mu_expectation_normalized(self):
         m = std_normal()
@@ -382,13 +370,13 @@ class TestPhiSpecs:
                 q.PhiSpec.beckner(p)
 
     def test_custom_expression_matches_builtin(self):
-        m = std_normal()
         custom = q.PhiSpec.custom(ex.parse("x*log(x)"), (0.0, math.inf))
-        f = ex.parse("exp(x/2)")
-        e1 = q.phi_entropy(m, f, custom)
-        e2 = q.phi_entropy(m, f, q.PhiSpec.log_sobolev())
-        assert abs(e1[0] - e2[0]) < 1e-10
-        assert abs(e1[1] - e2[1]) < 1e-10
+        builtin = q.PhiSpec.log_sobolev()
+        u = np.geomspace(1e-3, 1e3, 61)
+        for derivative in ("phi_dd_fn", "phi_ddd_fn"):
+            np.testing.assert_allclose(getattr(custom, derivative)(u),
+                                       getattr(builtin, derivative)(u), rtol=1e-14)
+        assert q.validate_phi(custom).ok
 
     def test_gaussian_isoperimetric_phi_rejected(self):
         # phi = -I with I(u) the isoperimetric profile pdf(ndtri(u)):
@@ -398,12 +386,11 @@ class TestPhiSpecs:
             z = ndtri(np.asarray(u, dtype=float))
             return np.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
 
-        spec = q.PhiSpec.custom_callable(
-            phi=lambda u: -profile(u),
-            phi_dd=lambda u: 1.0 / profile(u),
-            phi_ddd=lambda u: -ndtri(np.asarray(u, dtype=float)) / profile(u) ** 2,
-            interval=(0.0, 1.0),
+        spec = q.PhiSpec(
             name="isoperimetric",
+            interval=(0.0, 1.0),
+            phi_dd_fn=lambda u: 1.0 / profile(u),
+            phi_ddd_fn=lambda u: -ndtri(np.asarray(u, dtype=float)) / profile(u) ** 2,
         )
         v = q.validate_phi(spec)
         assert not v.ok
@@ -412,12 +399,11 @@ class TestPhiSpecs:
     def test_nonconvex_reciprocal_rejected(self):
         # phi = -log(1+u) on (0, inf): phi'' = (1+u)^{-2} > 0 and phi'''
         # keeps one sign, but -1/phi'' = -(1+u)^2 is concave
-        spec = q.PhiSpec.custom_callable(
-            phi=lambda u: -np.log1p(u),
-            phi_dd=lambda u: (1.0 + np.asarray(u, dtype=float)) ** -2.0,
-            phi_ddd=lambda u: -2.0 * (1.0 + np.asarray(u, dtype=float)) ** -3.0,
-            interval=(0.0, math.inf),
+        spec = q.PhiSpec(
             name="neglog",
+            interval=(0.0, math.inf),
+            phi_dd_fn=lambda u: (1.0 + np.asarray(u, dtype=float)) ** -2.0,
+            phi_ddd_fn=lambda u: -2.0 * (1.0 + np.asarray(u, dtype=float)) ** -3.0,
         )
         v = q.validate_phi(spec)
         assert not v.ok
@@ -428,49 +414,3 @@ class TestPhiSpecs:
         v = q.validate_phi(spec)
         assert not v.ok
         assert any("positive" in r for r in v.reasons)
-
-
-class TestPhiEntropy:
-    def test_poincare_pair_is_variance_pair(self):
-        m = std_normal()
-        f = ex.parse("x^2")
-        ent, rhs = q.phi_entropy(m, f, q.PhiSpec.poincare())
-        fx = q.functionals(m, f)
-        assert abs(ent - fx.var) < 1e-8
-        assert abs(rhs - 2.0 * fx.dirichlet) < 1e-7
-
-    def test_beckner_closed_form(self):
-        # f = e^{x/2} under N(0,1): E f^p = e^{p^2/8}, so
-        # Ent_p = e^{p^2/8} - e^{p/8}
-        m = std_normal()
-        f = ex.parse("exp(x/2)")
-        for p in (1.5, 1.25):
-            ent, rhs = q.phi_entropy(m, f, q.PhiSpec.beckner(p))
-            ref = math.exp(p * p / 8.0) - math.exp(p / 8.0)
-            assert abs(ent - ref) < 1e-9
-            assert rhs > 0
-
-    def test_beckner_limit_recovers_log_sobolev(self):
-        # Ent_p(f)/(p-1) -> Ent(f) as p -> 1, at first order in p-1:
-        # the gap to the limit must keep shrinking as p - 1 halves
-        m = std_normal()
-        f = ex.parse("exp(x/2)")
-        ls = q.phi_entropy(m, f, q.PhiSpec.log_sobolev())[0]
-        assert abs(ls - math.exp(1.0 / 8.0) / 8.0) < 1e-9
-        gaps = []
-        for p in (1.5, 1.25, 1.125, 1.0625):
-            ent = q.phi_entropy(m, f, q.PhiSpec.beckner(p))[0]
-            gaps.append(abs(ent / (p - 1.0) - ls))
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] < gaps[0] / 4.0
-
-    def test_range_guard(self):
-        m = std_normal()
-        with pytest.raises(q.QuadError, match="interval"):
-            q.phi_entropy(m, ex.X, q.PhiSpec.log_sobolev())
-
-    def test_inadmissible_phi_refused(self):
-        m = std_normal()
-        bad = q.PhiSpec.custom(ex.parse("-x^2"), (-math.inf, math.inf))
-        with pytest.raises(q.QuadError, match="admissible"):
-            q.phi_entropy(m, ex.X, bad)
