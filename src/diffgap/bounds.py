@@ -78,6 +78,12 @@ class OptConfig:
     R: float | None = None
     quad: q.QuadConfig | None = None
 
+    def __post_init__(self):
+        if self.R is not None and not (math.isfinite(self.R) and self.R > 0):
+            raise BoundError(f"R must be finite and positive, got {self.R}")
+        if self.grid_points < 1:
+            raise BoundError(f"grid_points must be >= 1, got {self.grid_points}")
+
     def quad_cfg(self) -> q.QuadConfig:
         return self.quad or q.QuadConfig()
 

@@ -1,16 +1,17 @@
 """Monte-Carlo checks of the semigroup identities behind the bounds.
 
-Paths follow dX = sqrt(2) sigma(X) dB + b(X) dt by Euler-Maruyama with a
-fixed step.  The weighted-gradient identity a (P_t f)' = E[(a f')(X^a_t)
-exp(-int V_a)] and its convex one-sided version are tested as statistical
-identities: both sides are estimated from independent ensembles and
-compared through a z-score.  At each horizon the base-model sides of a
-run's checks draw the seed's stream and their dual sides one stream of
-their own, so the two sides of a check are independent while the checks
-share common random numbers on each side.  One Euler loop (``_evolve``)
-steps every ensemble.  Everything is deterministic given the seed; all
-checks are 3-sigma tests, not precision benchmarks, so the integrator
-stays first order.
+Paths follow dX = sqrt(2) sigma(X) dB + b(X) dt by a weak Euler scheme with
+a fixed step, whose increments are three-point draws that match the
+standard normal's moments up to order 5 (``_increments``).  The
+weighted-gradient identity a (P_t f)' = E[(a f')(X^a_t) exp(-int V_a)] and
+its convex one-sided version are tested as statistical identities: both
+sides are estimated from independent ensembles and compared through a
+z-score.  At each horizon the base-model sides of a run's checks draw the
+seed's stream and their dual sides one stream of their own, so the two
+sides of a check are independent while the checks share common random
+numbers on each side.  One Euler loop (``_evolve``) steps every ensemble.
+Everything is deterministic given the seed; all checks are 3-sigma tests,
+not precision benchmarks, so the integrator stays first order.
 """
 
 from __future__ import annotations
@@ -73,8 +74,10 @@ def _derive_seed(seed: int, tag: int) -> int:
 class MCConfig:
     """Simulation knobs.
 
-    The step is adjusted to divide the horizon exactly.  With antithetic
-    on, paths are driven in +/- increment pairs, so the count must be even.
+    The step is adjusted to divide the horizon exactly.  ``seed`` keys the
+    Philox stream of the three-point increments (``_increments``).  With
+    antithetic on, paths are driven in +/- increment pairs, so the count
+    must be even.
     """
 
     step: float = 1e-3
@@ -107,20 +110,46 @@ class MCConfig:
         return self.horizon / self.n_steps()
 
 
+# The law of every increment.  A float32 uniform from numpy's Generator is
+# k 2^-24 with k uniform on [0, 2^24); xi = +a where k < K, -a where
+# k >= 2^24 - K, else 0.  Both cut points are exact in float32, so the law is
+# symmetric: E xi = E xi^3 = E xi^5 = 0, E xi^2 = 2K a^2 / 2^24 = 1 and
+# E xi^4 = a^2 = 3 - 1/K, the moments of N(0, 1) that a weak first-order
+# Euler scheme needs.
+_K = 2_796_203  # ceil(2^24 / 6)
+_LOW = np.float32(_K / 2**24)
+_HIGH = np.float32((2**24 - _K) / 2**24)
+_A = math.sqrt(2**24 / (2 * _K))  # about sqrt(3)
+
+
 def _increments(cfg: MCConfig):
-    """Per-step standard-normal draws, shape (paths,); antithetic pairs share
-    magnitudes with opposite signs.  Every step's draws overwrite the one
-    array this yields."""
+    """Per-step three-point draws, shape (paths,): +/-a with probability
+    K / 2^24 (about 1/6) each, else 0, matching the standard normal's moments
+    up to order 5, so the Euler scheme keeps its weak order one.  Antithetic
+    pairs are (xi, -xi).  The stream is Philox keyed by ``cfg.seed``, one
+    float32 uniform per draw.  Every step's draws overwrite the one array
+    this yields; the uniforms share its bytes, and the two masks (the first
+    then holds their difference) are allocated once, before the first
+    step."""
     rng = np.random.Generator(np.random.Philox(key=int(cfg.seed) & _MASK64))
     z = np.empty(cfg.paths)
-    half = cfg.paths // 2
-    head, tail = z[:half], z[half:]
+    n = cfg.paths // 2 if cfg.antithetic else cfg.paths
+    head, tail = z[:n], z[n:]
+    # the uniforms fill the first half of head's bytes, which the signs
+    # overwrite only once both masks are read off them
+    u = head.view(np.float32)[:n]
+    up, down = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    sign = up.view(np.int8)
     for _ in range(cfg.n_steps()):
+        rng.random(dtype=np.float32, out=u)
+        np.less(u, _LOW, out=up)
+        np.greater_equal(u, _HIGH, out=down)
+        # on int8 views of the masks, so no ufunc casts (and buffers) a bool
+        np.subtract(sign, down.view(np.int8), out=sign)
+        np.copyto(head, sign)
+        head *= _A
         if cfg.antithetic:
-            rng.standard_normal(out=head)
             np.negative(head, out=tail)
-        else:
-            rng.standard_normal(out=z)
         yield z
 
 
@@ -232,7 +261,8 @@ class _Rows:
 
 
 def _evolve(groups, starts, cfg: MCConfig):
-    """The Euler loop: every start point driven by one stream of increments.
+    """The Euler loop: every start point driven by one stream of
+    three-point increments (``_increments``), X + b dt + sqrt(2 dt) sigma z.
 
     ``groups`` splits ``starts`` into consecutive runs of rows: a group
     ``(model, k, integrand)`` steps the next k starts under its model's drift

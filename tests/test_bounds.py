@@ -250,6 +250,20 @@ class TestParameterBox:
         with pytest.raises(bd.BoundError, match="parameters"):
             self.SEARCHES[bound]("a*x + b*x^2 + c*x^3 + d*x^4", bd.OptConfig(box={}))
 
+    @pytest.mark.parametrize("kw", [
+        {"R": 0.0}, {"R": -1.0}, {"R": math.nan}, {"R": math.inf},
+        {"grid_points": 0}, {"grid_points": -3},
+    ], ids=["R-zero", "R-negative", "R-nan", "R-inf", "grid-zero", "grid-negative"])
+    def test_bad_radius_or_grid_refused(self, kw):
+        # an empty grid makes every box search read infeasible, and a radius
+        # that is not positive breaks muckenhoupt's log grid and veysseire's scan
+        with pytest.raises(bd.BoundError, match="R must be finite and positive|grid_points"):
+            bd.OptConfig(**kw)
+
+    def test_smallest_grid_and_a_radius_accepted(self):
+        cfg = bd.OptConfig(grid_points=1, R=60.0)
+        assert (cfg.grid_points, cfg.R) == (1, 60.0)
+
 
 class TestVeysseire:
     def test_ou_exact(self):

@@ -208,6 +208,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "R must be finite and positive" in err
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_bad_grid_points_exit_2(self, tmp_path, capsys, points):
+        # an empty grid would report the box searches infeasible; a negative
+        # one would reach np.linspace
+        cfg = write_cfg(tmp_path, {"model": {"gallery": "quartic"},
+                                   "bounds": {"grid_points": points}})
+        assert cli.main(["bounds", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "grid_points must be >= 1" in err
+
     def test_precondition_violation_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "model": {"gallery": "ou"},

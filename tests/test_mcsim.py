@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,49 @@ class TestMCConfig:
     def test_horizon_must_be_finite(self, horizon):
         with pytest.raises(mc.MCConfigError, match="finite"):
             mc.MCConfig(horizon=horizon)
+
+
+class TestIncrementLaw:
+    """The three-point law of the Euler increments: +/-a with probability
+    p = K / 2^24 each, else 0."""
+
+    def test_constants_and_exact_moments(self):
+        K, a = mc._K, mc._A
+        assert K == -(-2**24 // 6)
+        # the cut points are exact in float32: k < K and k >= 2^24 - K
+        assert float(mc._LOW) * 2**24 == K and mc._LOW.dtype == np.float32
+        assert float(mc._HIGH) * 2**24 == 2**24 - K and mc._HIGH.dtype == np.float32
+        p = Fraction(K, 2**24)  # as many k give +a as give -a: odd moments vanish
+        a2 = Fraction(2**24, 2 * K)
+        assert 2 * p * a2 == 1  # E xi^2
+        assert 2 * p * a2**2 == 3 - Fraction(1, K)  # E xi^4
+        assert abs(a * a - float(a2)) <= 2 * math.ulp(3.0)
+        assert abs(float(2 * p) * a**4 - 3.0) < 1e-6
+
+    def test_values_frequencies_and_fourth_moment(self):
+        cfg = mc.MCConfig(step=1e-3, horizon=0.05, paths=20000, seed=4)
+        a, p = mc._A, mc._K / 2**24
+        counts = np.zeros(3, dtype=np.int64)  # -a, 0, a
+        m4 = m8 = 0.0
+        for z in mc._increments(cfg):
+            counts += [(z == -a).sum(), (z == 0.0).sum(), (z == a).sum()]
+            z4 = z**4
+            m4 += float(z4.sum())
+            m8 += float((z4 * z4).sum())
+        n = cfg.paths * cfg.n_steps()
+        assert n >= 10**6
+        assert counts.sum() == n  # no value besides -a, 0 and a
+        for count, prob in zip(counts, (p, 1 - 2 * p, p)):
+            assert abs(count - n * prob) < 5 * math.sqrt(n * prob * (1 - prob))
+        m4, m8 = m4 / n, m8 / n
+        assert abs(m4 - 3.0) < 5 * math.sqrt((m8 - m4 * m4) / n)
+
+    def test_antithetic_pairs(self):
+        cfg = mc.MCConfig(step=1e-3, horizon=0.02, paths=2000, seed=4, antithetic=True)
+        for z in mc._increments(cfg):
+            head, tail = z[:1000], z[1000:]
+            assert np.array_equal(tail, -head)
+            assert np.isin(head, [-mc._A, 0.0, mc._A]).all()
 
 
 def evolve(m, x0, cfg, integrand=None):
@@ -204,7 +248,7 @@ class TestEvolveMatchesReference:
     def test_partial_blow_up(self):
         cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=4.0)
         (X, _, alive), = self.assert_same([(_grow(), 1, ex.X)], [0.5], cfg)
-        assert float(np.mean(~alive)) == 0.1925
+        assert float(np.mean(~alive)) == 0.1675
         assert np.array_equal(np.isnan(X), ~alive)
 
 
@@ -666,8 +710,8 @@ class TestSharedBasePaths:
         got, _ = mc.run_checks(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
         r = got[0]
         assert [v.hex() for v in (r.lhs, r.rhs, r.lhs_err, r.rhs_err, r.zscore)] == [
-            "0x1.da87f78843124p-2", "0x1.d2c3db8a40d60p-2", "0x1.b9687bc6b2340p-8",
-            "0x1.1c56871aaf4b9p-9", "0x1.12607313a2867p+0"]
+            "0x1.d4118323ed84ep-2", "0x1.d511c2026e9f2p-2", "0x1.be7468680dd11p-8",
+            "0x1.119bf31313591p-9", "0x1.18f87bd3c0303p-3"]
         assert r.conclusive
 
     @staticmethod
@@ -677,19 +721,19 @@ class TestSharedBasePaths:
     def test_mc_check_subintertwining_is_pinned(self):
         _, got = mc.run_checks(quartic(), MC_CHECK_CFG, MC_CHECK_INTER, MC_CHECK_SUB)
         assert self.hexes(got[0]) == [
-            "0x1.fec5eb277fb91p-4", "0x1.31da04fa37c62p-3", "0x1.ed8eb588d9ac8p-9",
-            "0x1.cae4c86e9fb61p-10", "0x1.7bc635b5382bdp+2"]
+            "0x1.f41399d49bebcp-4", "0x1.3347df4d27f58p-3", "0x1.ee3aa15680c40p-9",
+            "0x1.cd2f4510b7e00p-10", "0x1.adea20a325b40p+2"]
         assert got[0].conclusive
 
     def test_antithetic_mc_check_is_pinned(self):
         cfg = replace(MC_CHECK_CFG, antithetic=True)
         inter, sub = mc.run_checks(quartic(), cfg, MC_CHECK_INTER, MC_CHECK_SUB)
         assert self.hexes(inter[0]) == [
-            "0x1.d4538af63515ap-2", "0x1.d795bdc0fe07cp-2", "0x1.94b9b085506b1p-8",
-            "0x1.5cccb4c45fbcfp-9", "0x1.e49440a1f7582p-2"]
+            "0x1.df1f715e4f4dfp-2", "0x1.d25ae2651049ep-2", "0x1.851304a91be8bp-8",
+            "0x1.70d4c125c4548p-9", "0x1.e5d7b1976e1fep+0"]
         assert self.hexes(sub[0]) == [
-            "0x1.f38752d93f713p-4", "0x1.3635d6db0ef7dp-3", "0x1.c69873383605ap-9",
-            "0x1.f37b1d34b3594p-10", "0x1.dd5775c0bbe92p+2"]
+            "0x1.054d0e8b5f601p-3", "0x1.3161dbc5299f5p-3", "0x1.c00c4c425dfa3p-9",
+            "0x1.ffcbe4c2e3fd9p-10", "0x1.5deecb8607c0fp+2"]
         assert inter[0].conclusive and sub[0].conclusive
 
     def test_cauchy_intertwining_is_pinned(self):
@@ -699,8 +743,8 @@ class TestSharedBasePaths:
                                   md.WeightSpec.direct("sqrt(1+x^2)"), "tanh(x)", 0.5, 0.3,
                                   MC_CHECK_CFG)
         assert self.hexes(r) == [
-            "0x1.47e4ae97791bfp-2", "0x1.48c1ffccb77f7p-2", "0x1.867d72fbeb8bcp-10",
-            "0x1.8f62771180a49p-10", "0x1.95bca16ba507ap-2"]
+            "0x1.476ca8f75f006p-2", "0x1.46c6b56665258p-2", "0x1.7e6bf908c0db7p-10",
+            "0x1.9017ea8398929p-10", "0x1.3309c9d4a0173p-2"]
         assert r.conclusive
 
     def test_ensembles_only_read_caches(self, monkeypatch):
@@ -792,13 +836,13 @@ class TestSharedDualJob:
             assert np.array([r.rhs, r.rhs_err]).tobytes() == np.array([fk.mean, fk.std_err]).tobytes()
 
     def test_one_dual_partly_blows_up(self):
-        # the grow dual keeps drift x and loses 19.25 % of its paths past radius
+        # the grow dual keeps drift x and loses 16.75 % of its paths past radius
         # 4; the ou duals around it lose none, and none moves another
         cfg = mc.MCConfig(step=1e-3, horizon=1.0, paths=400, seed=3, blow_up_radius=4.0)
         duals = [unit_dual(ou()), md.realize_weight(_grow(), md.WeightSpec.direct("1")),
                  unit_dual(ou())]
         rows = mc._evolve([mc._fk_group(d) for d in duals], [0.5, 0.5, 0.5], cfg)
-        assert [float(np.mean(~alive)) for _, _, alive in rows] == [0.0, 0.1925, 0.0]
+        assert [float(np.mean(~alive)) for _, _, alive in rows] == [0.0, 0.1675, 0.0]
         for d, paths in zip(duals, rows):
             alone, = mc._evolve([mc._fk_group(d)], [0.5], cfg)
             assert [a.tobytes() for a in paths] == [a.tobytes() for a in alone]
