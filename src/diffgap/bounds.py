@@ -250,6 +250,12 @@ def minimize(fun, x0, maxiter: int, xatol: float, fatol: float) -> OptResult:
     return OptResult(sim[0], np.min(fsim), iterations, nfev)
 
 
+def _unit_sign(v: float) -> float:
+    """numpy's ``np.sign(v) + (v == 0)`` on a float: 1.0 at either zero or
+    above, -1.0 below, NaN at NaN."""
+    return 1.0 if v >= 0.0 else -1.0 if v < 0.0 else math.nan
+
+
 def minimize_scalar(fun, bounds: tuple[float, float], xatol: float) -> OptResult:
     """Minimum of ``fun`` on ``bounds`` by Brent's method (Brent 1973):
     golden-section steps with parabolic interpolation, no step shorter than
@@ -257,11 +263,17 @@ def minimize_scalar(fun, bounds: tuple[float, float], xatol: float) -> OptResult
 
     A port of scipy's ``minimize_scalar(method="bounded")`` (fminbound), with
     the same evaluations and the same stop, so x and fun match scipy's bit
-    for bit.  nit = nfev counts the evaluations.
+    for bit.  nit = nfev counts the evaluations.  The bookkeeping runs on
+    Python floats: scipy's ``np.abs``, ``np.sign`` and ``np.maximum`` become
+    ``abs``, ``_unit_sign`` and a comparison that lets a NaN through, as
+    ``np.maximum`` does (inside the loop both only ever see finite values,
+    since a NaN or infinite xf - xm ends it first).  No division is by zero:
+    a parabolic step needs |p| < |q r| / 2.
     """
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = bounds
+    a, b = float(bounds[0]), float(bounds[1])
+    xatol = float(xatol)
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
@@ -269,29 +281,31 @@ def minimize_scalar(fun, bounds: tuple[float, float], xatol: float) -> OptResult
     num = 1
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
         golden = True
-        if np.abs(e) > tol1:  # try a parabola through the three best points
+        if abs(e) > tol1:  # try a parabola through the three best points
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
             p = (xf - fulc) * q - (xf - nfc) * r
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
+            q = abs(q)
             r, e = e, rat
-            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
                 golden = False
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+                    rat = tol1 * _unit_sign(xm - xf)
         if golden:
             e = a - xf if xf >= xm else b - xf
             rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        step = abs(rat)  # np.maximum(|rat|, tol1), NaN if either is
+        step = step if step >= tol1 else tol1 if step < tol1 else math.nan
+        x = xf + _unit_sign(rat) * step
         fu = fun(x)
         num += 1
         if fu <= fx:
@@ -313,7 +327,7 @@ def minimize_scalar(fun, bounds: tuple[float, float], xatol: float) -> OptResult
             elif fu <= ffulc or fulc == xf or fulc == nfc:
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if num >= 500:
             break
@@ -356,14 +370,19 @@ def _refine_min(d: md.DualModel, xs: np.ndarray, vals: np.ndarray, xatol: float)
     lower neighbour is skipped: that neighbour is among the three, so the
     valley's grid minimum is refined all the same."""
     best = float(np.min(vals))
-    for i in np.argpartition(vals, 3)[:3]:
-        lo, hi = max(i - 1, 0), min(i + 1, len(xs) - 1)
-        if xs[hi] <= xs[lo] or vals[lo] < vals[i] or vals[hi] < vals[i]:
-            continue
-        r = minimize_scalar(lambda t: float(d.v_fn(float(t))), bounds=(xs[lo], xs[hi]),
-                            xatol=xatol)
-        if np.isfinite(r.fun):
-            best = min(best, float(r.fun))
+    # V_a's compiled function on np.float64 points: the values of
+    # float(d.v_fn(t)), bit for bit, without evaluate's cost per call
+    rate, c = ex.compiled([d.v_expr])
+    p = d.params
+    with np.errstate(all="ignore"):
+        for i in np.argpartition(vals, 3)[:3]:
+            lo, hi = max(i - 1, 0), min(i + 1, len(xs) - 1)
+            if xs[hi] <= xs[lo] or vals[lo] < vals[i] or vals[hi] < vals[i]:
+                continue
+            r = minimize_scalar(lambda t: float(rate(np.float64(t), c, p)[0]),
+                                bounds=(xs[lo], xs[hi]), xatol=xatol)
+            if math.isfinite(r.fun):
+                best = min(best, r.fun)
     return best
 
 
@@ -553,8 +572,8 @@ def veysseire_lower(m: md.DiffusionModel, cfg: OptConfig | None = None) -> Bound
     anchor = m.anchor
     try:
         with np.errstate(all="ignore"):
-            r = q._mu_integral(m, lambda x: 1.0 / np.asarray(d.v_fn(x), dtype=float),
-                               qc, breakpoints=(anchor,))
+            r = q._mu_integral(m, ex.div(ex.const(1.0), d.v_expr), qc, breakpoints=(anchor,),
+                               params=d.params)
     except q.QuadError:
         return _infeasible("veysseire", "lambda1", "lower",
                            "1/V_sigma is not mu-integrable")
@@ -636,8 +655,11 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
     core = q.cumulative_on_grid(coref, t)
     cells = q.simpson_cells(dens, t)
     # a tail mass multiplies a core integral about its reciprocal in size,
-    # so it needs relative accuracy, whatever the absolute tolerance
-    qc = replace(cfg.quad_cfg(), abs_tol=0.0)
+    # so it needs relative accuracy, whatever the absolute tolerance (which
+    # alone sets the accuracy where the relative one is 0)
+    qc = cfg.quad_cfg()
+    if qc.rel_tol > 0:
+        qc = replace(qc, abs_tol=0.0)
     if math.isfinite(edge) and T >= edge:
         beyond = 0.0
     elif sgn > 0:
@@ -764,16 +786,11 @@ def brascamp_lieb_var_bound(
         raise BoundError(f"positive killing rate required (min V_a = {vmin:.6g})")
     f = md._parse_or_expr(f, "test function")
     df = ex.simplify(ex.differentiate(f))
-    sig = m.sigma_fn
+    # (sigma f')^2 / V_a with the weight's parameters bound, so that f's own
+    # stay unbound
+    integrand = ex.div(ex.pow_(ex.mul(m.sigma, df), 2), ex.substitute(d.v_expr, d.params))
     qc = cfg.quad_cfg()
     anchor = m.anchor
-
-    def integrand(x):
-        s = np.asarray(sig(x), dtype=float)
-        return (s * np.asarray(ex.evaluate(df, x), dtype=float)) ** 2 / np.asarray(
-            d.v_fn(x), dtype=float
-        )
-
     with np.errstate(all="ignore"):
         bound = q.mu_expectation(m, integrand, qc, breakpoints=(anchor,))
         mean = q.mu_expectation(m, f, qc, breakpoints=(anchor,))
@@ -798,32 +815,26 @@ def _rayleigh_quotient(m: md.DiffusionModel, fam: ex.Expr, names: list[str], qc:
     Values therefore depend on the order of the calls."""
     f = ex.simplify(fam)
     df = ex.simplify(ex.differentiate(f))
-    ff = ex.mul(f, f)
-    sig = m.sigma_fn
+    # the integrands (sigma f')^2, f and f^2, each bound to theta's params
+    integrands = (ex.pow_(ex.mul(m.sigma, df), 2), f, ex.mul(f, f))
     anchor = m.anchor
     z = m.normalization(qc)
     cold = (anchor,)
     starts = [cold, cold, cold]
 
-    def mu_integral(i, g):
-        r = q._mu_integral(m, g, qc, breakpoints=starts[i])
+    def mu_integral(i, p):
+        g = integrands[i]
+        r = q._mu_integral(m, g, qc, breakpoints=starts[i], params=p)
         if not r.converged and starts[i] is not cold:
-            r = q._mu_integral(m, g, qc, breakpoints=cold)
+            r = q._mu_integral(m, g, qc, breakpoints=cold, params=p)
         starts[i] = (anchor, *r.carry)
         return r
 
     def quotient(theta):
         p = dict(zip(names, theta))
-
-        def energy_integrand(x):
-            s = np.asarray(sig(x), dtype=float)
-            return (s * np.asarray(ex.evaluate(df, x, p), dtype=float)) ** 2
-
         try:
             with np.errstate(all="ignore"):
-                num = mu_integral(0, energy_integrand)
-                mean = mu_integral(1, lambda x: ex.evaluate(f, x, p))
-                second = mu_integral(2, lambda x: ex.evaluate(ff, x, p))
+                num, mean, second = (mu_integral(i, p) for i in range(3))
         except q.QuadError:
             return math.inf, math.inf
         # normalized moments: the unnormalized mean squared can overflow

@@ -255,7 +255,11 @@ def _check_radius(cfg: dict, section: str) -> dict:
 def opt_from_config(cfg: dict) -> bd.OptConfig:
     sec = _check_radius(cfg, "bounds")
     kw = {k: sec[k] for k in ("R", "grid_points") if k in sec}
-    return bd.OptConfig(quad=q.QuadConfig(**cfg.get("quad", {})), **kw)
+    try:
+        qc = q.QuadConfig(**cfg.get("quad", {}))
+    except ValueError as e:  # its message starts with the field
+        raise ConfigError(f"quad.{e}") from e
+    return bd.OptConfig(quad=qc, **kw)
 
 
 def mc_from_config(cfg: dict) -> mc.MCConfig:

@@ -50,6 +50,13 @@ arrays of a few hundred points :func:`evaluate` is as fast or faster, since
 each call with ``out=`` costs a little more; on arrays of 2e4 points the
 kernel takes about a third of its time.  So :func:`evaluate` keeps its own
 emitter.
+
+:func:`compiled` hands out that emitter's function for one or more trees
+lowered together, returning their values as a tuple.  It serves the hot
+loops of small evaluations, where ``evaluate``'s own cost per call (the
+``np.errstate`` it enters and its conversions, about 3 us) exceeds the
+work: the scalar killing rate under bounded Brent, and an integrand and
+the measure density evaluated together in each quadrature round.
 """
 
 from __future__ import annotations
@@ -85,6 +92,7 @@ __all__ = [
     "to_string",
     "evaluate",
     "kernel",
+    "compiled",
     "differentiate",
     "simplify",
     "substitute",
@@ -573,10 +581,11 @@ class _Lowering:
         """The step at which each operand is read for the last time."""
         return {v: i for i, (_, _, reads, _) in enumerate(self.steps) for v in reads}
 
-    def source(self, result: str) -> str:
-        """The function's source.  A temporary is deleted after its last
-        read, so no more arrays are alive at once than in a tree walk,
-        apart from the repeated subtrees kept for reuse.
+    def source(self, result: str | tuple[str, ...]) -> str:
+        """The function's source: it returns ``result``'s value, or the
+        tuple of the values of several results.  A temporary is deleted
+        after its last read, so no more arrays are alive at once than in a
+        tree walk, apart from the repeated subtrees kept for reuse.
 
         A dying temporary is reused in place: when the first operand of an
         infix chain (an n-ary sum or product, or a quotient's numerator) is
@@ -585,7 +594,10 @@ class _Lowering:
         order are the same, so the values are bit-identical.  A temporary
         is a fresh array of x's shape, or a numpy scalar that ``*=``
         replaces instead of writing, so ``x`` itself is never written."""
+        results = (result,) if isinstance(result, str) else result
         last = self.last_reads()
+        for r in results:
+            last[r] = len(self.steps)  # alive until the function returns
         lines = ["def _f(x, c, p):"]
         if self.consts:
             lines.append("    " + "".join(f"c{k}, " for k in range(len(self.consts))) + "= c")
@@ -596,10 +608,10 @@ class _Lowering:
                 lines.extend(f"    {name} {kind}= {v}" for v in reads[1:])
             else:
                 lines.append(f"    {name} = {_text(kind, reads, arg)}")
-            dead = [v for v in dict.fromkeys(reads) if v[0] == "t" and last[v] == i and v != result]
+            dead = [v for v in dict.fromkeys(reads) if v[0] == "t" and last[v] == i]
             if dead:
                 lines.append(f"    del {', '.join(dead)}")
-        lines.append(f"    return {result}")
+        lines.append(f"    return {result if isinstance(result, str) else ', '.join(results) + ','}")
         return "\n".join(lines) + "\n"
 
     def kernel_source(self, roots: list[str]) -> tuple[str, int, tuple]:
@@ -772,26 +784,50 @@ class Kernel(NamedTuple):
         self.fn(x, self.consts, params, w)
 
 
-# kernels by the identity of their trees; a kernel keeps its trees alive, so
-# no other tree can take their ids while it is cached
-_KERNELS: dict[tuple, Kernel] = {}
-_MAX_KERNELS = 256
+# kernels and compiled functions by the identity of their trees; an entry
+# keeps its trees alive, so no other tree can take their ids while it is cached
+_LOWERED: dict[tuple, tuple] = {}
+_MAX_LOWERED = 256
+
+
+def _lowered(kind: str, trees: list[Expr], lower: Callable):
+    """``lower()``, kept by ``kind`` and the identity of ``trees``."""
+    key = (kind, *map(id, trees))
+    got = _LOWERED.get(key)
+    if got is None:
+        if len(_LOWERED) >= _MAX_LOWERED:
+            _LOWERED.pop(next(iter(_LOWERED)))
+        got = _LOWERED[key] = (lower(), tuple(trees))
+    return got[0]
 
 
 def kernel(trees: list[Expr]) -> Kernel:
     """The kernel of ``trees``, lowered together so that their common
     subtrees are computed once; every call computes every tree.  Kernels
     are kept by the identity of their trees; lowering one writes no tree."""
-    key = tuple(map(id, trees))
-    got = _KERNELS.get(key)
-    if got is None:
+    def lower():
         low = _Lowering()
         source, size, slots = low.kernel_source([low.node(t) for t in trees])
-        got = Kernel(_function(source), tuple(low.consts), size, slots, tuple(trees))
-        if len(_KERNELS) >= _MAX_KERNELS:
-            _KERNELS.pop(next(iter(_KERNELS)), None)
-        _KERNELS[key] = got
-    return got
+        return Kernel(_function(source), tuple(low.consts), size, slots, tuple(trees))
+
+    return _lowered("kernel", trees, lower)
+
+
+def compiled(trees: list[Expr]) -> tuple[Callable, tuple]:
+    """``trees`` lowered together into one function ``f`` and its constants
+    ``c``: ``f(x, c, params)`` returns the tuple of the trees' values at a
+    float ndarray or ``np.float64`` ``x``, computing their common subtrees
+    once.  The steps are those of ``evaluate``, so every value is
+    bit-identical to its ``evaluate``.  A call costs no more than the steps:
+    it converts nothing and enters no ``np.errstate``, so floating-point
+    warnings follow the caller's, and a value may be a numpy scalar or ``x``
+    itself, which the caller must not write.  Kept by the identity of the
+    trees, as kernels are; lowering writes no tree."""
+    def lower():
+        low = _Lowering()
+        return _function(low.source(tuple(low.node(t) for t in trees))), tuple(low.consts)
+
+    return _lowered("compiled", trees, lower)
 
 
 def evaluate(e: Expr, x, params: Mapping[str, float] | None = None):

@@ -117,6 +117,11 @@ class DiffusionModel:
     _u_fn: Callable | None = field(default=None, repr=False)
     _z_cache: dict = field(default_factory=dict, repr=False)
     _grid_cache: dict = field(default_factory=dict, repr=False)
+    # h = e^{-U}/sigma^2 as one tree where U is one, else None
+    density_expr: ex.Expr | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.density_expr = None if self.u_expr is None else _density_tree(self.sigma, self.u_expr)
 
     # ---- basic callables ------------------------------------------------
 
@@ -163,7 +168,10 @@ class DiffusionModel:
         return self._u_fn(x)
 
     def density(self, x):
-        """Unnormalized measure density h = e^{-U}/sigma^2 (IEEE semantics)."""
+        """Unnormalized measure density h = e^{-U}/sigma^2 (IEEE semantics):
+        ``density_expr`` where U is a tree, else U's antiderivative."""
+        if self.density_expr is not None:
+            return ex.evaluate(self.density_expr, x)
         xs = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
             out = np.exp(-np.asarray(self.U(xs), dtype=float)) / ex.evaluate(self.sigma, xs) ** 2
@@ -268,6 +276,17 @@ def build_model(
         bad = grid[~np.isfinite(hvals)][0]
         raise ModelError(f"measure density not finite at probe point x = {bad:.6g}")
     return m
+
+
+def _density_tree(sigma: ex.Expr, u: ex.Expr) -> ex.Expr:
+    """exp(-U)/sigma^2 with the operations of ``np.exp(-U) / sigma ** 2``,
+    whose ``** 2`` numpy computes as a square, so the tree's product
+    sigma*sigma gives the same bits on arrays; exp(-U) alone where sigma is
+    the constant 1, which only divides by 1."""
+    h = ex.exp(ex.neg(u))
+    if sigma.op == "const" and sigma.value == 1.0:
+        return h
+    return ex.div(h, ex.pow_(sigma, 2))
 
 
 def _check_bound(e: ex.Expr, what: str) -> None:

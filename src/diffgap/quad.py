@@ -33,8 +33,9 @@ overflowed is NaN in IEEE arithmetic, yet the measure puts no mass there.
 On top of the integrator sit the normalized expectation against a measure
 (``mu_expectation``), the median solver, and the phi of an entropy
 inequality (``PhiSpec``) with its admissibility validator.  These take any
-object exposing the model attributes (density, support, normalization) and
-never import the model module, keeping the dependency one-way.
+object exposing the model attributes (density, support, normalization, and
+``density_expr`` where the density is one expression tree) and never import
+the model module, keeping the dependency one-way.
 """
 
 from __future__ import annotations
@@ -112,9 +113,27 @@ class QuadError(Exception):
 
 @dataclass(frozen=True)
 class QuadConfig:
+    """Tolerances and panel budget of ``integrate``, which stops once the
+    error is within max(abs_tol, rel_tol*|value|).  Both tolerances must be
+    finite and >= 0 and one of them positive, rel_tol below 1 (a relative
+    error of 1 accepts any first estimate), and max_subdivisions at least 1;
+    anything else raises ValueError, its message starting with the field."""
+
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
+
+    def __post_init__(self):
+        for name in ("abs_tol", "rel_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if self.abs_tol == 0 and self.rel_tol == 0:
+            raise ValueError("abs_tol and rel_tol are both 0; one must be positive")
+        if not self.rel_tol < 1:
+            raise ValueError(f"rel_tol must be below 1, got {self.rel_tol}")
+        if not self.max_subdivisions >= 1:
+            raise ValueError(f"max_subdivisions must be at least 1, got {self.max_subdivisions}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +152,13 @@ class IntegrationResult:
         return self.value
 
 
-def _as_vector_fn(f) -> Callable[[np.ndarray], np.ndarray]:
+def _as_vector_fn(f, params=None) -> Callable[[np.ndarray], np.ndarray]:
+    """f as a function of an x array; an Expr's parameters bound by params."""
     if isinstance(f, ex.Expr):
-        missing = ex.free_params(f)
+        missing = ex.free_params(f) - (params or {}).keys()
         if missing:
             raise QuadError(f"integrand has unbound parameters {sorted(missing)!r}")
-        return lambda x: ex.evaluate(f, x)
+        return lambda x: ex.evaluate(f, x, params)
     if callable(f):
         return lambda x: np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
     raise QuadError(f"integrand must be an Expr or callable, got {type(f)!r}")
@@ -327,16 +347,32 @@ def cumulative_on_grid(fn, x: np.ndarray) -> np.ndarray:
 # ---- measure functionals ------------------------------------------------
 
 
-def _mu_integral(m, g, cfg: QuadConfig, breakpoints=()) -> IntegrationResult:
+def _mu_integral(m, g, cfg: QuadConfig, breakpoints=(), params=None) -> IntegrationResult:
     """Integral of g against the unnormalized measure density of m; the
-    integrand is 0 wherever the density is 0, even where g overflows."""
-    dens = m.density
-    gf = _as_vector_fn(g)
+    integrand is 0 wherever the density is 0, even where g overflows.  An
+    expression g may carry parameters, bound by ``params``.
 
-    def integrand(x):
-        h = dens(x)
-        with np.errstate(all="ignore"):
-            return np.where(h == 0.0, 0.0, gf(x) * h)
+    Where m also carries its density as a tree (``density_expr``), an
+    expression g is compiled together with it (``expr.compiled``), so each
+    quadrature round makes one compiled call for both; the values are
+    those of ``g`` times ``m.density``, bit for bit."""
+    gf = _as_vector_fn(g, params)  # refuses an expression's unbound parameters
+    h_expr = getattr(m, "density_expr", None)
+    if isinstance(g, ex.Expr) and h_expr is not None:
+        both, c = ex.compiled([h_expr, g])
+        p = params or {}
+
+        def integrand(x):
+            with np.errstate(all="ignore"):
+                h, gx = both(x, c, p)
+                return np.where(h == 0.0, 0.0, gx * h)
+    else:
+        dens = m.density
+
+        def integrand(x):
+            h = dens(x)
+            with np.errstate(all="ignore"):
+                return np.where(h == 0.0, 0.0, gf(x) * h)
 
     lo, hi = m.support
     return integrate(integrand, lo, hi, cfg, breakpoints=breakpoints)

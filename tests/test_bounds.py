@@ -115,9 +115,14 @@ class TestRhoOfWeight:
 
 def test_refine_min_refines_each_valley_once(monkeypatch):
     # two off-grid valleys; the three lowest grid points are -1.1 and -1.0
-    # on the left and 1.0 on the right, where the true minimum is lower
+    # on the left and 1.0 on the right, where the true minimum is lower.
+    # The rate is the smaller of the two parabolas, min(u, w) = (u + w - |u - w|)/2,
+    # as a tree: _refine_min evaluates V_a's compiled tree
+    u, w = ex.parse("0.3*(x + 1.04)^2"), ex.parse("4*(x - 0.96)^2 - 0.01")
+    rate = ex.mul(ex.const(0.5), ex.add(u, w, ex.neg(ex.absval(ex.add(u, ex.neg(w))))))
+
     def v(x):
-        return np.minimum(0.3 * (x + 1.04) ** 2, 4.0 * (x - 0.96) ** 2 - 0.01)
+        return ex.evaluate(rate, x)
 
     xs = np.linspace(-2.0, 2.0, 41)
     vals = v(xs)
@@ -133,10 +138,57 @@ def test_refine_min_refines_each_valley_once(monkeypatch):
         return minimize_scalar(*args, **kw)
 
     monkeypatch.setattr(bd, "minimize_scalar", recorded)
-    got = bd._refine_min(SimpleNamespace(v_fn=v), xs, vals, xatol)
+    got = bd._refine_min(SimpleNamespace(v_expr=rate, params={}), xs, vals, xatol)
     assert got == min(valleys) == pytest.approx(-0.01)
     # -1.1 has the strictly lower neighbour -1.0, so each valley is refined once
     assert sorted(brackets) == [(xs[9], xs[11]), (xs[29], xs[31])]
+
+
+@pytest.mark.parametrize("model, spec, params", [
+    (quartic, md.WeightSpec.z_form("eps*x"), {"eps": 1.2712299}),
+    (lambda: power(1.5), md.WeightSpec.z_form("eps*x"), {"eps": 1.0}),
+    (cauchy, md.WeightSpec.direct("1+x^2"), {}),
+], ids=["quartic-slope", "power-1.5-slope", "cauchy-direct"])
+def test_refine_min_is_brent_on_the_public_rate(monkeypatch, model, spec, params):
+    # _refine_min runs V_a's compiled tree on np.float64 points; every
+    # refinement must be the one minimize_scalar makes over the public
+    # float(d.v_fn(float(t))), bit for bit
+    d = md.realize_weight(model(), spec, params)
+    xs, vals, _ = bd._scan_rate(d, None, bd._SCAN_POINTS, "{bad}")
+    xatol = 1e-10 * (xs[-1] - xs[0])
+    runs = []
+    minimize_scalar = bd.minimize_scalar
+
+    def recorded(fun, bounds, xatol):
+        r = minimize_scalar(fun, bounds=bounds, xatol=xatol)
+        runs.append((bounds, xatol, r))
+        return r
+
+    monkeypatch.setattr(bd, "minimize_scalar", recorded)
+    got = bd._refine_min(d, xs, vals, xatol)
+    assert runs
+    best = float(np.min(vals))
+    for bounds, tol, r in runs:
+        ref = minimize_scalar(lambda t: float(d.v_fn(float(t))), bounds=bounds, xatol=tol)
+        assert (_bits(r.x), _bits(r.fun), r.nfev) == (_bits(ref.x), _bits(ref.fun), ref.nfev)
+        if math.isfinite(ref.fun):
+            best = min(best, float(ref.fun))
+    assert _bits(got) == _bits(best)
+
+
+def test_refine_min_log_of_negative_raises_where_evaluate_does():
+    # the grid minimum is at 0, so Brent brackets [-0.01, 0.01]; its first
+    # point, 0.382 of the way in, has x + 0.001 < 0, and the compiled call
+    # raises there with the message of the public evaluation
+    rate = ex.parse("x^2 + log(x + 0.001)")
+    xs = np.linspace(-0.1, 0.1, 21)
+    with pytest.raises(ex.EvalError) as ref:
+        bd.minimize_scalar(lambda t: float(ex.evaluate(rate, float(t))),
+                           bounds=(xs[9], xs[11]), xatol=1e-10)
+    with pytest.raises(ex.EvalError) as got:
+        bd._refine_min(SimpleNamespace(v_expr=rate, params={}), xs, xs**2, 1e-10)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).startswith("log of negative argument at x = -0.00")
 
 
 def _bits(v) -> bytes:
@@ -192,12 +244,24 @@ def test_nelder_mead_port_matches_scipy(fun, x0, opts):
     (lambda x: math.floor(8.0 * abs(x - 0.6)), (0.0, 2.0)),  # ties
     (lambda x: math.nan if x > 0.5 else (x - 0.2) ** 2, (0.0, 2.0)),
     (lambda x: math.nan, (0.0, 1.0)),
-], ids=["abs", "quadratic", "bracket-end", "terraced", "nan-part", "nan"])
-@pytest.mark.parametrize("xatol", [1e-5, 1e-10])
+    # infinities make the parabola's p and q inf - inf = NaN
+    (lambda x: math.inf if x > 0.7 else (x - 0.6) ** 2, (0.0, 2.0)),
+    (lambda x: math.inf if x < 1.2 else (x - 1.5) ** 2, (0.0, 2.0)),
+    (lambda x: -math.inf if x < 0.1 else (x - 0.6) ** 2, (0.0, 2.0)),
+    (lambda x: -math.inf if abs(x - 0.3) < 1e-3 else abs(x - 0.3), (0.0, 1.0)),
+    (lambda x: math.inf, (0.0, 1.0)),
+    # the brackets _refine_min passes: neighbouring grid points, np.float64
+    (lambda x: (x - 1.3) ** 2 - 2.0, (np.float64(-4.0), np.float64(3.0))),
+    (lambda x: abs(x - 0.37), tuple(np.linspace(-2.0, 2.0, 41)[[23, 25]])),
+], ids=["abs", "quadratic", "bracket-end", "terraced", "nan-part", "nan",
+        "inf-right", "inf-left", "neginf-left", "neginf-valley", "inf",
+        "float64-bracket", "grid-bracket"])
+@pytest.mark.parametrize("xatol", [1e-5, 1e-10, np.float64(4e-10)])
 def test_bounded_brent_port_matches_scipy(fun, bounds, xatol):
     from scipy.optimize import minimize_scalar
 
-    ref = minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
+    with np.errstate(all="ignore"):  # scipy's numpy scalars warn on inf - inf
+        ref = minimize_scalar(fun, bounds=bounds, method="bounded", options={"xatol": xatol})
     got = bd.minimize_scalar(fun, bounds=bounds, xatol=xatol)
     assert _bits(got.x) == _bits(ref.x)
     assert _bits(got.fun) == _bits(ref.fun)
@@ -217,6 +281,14 @@ class TestChenWang:
         assert abs(r.params["eps"] - Z_OPT[0]) < 1e-3
         assert r.error_budget["opt_gap"] >= 0.0
         assert r.value <= QUARTIC_GAP
+
+    def test_quartic_family_pinned_bits(self):
+        # every refinement runs Brent on the compiled killing rate; a
+        # change there that moves a digit fails these pinned bits
+        cfg = bd.OptConfig(box={"eps": (0.1, 3.0)})
+        r = bd.chen_wang_lower(quartic(), md.WeightSpec.z_form(ex.parse("eps*x")), cfg)
+        assert (r.params["rho"].hex(), r.params["eps"].hex()) == (
+            "0x1.3da57e4f1f709p+0", "0x1.456f5374bc6a7p+0")
 
     def test_double_well_family_optimum(self):
         cfg = bd.OptConfig(box={"eps": (0.1, 3.0)})
@@ -447,6 +519,14 @@ class TestRayleigh:
         assert abs(r.params["eps"] - RAYLEIGH_OPT[0]) < 1e-4
         assert r.value >= QUARTIC_GAP
 
+    def test_quartic_family_pinned_bits(self):
+        # the search evaluates its integrands compiled with the density
+        # tree; a change there that moves a digit fails these pinned bits
+        cfg = bd.OptConfig(box={"eps": (0.55, 2.0)})
+        r = bd.rayleigh_upper(quartic(), ex.parse(self.FAMILY), cfg)
+        assert (r.value.hex(), r.params["eps"].hex(), r.error_budget["quad_err"].hex()) == (
+            "0x1.6d011207a8403p+0", "0x1.b51d8624dd2f0p-1", "0x1.a573c067778cdp-28")
+
     def test_linear_member_is_inverse_variance(self):
         m = quartic()
         r = bd.rayleigh_upper(m, "x")
@@ -515,8 +595,8 @@ class TestRayleigh:
         warm = []
         mu_integral = q._mu_integral
 
-        def recorded(model, g, quad_cfg, breakpoints=()):
-            r = mu_integral(model, g, quad_cfg, breakpoints)
+        def recorded(model, g, quad_cfg, breakpoints=(), params=None):
+            r = mu_integral(model, g, quad_cfg, breakpoints, params)
             if len(breakpoints) > 1:  # carried panels besides the anchor
                 warm.append(r.converged)
             return r

@@ -598,6 +598,23 @@ def test_malformed_value_exits_2(tmp_path, capsys, command, key, text):
     assert "configuration error:" in err and key in err
 
 
+# quadrature settings that are well-formed numbers but mean nothing: a NaN
+# rel_tol was ignored, an infinite one accepted every first estimate, and
+# zero tolerances or no subdivisions ended in "normalization did not converge"
+@pytest.mark.parametrize("setting, key", [
+    ("rel_tol: .nan", "quad.rel_tol"), ("rel_tol: .inf", "quad.rel_tol"),
+    ("rel_tol: 1.0", "quad.rel_tol"), ("abs_tol: -1.0", "quad.abs_tol"),
+    ("abs_tol: 0.0, rel_tol: 0.0", "quad.abs_tol and rel_tol"),
+    ("max_subdivisions: 0", "quad.max_subdivisions"),
+])
+def test_meaningless_quad_setting_exits_2(tmp_path, capsys, setting, key):
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"model: {{gallery: quartic}}\nquad: {{{setting}}}\n")
+    assert cli.main(["bounds", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key} ") and "converge" not in err
+
+
 @pytest.mark.parametrize("command", ["inspect", "oracle"])
 def test_null_means_absent(tmp_path, command):
     nulls = {"model": {"gallery": "quartic", "params": None},

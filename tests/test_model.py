@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from diffgap import expr as ex
+from diffgap import gallery as gal
 from diffgap import model as md
 from diffgap import quad as q
 
@@ -131,6 +132,27 @@ class TestDensity:
         ref = (1.0 + xs * xs) ** (-BETA)
         assert np.max(np.abs(m.density(xs) - ref)) < 1e-12
         assert np.max(np.abs(m.log_density(xs) - np.log(ref))) < 1e-12
+
+    @pytest.mark.parametrize("name, kw", [
+        ("ou", {}), ("quartic", {}), ("smoothed-exponential", {}),
+        ("power", {"alpha": 1.5}), ("power", {"alpha": 2.861}),
+        ("double-well", {"beta": 0.5}),
+        ("cauchy", {}), ("cauchy", {"variant": "linear"}),  # sigma depends on x
+        ("drift", {}),  # U is numeric: the antiderivative path
+    ])
+    def test_density_matches_the_two_call_formula_bit_for_bit(self, name, kw):
+        # a U given as a tree makes the density one compiled tree
+        # exp(-U)/sigma^2 (exp(-U) for sigma = 1); its values are those of
+        # exp(-U(x)) / sigma(x)**2, byte for byte, on and off the probe grid
+        m = (md.build_model(sigma="1", drift="-x^3") if name == "drift"
+             else gal.gallery_model(name, **kw))
+        assert (m.density_expr is None) == (name == "drift")
+        xs = np.concatenate([m.probe_grid(), np.linspace(-60.0, 60.0, 4001),
+                             np.geomspace(1e-8, 1e8, 301), -np.geomspace(1e-8, 1e8, 301)])
+        with np.errstate(all="ignore"):
+            ref = np.exp(-np.asarray(m.U(xs), dtype=float)) / m.sigma_fn(xs) ** 2
+        got = m.density(xs)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_normalization_cached(self):
         m = std_normal()

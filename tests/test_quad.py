@@ -259,15 +259,17 @@ class TestBatchedRefinement:
             assert not r.converged
 
     def test_stops_at_floating_resolution(self):
-        # a step two ulps into a four-ulp interval: no tolerance is reachable
-        # and no panel can be halved below one ulp, so the loop must end
+        # a step two ulps into a four-ulp interval: the smallest positive
+        # tolerance is not reachable and no panel can be halved below one
+        # ulp, so the loop must end, unconverged
         a = 1.0
         step = np.nextafter(np.nextafter(a, 2.0), 2.0)
         b = np.nextafter(np.nextafter(step, 2.0), 2.0)
-        cfg = q.QuadConfig(abs_tol=0.0, rel_tol=0.0)
+        cfg = q.QuadConfig(abs_tol=5e-324, rel_tol=0.0)
         r = q.integrate(lambda x: (x >= step).astype(float), a, b, cfg)
         assert 1 <= r.subdivisions <= 4
         assert math.isfinite(r.value) and 0.0 <= r.value <= b - a
+        assert not r.converged
 
     @pytest.mark.parametrize("f, a, b", [
         (lambda x: x * np.exp(-x), 0, 3),  # integer endpoints
@@ -281,6 +283,31 @@ class TestBatchedRefinement:
         r = q.integrate(f, a, b)
         assert r.converged
         assert abs(r.value - ref) < 1e-9
+
+
+class TestQuadConfig:
+    @pytest.mark.parametrize("kw, field", [
+        ({"rel_tol": math.nan}, "rel_tol"),  # max(abs_tol, nan*|v|) ignores it
+        ({"rel_tol": math.inf}, "rel_tol"),  # accepts every first estimate
+        ({"rel_tol": 1.0}, "rel_tol"),
+        ({"rel_tol": -1e-8}, "rel_tol"),
+        ({"abs_tol": -1.0}, "abs_tol"),
+        ({"abs_tol": math.nan}, "abs_tol"),
+        ({"abs_tol": math.inf}, "abs_tol"),
+        ({"abs_tol": 0.0, "rel_tol": 0.0}, "abs_tol and rel_tol"),  # nothing converges
+        ({"max_subdivisions": 0}, "max_subdivisions"),
+        ({"max_subdivisions": -5}, "max_subdivisions"),
+    ])
+    def test_meaningless_settings_refused_at_construction(self, kw, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            q.QuadConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"abs_tol": 0.0}, {"rel_tol": 0.0}, {"rel_tol": 0.5}, {"max_subdivisions": 1},
+    ])
+    def test_meaningful_settings_accepted(self, kw):
+        cfg = q.QuadConfig(**kw)
+        assert q.integrate(lambda x: np.exp(-x), 0.0, 1.0, cfg).subdivisions >= 1
 
 
 class TestGridsAndCumulative:
@@ -328,6 +355,40 @@ class TestMeasureFunctionals:
         m = std_normal()
         assert abs(q.mu_expectation(m, lambda x: np.ones_like(x)) - 1.0) < 1e-10
         assert abs(q.mu_expectation(m, ex.parse("x^2")) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("model", [
+        std_normal,
+        lambda: md.build_model(sigma="sqrt(1+x^2)", target_potential="2.5*log(1+x^2)"),
+        lambda: md.build_model(sigma="1", drift="-x^3"),  # numeric U: no density tree
+        lambda: md.build_model(sigma="1+x^2", target_potential="x^2", domain=(-1.0, 2.0)),
+    ], ids=["gaussian", "cauchy", "numeric-U", "interval"])
+    @pytest.mark.parametrize("g, params", [
+        ("exp(x)", {}), ("(a*x)^2", {"a": 0.7}), ("x*(x^2)^((e-1)/2)", {"e": 0.85}),
+        # overflows where the gaussian density has underflowed to 0; the
+        # heavy tails make it an error
+        ("exp(x^2/4)", {}),
+    ])
+    def test_expression_integrand_matches_callable(self, model, g, params):
+        # an expression is compiled with the density tree; its results, or
+        # the error, are those of the callable g(x) * density(x), bit for bit
+        m = model()
+        cfg = q.QuadConfig()
+        tree = ex.parse(g)
+
+        def outcome(integrand, **kw):
+            try:
+                r = q._mu_integral(m, integrand, cfg, breakpoints=(0.5,), **kw)
+            except q.QuadError as e:
+                return str(e)
+            return r.value.hex(), r.err_est.hex(), r.subdivisions, r.edges
+
+        got = outcome(tree, params=params)
+        assert got == outcome(lambda x: ex.evaluate(tree, x, params))
+        assert isinstance(got, tuple) or got.startswith("integrand is infinite"), got
+
+    def test_expression_integrand_unbound_parameter_refused(self):
+        with pytest.raises(q.QuadError, match="unbound parameters"):
+            q._mu_integral(std_normal(), ex.parse("a*x"), q.QuadConfig(), params={"b": 1.0})
 
     def test_median_symmetric(self):
         m = std_normal()
