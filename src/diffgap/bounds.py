@@ -547,13 +547,6 @@ def chen_wang_lower(
 # ---- integrated lower bound ---------------------------------------------
 
 
-def _require_unit_sigma(m: md.DiffusionModel, method: str) -> None:
-    g = m.probe_grid()
-    vals = np.asarray(ex.evaluate(m.sigma, g), dtype=float)
-    if not np.all(np.abs(vals - 1.0) <= 1e-12):
-        raise BoundError(f"{method} requires unit diffusion coefficient")
-
-
 def veysseire_lower(m: md.DiffusionModel, cfg: OptConfig | None = None) -> BoundReport:
     """Integrated lower bound lambda1 >= 1 / mu(1/V_sigma), V_sigma > 0."""
     cfg = cfg or OptConfig()
@@ -705,7 +698,8 @@ def muckenhoupt(m: md.DiffusionModel, cfg: OptConfig | None = None) -> Muckenhou
     """Two-sided gap bracket 1/(4B) <= lambda1 <= 2/B from the product of
     tail mass and reciprocal-density core integral around the median."""
     cfg = cfg or OptConfig()
-    _require_unit_sigma(m, "the Muckenhoupt criterion")
+    if not md._sigma_is_one(m):
+        raise BoundError("the Muckenhoupt criterion requires unit diffusion coefficient")
     med = q.median(m, cfg.quad_cfg())
     bp, xp, ep, notes_p = _muck_side(m, med, +1, cfg)
     bm, xm, em, notes_m = _muck_side(m, med, -1, cfg)

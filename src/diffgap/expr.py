@@ -27,7 +27,9 @@ u^0.5).  A power whose exponent does not fold to a constant is desugared to
 exp(exponent*log(base)); this is what makes parameter exponents such as
 abs(x)^eps expressible, and it agrees with the constant-exponent power
 wherever the base is positive (and in the limit 0 at base 0 with positive
-exponent, because log evaluates to -inf there).
+exponent, because log evaluates to -inf there).  Python's parser tokenizes
+(``ast.parse``, with ``^`` read as ``**``); :func:`parse` keeps the nodes of
+this grammar and refuses the rest, Python keywords as names included.
 
 Evaluation follows IEEE semantics: +-inf and NaN propagate.  The only hard
 evaluation errors are an unbound parameter and log of a strictly negative
@@ -61,8 +63,11 @@ the measure density evaluated together in each quadrature round.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
@@ -266,148 +271,80 @@ def sqrt(e) -> Expr:
 # ---- parsing ------------------------------------------------------------
 
 
-@dataclass
-class _Token:
-    kind: str  # 'num', 'name', 'op', 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(s: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and s[i + 1].isdigit()):
-            j = i
-            seen_exp = False
-            while j < n:
-                cj = s[j]
-                if cj.isdigit() or cj == ".":
-                    j += 1
-                elif cj in "eE" and not seen_exp and j + 1 < n and (
-                    s[j + 1].isdigit() or (s[j + 1] in "+-" and j + 2 < n and s[j + 2].isdigit())
-                ):
-                    seen_exp = True
-                    j += 2 if s[j + 1] in "+-" else 1
-                else:
-                    break
-            text = s[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ParseError(f"bad number {text!r}", s, i) from None
-            tokens.append(_Token("num", text, i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (s[j].isalnum() or s[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", s[i:j], i))
-            i = j
-        elif s.startswith("**", i):
-            tokens.append(_Token("op", "^", i))
-            i += 2
-        elif c in "+-*/^(),":
-            tokens.append(_Token("op", c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", s, i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.k = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
-    def next(self) -> _Token:
-        t = self.tokens[self.k]
-        self.k += 1
-        return t
-
-    def expect(self, text: str) -> None:
-        t = self.next()
-        if t.kind == "end" or t.text != text:
-            raise ParseError(f"expected {text!r}", self.source, t.pos)
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"unexpected {t.text!r}", self.source, t.pos)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            op = self.next().text
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else add(e, neg(rhs))
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek().text in ("*", "/") and self.peek().kind == "op":
-            op = self.next().text
-            rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
-        return e
-
-    def factor(self) -> Expr:
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            return neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.next()
-            exponent = self.factor()  # right associative, unary minus allowed
-            return pow_(base, exponent)
-        return base
-
-    def atom(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            return const(float(t.text))
-        if t.kind == "name":
-            if self.peek().text == "(" and self.peek().kind == "op":
-                if t.text == "sqrt":
-                    self.next()
-                    inner = self.expr()
-                    self.expect(")")
-                    return sqrt(inner)
-                if t.text not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {t.text!r}", self.source, t.pos)
-                self.next()
-                inner = self.expr()
-                self.expect(")")
-                return Expr(t.text, args=(inner,))
-            if t.text == "x":
-                return X
-            return param(t.text)
-        if t.kind == "op" and t.text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}", self.source, t.pos)
+_REFUSED = re.compile(r"[^\w\s.+\-*/^(),]")
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_LEXEME = re.compile(r"\w+|\*\*|\S")
+_SPACE = re.compile(r"\s")
+_OPENING = re.compile(rb"[ ()]*")
+_CLOSING = re.compile(rb"[ )]*")
+_BINARY = {ast.Add: add, ast.Sub: lambda a, b: add(a, neg(b)), ast.Mult: mul, ast.Div: div, ast.Pow: pow_}
 
 
 def parse(source: str) -> Expr:
     """Parse a string into an expression tree."""
-    return _Parser(source).parse()
+    bad = _REFUSED.search(source)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", source, bad.start())
+    spaced = _SPACE.sub(" ", source)
+    body = spaced.lstrip(" ")
+    text = body.replace("^", "**")
+    data = text.encode()
+
+    def error(i: int, message: str | None = None) -> ParseError:
+        # i counts bytes of data, as node offsets do
+        lead = len(spaced) - len(body)
+        at = [lead + k for k, c in enumerate(body) for _ in range(2 if c == "^" else len(c.encode()))]
+        pos = (at + [len(source)])[i]
+        if message is None:
+            lexeme = _LEXEME.match(source, pos)
+            message = f"unexpected {lexeme.group() if lexeme else 'end of input'!r}"
+        return ParseError(message, source, pos)
+
+    def segment(node: ast.expr) -> str:
+        return data[node.col_offset:node.end_col_offset].decode()
+
+    def tree(node: ast.expr) -> Expr:
+        kind = type(node)
+        if kind is ast.BinOp and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](tree(node.left), tree(node.right))
+        if kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return neg(tree(node.operand))
+        word = segment(node)  # a name's spelling, not Python's NFKC-normalised id
+        if kind is ast.Constant and _NUMBER.fullmatch(word):
+            return const(float(word))
+        if kind is ast.Name and (word[0].isalpha() or word[0] == "_"):
+            return X if word == "x" else param(word)
+        if kind is ast.Call:
+            paren = data.index(b"(", node.func.end_col_offset)
+            if type(node.func) is not ast.Name or node.func.col_offset != node.col_offset:
+                raise error(paren)  # (exp)(x), exp(x)(y)
+            name = segment(node.func)
+            if name != "sqrt" and name not in _FUNCTIONS:
+                raise error(node.col_offset, f"unknown function {name!r}")
+            if (len(node.args) != 1 or node.keywords
+                    or b"," in data[node.args[0].end_col_offset:node.end_col_offset]):
+                raise error(paren, f"{name}() takes one argument")
+            inner = tree(node.args[0])
+            return sqrt(inner) if name == "sqrt" else Expr(name, args=(inner,))
+        # refused at the first token no child covers: the operator of x // 2,
+        # the dot of x.real, the 'if' of a if b else c
+        i = node.col_offset
+        for child in sorted((c for c in ast.iter_child_nodes(node) if hasattr(c, "col_offset")),
+                            key=lambda c: c.col_offset):
+            if _OPENING.match(data, i).end() < child.col_offset:
+                break
+            i = child.end_col_offset
+        raise error(_CLOSING.match(data, i).end())
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # e.g. the SyntaxWarning on '1if'
+            root = ast.parse(text, mode="eval").body
+    except SyntaxError as err:  # its offset counts characters of text, from 1
+        i = len(text[:err.offset - 1].encode()) if (err.offset or 0) > 0 else len(data)
+        # an unclosed '(' is reported where it opens: the input ended inside it
+        raise error(len(data) if data[i:i + 1] == b"(" else i) from None
+    return tree(root)
 
 
 # ---- printing -----------------------------------------------------------

@@ -545,9 +545,9 @@ def _dual_drift(m: DiffusionModel, wp: ex.Expr) -> ex.Expr:
 
 
 def _sigma_is_one(m: DiffusionModel) -> bool:
-    g = m.probe_grid()
-    vals = ex.evaluate(m.sigma, g)
-    return bool(np.all(np.abs(vals - 1.0) <= 1e-14))
+    """sigma within 1e-12 of 1 on the probe grid: z_form weights and the
+    Muckenhoupt criterion need it."""
+    return bool(np.all(np.abs(ex.evaluate(m.sigma, m.probe_grid()) - 1.0) <= 1e-12))
 
 
 def derive_weight(m: DiffusionModel, spec: WeightSpec) -> WeightFamily:

@@ -111,6 +111,14 @@ class QuadError(Exception):
     """Raised for invalid integrands or domains (NaN at a node, bad interval)."""
 
 
+class _NonFinite(QuadError):
+    """The integrand is NaN or infinite at a node: args are the message, the
+    kind and the node, which ``integrate`` restates in x on the tan path."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     """Tolerances and panel budget of ``integrate``, which stops once the
@@ -221,7 +229,12 @@ def integrate(
         t = np.tan(theta)
         return fn(shift + t) * (1.0 + t * t)
 
-    r = _integrate_finite(gn, lo_t, hi_t, cfg, bps)
+    try:
+        r = _integrate_finite(gn, lo_t, hi_t, cfg, bps)
+    except _NonFinite as err:
+        _, kind, theta = err.args
+        x = shift + np.tan(theta)
+        raise _NonFinite(f"integrand is {kind} at x = {x}", kind, x) from None
     return replace(r, edges=tuple((shift + np.tan(r.edges)).tolist()),
                    carry=tuple((shift + np.tan(r.carry)).tolist()))
 
@@ -240,9 +253,8 @@ def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
     ys = ys.reshape(xs.shape)
     if not np.all(np.isfinite(ys)):
         nan = np.isnan(ys)
-        if np.any(nan):
-            raise QuadError(f"integrand is NaN at x = {xs[nan][0]}")
-        raise QuadError(f"integrand is infinite at x = {xs[np.isinf(ys)][0]}")
+        kind, node = ("NaN", xs[nan][0]) if np.any(nan) else ("infinite", xs[np.isinf(ys)][0])
+        raise _NonFinite(f"integrand is {kind} at x = {node}", kind, node)
     k = half * np.add.reduce(ys * _WK, axis=1)
     g = half * np.add.reduce(ys * _WGFULL, axis=1)
     return k, np.abs(k - g)

@@ -5,6 +5,7 @@ import math
 import pickle
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -126,6 +127,49 @@ class TestParseAndPrint:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ex.ParseError):
             ex.parse("x + 1 )")
+
+    @pytest.mark.parametrize("source", [
+        "x # 2", "x) + (1", "1_0", "0x10", "1j", "+x", "x[0]", "x.real", "exp(x, 1)",
+        "exp(x=1)", "'x'", "x == 1", "x // 2", "x % 2", "x if x else 1", "lambda: 1",
+        "and*x", "007", "1if x else 2", "exp(x,)", "(exp)(x)", "x,", "True", "", "  ",
+    ])
+    def test_outside_the_grammar_refused_without_warning(self, source):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ex.ParseError):
+                ex.parse(source)
+        assert caught == []
+
+    @pytest.mark.parametrize("source, tree", [
+        (" x^2", ex.pow_(ex.X, 2)),
+        ("x\n+ 1", ex.add(ex.X, ex.const(1))),
+        ("x**3", ex.pow_(ex.X, 3)),
+        ("\t-x**3", ex.neg(ex.pow_(ex.X, 3))),
+        ("1.e5", ex.const(1e5)),
+        (".5", ex.const(0.5)),
+        ("5.", ex.const(5.0)),
+        ("σ2*x", ex.mul(ex.param("σ2"), ex.X)),
+        ("x - -2^-y", ex.add(ex.X, ex.neg(ex.neg(ex.pow_(ex.const(2), ex.neg(ex.param("y"))))))),
+        ("sqrt (x)/exp(x)", ex.div(ex.sqrt(ex.X), ex.exp(ex.X))),
+    ])
+    def test_accepted_forms_build_the_constructors_tree(self, source, tree):
+        assert ex.parse(source) == tree
+
+    @pytest.mark.parametrize("source, message, pos", [
+        ("x*(", "unexpected 'end of input'", 3),  # the input ends inside '('
+        ("  x +", "unexpected 'end of input'", 5),
+        ("θ^2 + * 1", "unexpected '*'", 6),  # counted in characters of the source
+        ("x) + (1", "unexpected ')'", 1),
+        ("x # 2", "unexpected character '#'", 2),
+        ("x // 2", "unexpected '/'", 2),
+        ("and*x", "unexpected 'and'", 0),
+        ("exp(x, 1)", "exp() takes one argument", 3),
+    ])
+    def test_error_names_the_place(self, source, message, pos):
+        with pytest.raises(ex.ParseError) as info:
+            ex.parse(source)
+        assert info.value.args == (message, source, pos)
+        assert str(info.value) == f"{message} at position {pos}: {source!r}"
 
 
 class TestEvaluate:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from diffgap import bounds as bd
 from diffgap import expr as ex
 from diffgap import gallery as gal
 from diffgap import model as md
@@ -410,6 +411,23 @@ class TestWeightRealization:
         xs = np.linspace(-8.0, 8.0, 161)
         ref = (2.0 * BETA - 1.0) / (1.0 + xs * xs)
         assert np.max(np.abs(ex.evaluate(v, xs) - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("sigma, unit", [("1", True), ("1.0000000000001", True),
+                                         ("1.00000000001", False)])
+def test_z_form_and_muckenhoupt_share_the_unit_sigma_test(sigma, unit):
+    # z_form weights and the Muckenhoupt criterion accept the same sigmas:
+    # within 1e-12 of 1 on the probe grid; each refuses with its own error
+    m = md.build_model(sigma=sigma, target_potential="x^2/2")
+    assert md._sigma_is_one(m) is unit
+    if unit:
+        md.derive_weight(m, md.WeightSpec.z_form(ex.parse("x")))
+        assert bd.muckenhoupt(m).b > 0
+    else:
+        with pytest.raises(md.ModelError, match="z_form weights require sigma = 1"):
+            md.derive_weight(m, md.WeightSpec.z_form(ex.parse("x")))
+        with pytest.raises(bd.BoundError, match="Muckenhoupt criterion requires unit diffusion"):
+            bd.muckenhoupt(m)
 
 
 class TestWeightFamilyBinding:

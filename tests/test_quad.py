@@ -13,6 +13,7 @@ import scipy.integrate
 from scipy.special import ndtri
 
 from diffgap import expr as ex
+from diffgap import gallery as gal
 from diffgap import model as md
 from diffgap import quad as q
 
@@ -103,6 +104,12 @@ class TestIntegrate:
         with np.errstate(divide="ignore"):
             with pytest.raises(q.QuadError, match="infinite at x"):
                 q.integrate(lambda x: 1.0 / x, -1.0, 1.0)
+
+    def test_infinite_range_error_names_x_not_theta(self):
+        # the tan path integrates in theta; the node is reported in x
+        with np.errstate(divide="ignore"):
+            with pytest.raises(q.QuadError, match=r"infinite at x = 3\.0$"):
+                q.integrate(lambda x: 1.0 / (x - 3.0), 0.0, math.inf)
 
     def test_nan_endpoint_rejected(self):
         with pytest.raises(q.QuadError):
@@ -385,6 +392,12 @@ class TestMeasureFunctionals:
         got = outcome(tree, params=params)
         assert got == outcome(lambda x: ex.evaluate(tree, x, params))
         assert isinstance(got, tuple) or got.startswith("integrand is infinite"), got
+
+    def test_overflow_in_the_tail_names_x(self):
+        # exp(x) overflows beyond x = 709.78, far out in cauchy's tail
+        with pytest.raises(q.QuadError, match="infinite at x = ") as info:
+            q._mu_integral(gal.gallery_model("cauchy"), ex.parse("exp(x)"), q.QuadConfig())
+        assert float(str(info.value).rsplit("= ", 1)[1]) > math.log(np.finfo(float).max)
 
     def test_expression_integrand_unbound_parameter_refused(self):
         with pytest.raises(q.QuadError, match="unbound parameters"):
