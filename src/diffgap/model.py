@@ -15,26 +15,26 @@ U = Utilde - 2 log sigma and b = 2 sigma sigma' - sigma^2 Utilde'.  U is
 anchored to 0 at the origin (interval models anchor at the midpoint); the
 normalization Z absorbs the constant.
 
-A positive weight a turns the derivative flow into a Feynman-Kac semigroup:
-the weighted derivative a f' of the diffusion evolves under the dual
-generator
+A positive weight a = e^W turns the derivative flow into a Feynman-Kac
+semigroup: the weighted derivative a f' of the diffusion evolves under the
+dual generator
 
-    L_a g = sigma^2 g'' + b_a g',    b_a = b + 2 sigma sigma' - 2 sigma^2 (a'/a),
+    L_a g = sigma^2 g'' + b_a g',    b_a = b + 2 sigma sigma' - 2 sigma^2 W',
 
 killed at rate
 
-    V_a = sigma^2 a''/a + (b + 2 sigma sigma') a'/a - 2 sigma^2 (a'/a)^2 - b',
+    V_a = sigma^2 W'' - sigma^2 (W')^2 + (b + 2 sigma sigma') W' - b',
 
 and inf V_a is a lower bound for the spectral gap (the Chen-Wang variational
 principle; see the bounds module).  ``realize_weight`` accepts the weight in
-several parametrizations:
+several parametrizations, each of which reduces to W':
 
-    direct:  a itself
+    direct:  a itself; W' = (log a)' by logarithmic differentiation, one
+             factor of a at a time (valid because ``bind`` checks a > 0)
     exp_w:   a = e^W
     z_form:  sigma = 1 only; W' = Z - U'/2, so that
              V_a = Z' - Z^2 + U''/2 + (U')^2/4
-    a_form:  W' = e^A (a automatically increasing), so that for sigma = 1
-             V_a = (A' - e^A - U') e^A + U''
+    a_form:  W' = e^A (a automatically increasing), so that W'' = A' e^A
 
 In every parametrization V_a and b_a are exact expressions; the weight's
 pointwise values fall back to cumulative quadrature of W' when W has no
@@ -75,7 +75,6 @@ __all__ = [
     "WeightFamily",
     "WeightSpec",
     "build_model",
-    "feynman_kac_potential",
     "derive_weight",
     "realize_weight",
 ]
@@ -494,28 +493,6 @@ def _normalization(m, anchor: float, what: str, cfg: quad.QuadConfig | None) -> 
     return m._z_cache[key]
 
 
-def feynman_kac_potential(m: DiffusionModel, a) -> ex.Expr:
-    """Killing rate of the weighted derivative flow, as an expression:
-
-        V_a = sigma^2 a''/a + (b + 2 sigma sigma') a'/a - 2 sigma^2 (a'/a)^2 - b'
-    """
-    a = _parse_or_expr(a, "weight")
-    da = ex.simplify(ex.differentiate(a))
-    dda = ex.simplify(ex.differentiate(da))
-    sig, b = m.sigma, m.drift
-    dsig = ex.simplify(ex.differentiate(sig))
-    db = ex.simplify(ex.differentiate(b))
-    sig2 = ex.mul(sig, sig)
-    ratio = ex.div(da, a)
-    v = ex.add(
-        ex.mul(sig2, ex.div(dda, a)),
-        ex.mul(ex.add(b, ex.mul(ex.const(2.0), sig, dsig)), ratio),
-        ex.neg(ex.mul(ex.const(2.0), sig2, ratio, ratio)),
-        ex.neg(db),
-    )
-    return ex.simplify(v)
-
-
 def _v_from_w(m: DiffusionModel, wp: ex.Expr, wpp: ex.Expr) -> ex.Expr:
     """V_a in terms of W' and W'' (a = e^W):
     V = sigma^2 W'' - sigma^2 (W')^2 + (b + 2 sigma sigma') W' - b'."""
@@ -550,33 +527,44 @@ def _sigma_is_one(m: DiffusionModel) -> bool:
     return bool(np.all(np.abs(ex.evaluate(m.sigma, m.probe_grid()) - 1.0) <= 1e-12))
 
 
+def _log_derivative(a: ex.Expr) -> ex.Expr:
+    """W' = (log a)' one factor at a time: exp(u) gives u', u^c gives c
+    times u's, a product or quotient the sum or difference of its factors',
+    neg and abs their argument's, a constant or parameter 0, and any other
+    node u the quotient u'/u.  Each rule is the derivative of log|node|, so
+    W' is exact wherever a is positive and finite, which is what
+    ``WeightFamily.bind`` checks; a never divides itself."""
+    op = a.op
+    if op in ("const", "param"):
+        return ex.const(0.0)
+    if op == "exp":
+        return ex.differentiate(a.args[0])
+    if op == "pow":
+        return ex.mul(ex.const(a.value), _log_derivative(a.args[0]))
+    if op == "mul":
+        return ex.add(*[_log_derivative(f) for f in a.args])
+    if op == "div":
+        return ex.add(_log_derivative(a.args[0]), ex.neg(_log_derivative(a.args[1])))
+    if op in ("neg", "abs"):
+        return _log_derivative(a.args[0])
+    return ex.div(ex.differentiate(a), a)
+
+
 def derive_weight(m: DiffusionModel, spec: WeightSpec) -> WeightFamily:
     """Derive V_a, b_a and, where it has a closed form, the weight of a
     family, all with the family's parameters left free.  This is the
     symbolic half of ``realize_weight``; a parameter search runs it once and
-    binds each point with ``WeightFamily.bind``."""
+    binds each point with ``WeightFamily.bind``.
+
+    Every kind reduces to W' = (log a)'; V_a then comes from W' and W'',
+    except for z_form, whose closed form avoids a cancellation."""
     payload = ex.simplify(spec.payload)
-    free = frozenset(ex.free_params(payload))
-
+    v = wpp = None
     if spec.kind == "direct":
-        a = payload
-        da = ex.simplify(ex.differentiate(a))
-        wp = ex.simplify(ex.div(da, a))
-        return WeightFamily(
-            base=m, kind="direct", free=free, weight_expr=a, log_weight_prime=wp,
-            v_expr=feynman_kac_potential(m, a), drift_expr=_dual_drift(m, wp),
-        )
-
-    if spec.kind == "exp_w":
-        w = payload
-        wp = ex.simplify(ex.differentiate(w))
-        wpp = ex.simplify(ex.differentiate(wp))
-        return WeightFamily(
-            base=m, kind="exp_w", free=free, weight_expr=ex.exp(w), log_weight_prime=wp,
-            v_expr=_v_from_w(m, wp, wpp), drift_expr=_dual_drift(m, wp),
-        )
-
-    if spec.kind == "z_form":
+        weight_expr, wp = payload, ex.simplify(_log_derivative(payload))
+    elif spec.kind == "exp_w":
+        weight_expr, wp = ex.exp(payload), ex.simplify(ex.differentiate(payload))
+    elif spec.kind == "z_form":
         if not _sigma_is_one(m):
             raise ModelError("z_form weights require sigma = 1")
         z = payload
@@ -600,22 +588,20 @@ def derive_weight(m: DiffusionModel, spec: WeightSpec) -> WeightFamily:
                 weight_expr = ex.simplify(
                     ex.exp(ex.add(zint, ex.neg(ex.mul(ex.const(0.5), m.u_expr))))
                 )
-        return WeightFamily(
-            base=m, kind="z_form", free=free, weight_expr=weight_expr, log_weight_prime=wp,
-            v_expr=v, drift_expr=_dual_drift(m, wp),
-        )
-
-    if spec.kind == "a_form":
-        aexp = payload
-        daexp = ex.simplify(ex.differentiate(aexp))
-        wp = ex.exp(aexp)
-        wpp = ex.simplify(ex.mul(daexp, ex.exp(aexp)))
-        return WeightFamily(
-            base=m, kind="a_form", free=free, weight_expr=None, log_weight_prime=wp,
-            v_expr=_v_from_w(m, wp, wpp), drift_expr=_dual_drift(m, wp),
-        )
-
-    raise ModelError(f"unknown weight kind {spec.kind!r}")
+    elif spec.kind == "a_form":
+        # W' = e^A, W'' = A' e^A
+        weight_expr, wp = None, ex.exp(payload)
+        wpp = ex.simplify(ex.mul(ex.simplify(ex.differentiate(payload)), wp))
+    else:
+        raise ModelError(f"unknown weight kind {spec.kind!r}")
+    if v is None:
+        if wpp is None:
+            wpp = ex.simplify(ex.differentiate(wp))
+        v = _v_from_w(m, wp, wpp)
+    return WeightFamily(
+        base=m, kind=spec.kind, free=frozenset(ex.free_params(payload)),
+        weight_expr=weight_expr, log_weight_prime=wp, v_expr=v, drift_expr=_dual_drift(m, wp),
+    )
 
 
 def realize_weight(m: DiffusionModel, spec: WeightSpec, params: dict | None = None) -> DualModel:

@@ -476,6 +476,20 @@ class TestCheckCommand:
 
         assert "fail" not in [status(seed) for seed in range(4)]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5(b): the dual drift 60 - x carries every path to x ~ 38, "
+        "where a = exp(-30x) underflows, so every rhs sample and its standard "
+        "error are exactly 0 and lhs ~ 7e-8 reads z ~ 92 on every seed"))
+    def test_underflowed_weight_is_not_a_failure(self):
+        def status(seed):
+            cfg = cli.validate_config({
+                "model": {"gallery": "ou"}, "mc": {"paths": 2000, "seed": seed},
+                "check": {"intertwining": [{"weight": {"kind": "direct", "family": "exp(-30*x)"},
+                                            "f": "tanh(x)", "x0": 0.5, "t": 1.0}]}})
+            return cli.cmd_check(cfg).doc["checks"][0]["status"]
+
+        assert "fail" not in [status(seed) for seed in range(4)]
+
     def test_seed_flag_overrides(self, tmp_path):
         base = {
             "model": {"gallery": "ou"},
@@ -524,7 +538,8 @@ class TestReproduceCommand:
         assert rows["ou unit-weight lower bound"]["status"] == "pass"
         assert rows["cauchy integrated bound"]["computed"] == pytest.approx(
             8.0 / 3.0, abs=1e-6)
-        assert rows["cauchy growing-diffusion infimum"]["computed"] == 3.0
+        # V_sigma = 3 + 3x^2 near 0, formed from W' = 2x/(1 + x^2): 3 less 1 ulp
+        assert rows["cauchy growing-diffusion infimum"]["computed"] == 2.9999999999999996
         assert rows["quartic log-sobolev upper"]["computed"] == pytest.approx(
             2.8516, abs=1e-2)
         assert rows["integrated/relaxation crossover"]["status"] == "pass"
@@ -557,6 +572,15 @@ class TestInspectCommand:
         assert "drift: -x^3" in text
         # free parameter bound at the box midpoint for display
         assert "weight z_form eps*x at eps=1.55" in text
+
+    def test_direct_weight_prints_the_log_derivative_form(self, tmp_path):
+        # W' = -30 for a = exp(-30x): no factor of a divides itself
+        cfg = write_cfg(tmp_path, {
+            "model": {"gallery": "ou"},
+            "bounds": {"chen_wang": {"kind": "direct", "family": "exp(-30*x)"}}})
+        code, text = run(tmp_path, ["inspect", "--config", cfg])
+        assert code == 0
+        assert text.splitlines()[-1] == "weight direct exp((-30)*x): V_a = -30*(-x) - 899"
 
     def test_free_param_without_box_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {

@@ -404,13 +404,49 @@ class TestWeightRealization:
             md.realize_weight(std_normal(), md.WeightSpec("mystery", ex.X))
 
     def test_killing_rate_formula_direct(self):
-        # feynman_kac_potential against a by-hand evaluation for a = sigma
-        # on the heavy-tailed model: V = (2 beta - 1)/(1 + x^2)
+        # the direct weight a = sigma on the heavy-tailed model against a
+        # by-hand evaluation: V = (2 beta - 1)/(1 + x^2)
         m = cauchy_sqrt()
-        v = md.feynman_kac_potential(m, m.sigma)
+        d = md.realize_weight(m, md.WeightSpec.direct(m.sigma))
         xs = np.linspace(-8.0, 8.0, 161)
         ref = (2.0 * BETA - 1.0) / (1.0 + xs * xs)
-        assert np.max(np.abs(ex.evaluate(v, xs) - ref)) < 1e-12
+        assert np.max(np.abs(d.v_fn(xs) - ref)) < 1e-12
+
+
+# one weight a per rule of W' = (log a)', each positive on [-5, 5]
+LOG_DERIVATIVE_CASES = {
+    "exp": "exp(tanh(x) + x^2)",
+    "power": "(1 + x^2)^0.5",
+    "product": "(1 + x^2)*exp(x)*3",
+    "quotient": "exp(x)/(2 + tanh(x))",
+    "neg": "-(-1 - x^2)",
+    "abs": "abs(tanh(x) - 2)",
+    "const": "2.5",
+    "param": "c",
+    "other": "1 + x^2",
+    "nested": "(2 + tanh(x))^3*exp(-x)/(1 + x^2)^2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOG_DERIVATIVE_CASES))
+def test_log_derivative_rules(case):
+    # each rule against the evaluated quotient a'/a
+    a = ex.parse(LOG_DERIVATIVE_CASES[case])
+    xs = np.linspace(-5.0, 5.0, 201)
+    params = {"c": 1.7}
+    got = ex.evaluate(ex.simplify(md._log_derivative(a)), xs, params)
+    ref = ex.evaluate(ex.differentiate(a), xs, params) / ex.evaluate(a, xs, params)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+
+def test_log_derivative_never_divides_a_by_itself():
+    # ou with a = exp(-30x): a underflows from x ~ 25 on, where a''/a was 0/0;
+    # W' = -30 gives V_a = 30x - 899 and b_a = 60 - x exactly
+    d = md.realize_weight(gal.gallery_model("ou"), md.WeightSpec.direct("exp(-30*x)"))
+    assert d.log_weight_prime == ex.const(-30.0)
+    xs = np.linspace(-30.0, 30.0, 601)
+    np.testing.assert_allclose(d.v_fn(xs), 30.0 * xs - 899.0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(d.drift_fn(xs), 60.0 - xs, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("sigma, unit", [("1", True), ("1.0000000000001", True),
