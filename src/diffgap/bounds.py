@@ -386,8 +386,7 @@ def _refine_min(d: md.DualModel, xs: np.ndarray, vals: np.ndarray, xatol: float)
     return best
 
 
-def rho_of_weight(d: md.DualModel, R: float | None = None, grid: int = _SCAN_POINTS,
-                  refine: bool = True) -> float:
+def rho_of_weight(d: md.DualModel, R: float | None = None, refine: bool = True) -> float:
     """inf of the killing rate V_a over the scan window.
 
     Returns -inf when V_a is still decreasing outward at the window edge
@@ -395,10 +394,8 @@ def rho_of_weight(d: md.DualModel, R: float | None = None, grid: int = _SCAN_POI
     scan), so a caller can only ever under-claim.  The grid minimum is
     sharpened by bounded scalar minimization around the lowest grid points.
     """
-    if grid < 64:
-        raise BoundError(f"scan grid too coarse ({grid} < 64)")
     xs, vals, finite_ends = _scan_rate(
-        d, R, grid, "killing rate is not finite on the scan grid (V({bad:.6g}) = nan)")
+        d, R, _SCAN_POINTS, "killing rate is not finite on the scan grid (V({bad:.6g}) = nan)")
     if np.any(np.isneginf(vals)):
         return -math.inf
     if not finite_ends:

@@ -38,8 +38,8 @@ Full schema:
         inc: null
         box: {}
     oracle: {enabled: true, R: null, n: 2048}
-    mc: {step: 1.0e-3, horizon: 0.5, paths: 20000, seed: 0, antithetic: false,
-         blow_up_radius: 1.0e6}
+    mc: {step: 1.0e-3, paths: 20000, seed: 0, antithetic: false, blow_up_radius: 1.0e6,
+         horizon: 0.5}       # read by feynman_kac only: check runs each check to its t
     check:
       intertwining:
         - {weight: {kind: direct, family: "1"}, f: "tanh(x)", x0: 0.5, t: 0.5}

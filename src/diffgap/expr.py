@@ -146,38 +146,6 @@ class Expr:
     value: float | None = None
     name: str | None = None
 
-    # ---- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_expr(other)))
-
-    def __rsub__(self, other):
-        return add(_as_expr(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
-
-    def __pow__(self, exponent):
-        return pow_(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
-
     def __repr__(self):  # keep test output readable
         return f"Expr({to_string(self)!r})"
 
@@ -191,9 +159,7 @@ class Expr:
 def _as_expr(obj) -> Expr:
     if isinstance(obj, Expr):
         return obj
-    if isinstance(obj, (int, float, np.integer, np.floating)):
-        return const(float(obj))
-    raise TypeError(f"cannot coerce {obj!r} to Expr")
+    raise TypeError(f"expected an Expr, got {obj!r}")
 
 
 # ---- constructors -------------------------------------------------------
@@ -790,16 +756,16 @@ def evaluate(e: Expr, x, params: Mapping[str, float] | None = None):
     return np.broadcast_to(out, xs.shape).copy() if out.shape != xs.shape else out
 
 
-def compile_fn(e: Expr, params: Mapping[str, float] | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """Bind parameters, compile, and return a plain ndarray->ndarray callable."""
-    bound = substitute(e, params) if params else e
-    missing = free_params(bound)
+def compile_fn(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile a tree without free parameters into a plain ndarray->ndarray
+    callable."""
+    missing = free_params(e)
     if missing:
         raise EvalError(f"unbound parameters {sorted(missing)!r}")
-    _compiled(bound)
+    _compiled(e)
 
     def fn(x):
-        return evaluate(bound, x)
+        return evaluate(e, x)
 
     return fn
 

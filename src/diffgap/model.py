@@ -115,7 +115,7 @@ class DiffusionModel:
     name: str = "model"
     _u_fn: Callable | None = field(default=None, repr=False)
     _z_cache: dict = field(default_factory=dict, repr=False)
-    _grid_cache: dict = field(default_factory=dict, repr=False)
+    _grid: np.ndarray | None = field(default=None, repr=False)
     # h = e^{-U}/sigma^2 as one tree where U is one, else None
     density_expr: ex.Expr | None = field(init=False, repr=False)
 
@@ -127,10 +127,6 @@ class DiffusionModel:
     @property
     def sigma_fn(self) -> Callable:
         return lambda x: ex.evaluate(self.sigma, x)
-
-    @property
-    def drift_fn(self) -> Callable:
-        return lambda x: ex.evaluate(self.drift, x)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -145,16 +141,16 @@ class DiffusionModel:
         a, b = self.domain[1]
         return 0.5 * (a + b)
 
-    def probe_grid(self, R: float = 12.0, n: int = 2049) -> np.ndarray:
-        key = (R, n)
-        if key not in self._grid_cache:
+    def probe_grid(self) -> np.ndarray:
+        """The model's one probe grid, made on first use: 2049 Chebyshev
+        points on [-12, 12] on the line, 2049 even points on an interval."""
+        if self._grid is None:
             if self.domain[0] == "line":
-                g = quad.chebyshev_grid(R, n)
+                self._grid = quad.chebyshev_grid(12.0, 2049)
             else:
                 a, b = self.domain[1]
-                g = np.linspace(a, b, n)
-            self._grid_cache[key] = g
-        return self._grid_cache[key]
+                self._grid = np.linspace(a, b, 2049)
+        return self._grid
 
     def U(self, x):
         """Potential with U(anchor) = 0; exact expression when available,
@@ -399,14 +395,11 @@ class DualModel(WeightFamily):
     def tail_kind(self):
         return self.base.tail_kind
 
-    def probe_grid(self, R: float = 12.0, n: int = 2049) -> np.ndarray:
-        return self.base.probe_grid(R, n)
+    def probe_grid(self) -> np.ndarray:
+        return self.base.probe_grid()
 
     def v_fn(self, x):
         return ex.evaluate(self.v_expr, x, self.params)
-
-    def drift_fn(self, x):
-        return ex.evaluate(self.drift_expr, x, self.params)
 
     def log_weight(self, x):
         """W(x) = log a(x), anchored to W = 0 at the base anchor."""
@@ -479,18 +472,17 @@ def _antiderivative(fp: ex.Expr, domain: tuple, anchor: float, params: dict | No
 
 def _normalization(m, anchor: float, what: str, cfg: quad.QuadConfig | None) -> float:
     """Z = integral of m.density over the support, split at the anchor and
-    cached per quadrature setting in m._z_cache."""
+    cached in m._z_cache under the (frozen) quadrature config."""
     cfg = cfg or quad.QuadConfig()
-    key = (cfg.abs_tol, cfg.rel_tol)
-    if key not in m._z_cache:
+    if cfg not in m._z_cache:
         lo, hi = m.support
         r = quad.integrate(m.density, lo, hi, cfg, breakpoints=(anchor,))
         if not r.converged:
             raise ModelError(
                 f"{what} did not converge (err {r.err_est:.3g} after {r.subdivisions} segments)"
             )
-        m._z_cache[key] = r.value
-    return m._z_cache[key]
+        m._z_cache[cfg] = r.value
+    return m._z_cache[cfg]
 
 
 def _v_from_w(m: DiffusionModel, wp: ex.Expr, wpp: ex.Expr) -> ex.Expr:

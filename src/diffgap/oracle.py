@@ -302,9 +302,6 @@ class GapEstimate:
     n: int
     boundary: str
 
-    def __float__(self):
-        return self.value
-
 
 def _gap_of(op: DiscreteOperator) -> float:
     k = 1 if op.boundary == "dirichlet" else 2

@@ -156,9 +156,6 @@ class IntegrationResult:
     # an ordered subset of edges: negligible-error neighbours merged pairwise
     carry: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
-    def __float__(self):
-        return self.value
-
 
 def _as_vector_fn(f, params=None) -> Callable[[np.ndarray], np.ndarray]:
     """f as a function of an x array; an Expr's parameters bound by params."""
@@ -402,9 +399,8 @@ def mu_expectation(m, g, cfg: QuadConfig | None = None, breakpoints=()) -> float
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """A convex functional phi on an interval, with second and third
-    derivatives available as callables (symbolically derived when phi is an
-    expression)."""
+    """A convex functional phi on an interval, with its second and third
+    derivatives as callables."""
 
     name: str
     interval: tuple[float, float]
@@ -440,17 +436,6 @@ class PhiSpec:
             phi_dd_fn=lambda u: p * (p - 1.0) * np.power(u, p - 2.0),
             phi_ddd_fn=lambda u: p * (p - 1.0) * (p - 2.0) * np.power(u, p - 3.0),
             p=p,
-        )
-
-    @staticmethod
-    def custom(phi: ex.Expr, interval: tuple[float, float]) -> "PhiSpec":
-        dd = ex.simplify(ex.differentiate(ex.differentiate(phi)))
-        ddd = ex.simplify(ex.differentiate(dd))
-        return PhiSpec(
-            name="custom",
-            interval=(float(interval[0]), float(interval[1])),
-            phi_dd_fn=ex.compile_fn(dd),
-            phi_ddd_fn=ex.compile_fn(ddd),
         )
 
 

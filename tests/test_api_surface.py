@@ -3,13 +3,17 @@
 An AST check over ``src/diffgap``:
 
 - every name a module lists in ``__all__`` is referenced somewhere in
-  ``src/``, ``demos/`` or ``perfbench/`` outside its own definition, and
+  ``src/``, ``demos/`` or ``perfbench/`` outside its own definition,
+- so is every method, property and staticmethod of every class in the
+  package, dunders apart, and
 - every module-level import of a package module is used in that module.
 
-A reference is a bare name in the defining module, an attribute or
-``from``-import of the module elsewhere, or a string equal to the name (the
-benchmark's span table looks functions up by name).  Tests do not count: a
-helper that only its own tests call is dead code.
+A reference to a public name is a bare name in the defining module, an
+attribute or ``from``-import of the module elsewhere, or a string equal to
+the name (the benchmark's span table looks functions up by name).  A
+reference to a class member is an attribute, a keyword or a string of that
+name outside the member's own definition.  Tests do not count: a helper that
+only its own tests call is dead code.
 """
 
 import ast
@@ -29,6 +33,14 @@ ALLOWED_UNREFERENCED = {
     # the closed-form reference semigroup of the reflected/absorbed
     # intertwining (acceptance test 11)
     ("oracle", "kernel_apply"),
+}
+
+# Class members kept although nothing in src/, demos/ or perfbench/ reaches
+# them: (module, class, member) -> the reason.
+ALLOWED_UNREFERENCED_MEMBERS: dict[tuple[str, str, str], str] = {
+    ("cli", "_SubcommandParser", "parse_known_args"):
+        "overrides argparse's hook: the top-level parse_args reaches it through "
+        "the subparsers action",
 }
 
 
@@ -133,6 +145,66 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_names_exist():
     for module, name in ALLOWED_UNREFERENCED:
         assert name in _all_names(_parse(PACKAGE / f"{module}.py")), (module, name)
+
+
+def _members() -> list[tuple[str, str, str]]:
+    """(module, class, member) for every non-dunder function defined in a
+    class body of the package: methods, properties and staticmethods."""
+    out = []
+    for module in _modules():
+        for cls in ast.walk(_parse(PACKAGE / f"{module}.py")):
+            if isinstance(cls, ast.ClassDef):
+                out += [(module, cls.name, f.name) for f in cls.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (f.name.startswith("__") and f.name.endswith("__"))]
+    return out
+
+
+def _member_references() -> set:
+    """(file, enclosing class, enclosing member, name) for every attribute,
+    keyword and string in src/, demos/ and perfbench/; the enclosing class
+    and member are None outside a class body."""
+    refs = set()
+
+    def visit(node, path, cls, member):
+        if isinstance(node, ast.ClassDef):
+            cls, member = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and member is None \
+                and cls is not None:
+            member = node.name
+        if isinstance(node, ast.Attribute):
+            refs.add((path, cls, member, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg:
+            refs.add((path, cls, member, node.arg))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add((path, cls, member, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, cls, member)
+
+    for root in USERS:
+        for path in sorted(root.rglob("*.py")):
+            visit(_parse(path), path, None, None)
+    return refs
+
+
+def test_every_class_member_has_a_caller():
+    refs = _member_references()
+    dead = []
+    for module, cls, name in _members():
+        if (module, cls, name) in ALLOWED_UNREFERENCED_MEMBERS:
+            continue
+        home = PACKAGE / f"{module}.py"
+        if not any(ident == name and (path, owner, member) != (home, cls, name)
+                   for path, owner, member, ident in refs):
+            dead.append(f"{module}.{cls}.{name}")
+    assert not dead, f"class members no command, demo or benchmark reaches: {dead}"
+
+
+def test_member_allowlist_entries_exist_and_give_a_reason():
+    members = set(_members())
+    for entry, reason in ALLOWED_UNREFERENCED_MEMBERS.items():
+        assert entry in members, entry
+        assert reason.strip(), entry
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

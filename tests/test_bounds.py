@@ -107,11 +107,6 @@ class TestRhoOfWeight:
         with pytest.raises(bd.BoundError, match="not finite"):
             bd.rho_of_weight(d)
 
-    def test_coarse_grid_rejected(self):
-        d = md.realize_weight(ou(), md.WeightSpec.direct("1"))
-        with pytest.raises(bd.BoundError, match="coarse"):
-            bd.rho_of_weight(d, grid=32)
-
 
 def test_refine_min_refines_each_valley_once(monkeypatch):
     # two off-grid valleys; the three lowest grid points are -1.1 and -1.0

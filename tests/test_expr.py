@@ -76,6 +76,21 @@ def _reference_eval(e, xs, params, probe):
     raise ex.ExprError(f"unknown node kind {op!r}")
 
 
+class TestConstructors:
+    def test_bare_numbers_refused(self):
+        # parse builds const nodes itself; nothing coerces a number
+        for build in (lambda: ex.add(1.0, ex.X), lambda: ex.mul(ex.X, 2),
+                      lambda: ex.div(1, ex.X), lambda: ex.exp(0.5)):
+            with pytest.raises(TypeError, match="expected an Expr"):
+                build()
+
+    def test_no_arithmetic_operators(self):
+        with pytest.raises(TypeError):
+            ex.X + ex.X
+        with pytest.raises(TypeError):
+            -ex.X
+
+
 class TestParseAndPrint:
     def test_parse_polynomial(self):
         e = ex.parse("x^4/4")
@@ -213,7 +228,7 @@ class TestEvaluate:
     def test_compile_fn_requires_all_parameters(self):
         with pytest.raises(ex.EvalError):
             ex.compile_fn(ex.parse("eps*x"))
-        fn = ex.compile_fn(ex.parse("eps*x"), {"eps": 2.0})
+        fn = ex.compile_fn(ex.substitute(ex.parse("eps*x"), {"eps": 2.0}))
         assert fn(3.0) == 6.0
 
     def test_weight_family_shares_one_compiled_function(self):
@@ -508,7 +523,8 @@ class TestRandomizedProperties:
         xs = np.linspace(-1.0, 1.0, 5)
         identity = ex.parse("x")
         m = md.build_model(sigma="1", drift="x", name="explosive", tail_kind="exponential")
-        for got in (ex.evaluate(identity, xs), ex.compile_fn(identity)(xs), m.drift_fn(xs)):
+        for got in (ex.evaluate(identity, xs), ex.compile_fn(identity)(xs),
+                    ex.evaluate(m.drift, xs)):
             npt.assert_array_equal(got, xs)
             assert not np.shares_memory(got, xs)
 

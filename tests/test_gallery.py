@@ -29,7 +29,7 @@ class TestModels:
     def test_ou_drift(self):
         m = gal.gallery_model("ou")
         xs = np.linspace(-3, 3, 11)
-        assert np.allclose(m.drift_fn(xs), -xs)
+        assert np.allclose(ex.evaluate(m.drift, xs), -xs)
 
     def test_power_four_matches_quartic(self):
         # (x^2)^2/4 and x^4/4 are the same potential
@@ -47,7 +47,7 @@ class TestModels:
         assert m.name == "double-well(0.5)"
         # wells at +/- sqrt(beta): drift vanishes there
         r = np.sqrt(0.5)
-        assert abs(m.drift_fn(r)) < 1e-12
+        assert abs(ex.evaluate(m.drift, r)) < 1e-12
 
     def test_smoothed_exponential(self):
         m = gal.gallery_model("smoothed-exponential")

@@ -164,7 +164,11 @@ class TestSimulate:
 def _reference_evolve(m, starts, cfg, integrand=None):
     """The Euler loop as plain whole-array expressions, one fresh array per
     operation: the reference ``mc._evolve`` must match bit for bit."""
-    drift, sig = m.drift_fn, m.sigma_fn
+    if isinstance(m, md.DualModel):
+        drift = lambda x: ex.evaluate(m.drift_expr, x, m.params)
+    else:
+        drift = lambda x: ex.evaluate(m.drift, x)
+    sig = m.sigma_fn
     if isinstance(integrand, ex.Expr):  # a tree, as _fk_group makes it
         rate = integrand
         integrand = lambda x: ex.evaluate(rate, x, m.params)
@@ -509,7 +513,9 @@ class TestSubIntertwining:
                                      0.5, 0.5, CFG_CHECK)
 
     def test_inadmissible_phi_rejected(self):
-        bad = q.PhiSpec.custom(ex.parse("0 - x^2"), (0.0, 10.0))
+        bad = q.PhiSpec(name="0 - x^2", interval=(0.0, 10.0),
+                        phi_dd_fn=lambda u: np.full_like(np.asarray(u, dtype=float), -2.0),
+                        phi_ddd_fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
         with pytest.raises(mc.PreconditionError):
             mc.check_subintertwining(ou(), md.WeightSpec.direct("1"), bad,
                                      "2 + tanh(x)", 0.5, 0.5, CFG_CHECK)

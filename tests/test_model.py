@@ -45,7 +45,8 @@ class TestBuildModel:
         m_target = std_normal()
         xs = np.linspace(-3.0, 3.0, 101)
         assert np.max(np.abs(m_drift.U(xs) - m_target.U(xs))) < 1e-12
-        assert np.max(np.abs(m_drift.drift_fn(xs) - m_target.drift_fn(xs))) < 1e-12
+        b_drift, b_target = ex.evaluate(m_drift.drift, xs), ex.evaluate(m_target.drift, xs)
+        assert np.max(np.abs(b_drift - b_target)) < 1e-12
         z = math.sqrt(2.0 * math.pi)
         assert abs(m_drift.normalization() - z) < 1e-10 * z
         assert abs(m_target.normalization() - z) < 1e-10 * z
@@ -55,7 +56,7 @@ class TestBuildModel:
         # Utilde = beta log(1+x^2) this collapses to b = 2(1-beta) x
         m = cauchy_sqrt()
         xs = np.linspace(-10.0, 10.0, 201)
-        assert np.max(np.abs(m.drift_fn(xs) - 2.0 * (1.0 - BETA) * xs)) < 1e-10
+        assert np.max(np.abs(ex.evaluate(m.drift, xs) - 2.0 * (1.0 - BETA) * xs)) < 1e-10
 
     def test_target_mode_potential(self):
         # U = Utilde - 2 log sigma = (beta - 1) log(1+x^2), anchored at 0
@@ -160,6 +161,18 @@ class TestDensity:
         assert m.normalization() == m.normalization()
         assert abs(math.log(m.normalization()) - 0.5 * math.log(2.0 * math.pi)) < 1e-10
 
+    def test_normalization_cache_keys_on_the_whole_config(self):
+        # a panel budget too small to converge is not answered from the
+        # entry of a config that differs from it only in that budget
+        m = quartic()
+        z = m.normalization(q.QuadConfig())
+        assert m.normalization(q.QuadConfig(abs_tol=1e-10, rel_tol=1e-8)) == z
+        with pytest.raises(md.ModelError, match="did not converge"):
+            m.normalization(q.QuadConfig(max_subdivisions=1))
+        with pytest.raises(md.ModelError, match="did not converge"):
+            md.realize_weight(m, md.WeightSpec.direct("1")).normalization(
+                q.QuadConfig(max_subdivisions=1))
+
     def test_numeric_potential_matches_exact(self):
         # drift route has no closed-form U; the cumulative route must still
         # deliver quadrature-level accuracy inside the working window
@@ -254,10 +267,11 @@ class TestWeightRealization:
         a = ex.parse(weight)
         d1 = md.realize_weight(m, md.WeightSpec.direct(a))
         d2 = md.realize_weight(m, md.WeightSpec.exp_w(ex.log(a)))
-        xs = m.probe_grid(6.0, 401)
+        xs = q.chebyshev_grid(6.0, 401)
         scale = 1.0 + np.max(np.abs(d1.v_fn(xs)))
         assert np.max(np.abs(d1.v_fn(xs) - d2.v_fn(xs))) < 1e-8 * scale
-        assert np.max(np.abs(d1.drift_fn(xs) - d2.drift_fn(xs))) < 1e-8 * scale
+        b1, b2 = (ex.evaluate(d.drift_expr, xs, d.params) for d in (d1, d2))
+        assert np.max(np.abs(b1 - b2)) < 1e-8 * scale
         assert np.max(np.abs(d1.log_weight(xs) - d2.log_weight(xs))) < 1e-8
 
     def test_unit_weight_reproduces_base(self):
@@ -266,21 +280,22 @@ class TestWeightRealization:
         d = md.realize_weight(m, md.WeightSpec.direct("1"))
         xs = np.linspace(-4.0, 4.0, 81)
         assert np.max(np.abs(d.v_fn(xs) - 1.0)) < 1e-12  # -b' = 1 for b = -x
-        assert np.max(np.abs(d.drift_fn(xs) - m.drift_fn(xs))) < 1e-12
+        b_dual, b_base = ex.evaluate(d.drift_expr, xs, d.params), ex.evaluate(m.drift, xs)
+        assert np.max(np.abs(b_dual - b_base)) < 1e-12
         assert np.max(np.abs(d.log_weight(xs))) < 1e-12
 
     def test_ground_state_weight_kills_nothing(self):
         # a = e^{-U} makes the killing rate vanish identically
         for m in (std_normal(), quartic()):
             d = md.realize_weight(m, md.WeightSpec.exp_w(ex.neg(m.u_expr)))
-            xs = m.probe_grid(6.0, 401)
+            xs = q.chebyshev_grid(6.0, 401)
             scale = 1.0 + float(np.max(np.abs(ex.evaluate(m.u_prime, xs))) ** 2)
             assert np.max(np.abs(d.v_fn(xs))) < 1e-8 * scale
 
     def test_ground_state_weight_direct_route(self):
         m = std_normal()
         d = md.realize_weight(m, md.WeightSpec.direct(ex.exp(ex.neg(m.u_expr))))
-        xs = m.probe_grid(6.0, 401)
+        xs = q.chebyshev_grid(6.0, 401)
         assert np.max(np.abs(d.v_fn(xs))) < 1e-8
 
     def test_z_form_killing_rate_closed_form(self):
@@ -298,7 +313,8 @@ class TestWeightRealization:
         eps = 1.2
         d = md.realize_weight(quartic(), md.WeightSpec.z_form(ex.parse("1.2*x")))
         xs = np.linspace(-4.0, 4.0, 161)
-        assert np.max(np.abs(d.drift_fn(xs) + 2.0 * eps * xs)) < 1e-12 * (1 + 2 * eps * 4)
+        b_a = ex.evaluate(d.drift_expr, xs, d.params)
+        assert np.max(np.abs(b_a + 2.0 * eps * xs)) < 1e-12 * (1 + 2 * eps * 4)
 
     def test_z_form_closed_weight(self):
         # linear Z with exact U gives a closed-form weight e^{Z x^2/2 - U/2}
@@ -313,7 +329,7 @@ class TestWeightRealization:
         m = quartic()
         dz = md.realize_weight(m, md.WeightSpec.z_form(ex.parse("1.2*x")))
         de = md.realize_weight(m, md.WeightSpec.exp_w(ex.parse("1.2*x^2/2 - x^4/8")))
-        xs = m.probe_grid(6.0, 401)
+        xs = q.chebyshev_grid(6.0, 401)
         scale = 1.0 + np.max(np.abs(dz.v_fn(xs)))
         assert np.max(np.abs(dz.v_fn(xs) - de.v_fn(xs))) < 1e-10 * scale
         assert np.max(np.abs(dz.log_weight(xs) - de.log_weight(xs))) < 1e-10
@@ -354,7 +370,7 @@ class TestWeightRealization:
             a = np.exp(d.log_weight(pts))
             da = (a[3] - a[1]) / (2 * h)
             dda = (a[3] - 2 * a[2] + a[1]) / (h * h)
-            b = float(m.drift_fn(x))
+            b = float(ex.evaluate(m.drift, x))
             db = float(ex.evaluate(ex.simplify(ex.differentiate(m.drift)), x))
             v_ref = dda / a[2] + b * da / a[2] - 2.0 * (da / a[2]) ** 2 - db
             assert abs(d.v_fn(x) - v_ref) < 1e-4 * (1.0 + abs(v_ref))
@@ -446,7 +462,8 @@ def test_log_derivative_never_divides_a_by_itself():
     assert d.log_weight_prime == ex.const(-30.0)
     xs = np.linspace(-30.0, 30.0, 601)
     np.testing.assert_allclose(d.v_fn(xs), 30.0 * xs - 899.0, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(d.drift_fn(xs), 60.0 - xs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(ex.evaluate(d.drift_expr, xs, d.params), 60.0 - xs,
+                               rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("sigma, unit", [("1", True), ("1.0000000000001", True),
@@ -487,6 +504,11 @@ class TestWeightFamilyBinding:
         ("a_form", "-(eps*x-1)^2", [{"eps": 0.0}, {"eps": 1.0}, {"eps": 0.45}]),
     ]
 
+    def _values(self, d, name):
+        if name == "drift_expr":
+            return ex.evaluate(d.drift_expr, self.XS, d.params)
+        return getattr(d, name)(self.XS)
+
     @pytest.mark.parametrize("kind,family,points", CASES,
                              ids=[f"{k}:{f}" for k, f, _ in CASES])
     def test_bound_family_matches_substituted_weight(self, kind, family, points):
@@ -499,9 +521,9 @@ class TestWeightFamilyBinding:
             assert bound.v_expr is fam.v_expr and bound.params == theta
             folded = (bound.weight_expr is None) != (ref.weight_expr is None)
             assert not folded or (family, theta.get("c")) == ("eps*x + c*x^3", 0.0)
-            for name in ("v_fn", "drift_fn", "weight_fn", "log_weight"):
-                got = np.asarray(getattr(bound, name)(self.XS), dtype=float)
-                want = np.asarray(getattr(ref, name)(self.XS), dtype=float)
+            for name in ("v_fn", "drift_expr", "weight_fn", "log_weight"):
+                got = np.asarray(self._values(bound, name), dtype=float)
+                want = np.asarray(self._values(ref, name), dtype=float)
                 np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
                 if folded and name == "log_weight":
                     tol = {"rtol": 0.0, "atol": 1e-10}

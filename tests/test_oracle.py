@@ -91,10 +91,6 @@ class TestSpectralGap:
         g = orc.spectral_gap_fd(m, R=60.0, n=4096)
         assert abs(g.value - 0.25) < 5e-3
 
-    def test_float_coercion(self):
-        g = orc.spectral_gap_fd(gaussian(), n=256)
-        assert float(g) == g.value
-
 
 class TestAutoRadius:
     def test_gaussian_window(self):

@@ -123,10 +123,6 @@ class TestIntegrate:
         with pytest.raises(q.QuadError):
             q.integrate("x^2", 0.0, 1.0)
 
-    def test_result_float_coercion(self):
-        r = q.integrate(ex.X, 0.0, 2.0)
-        assert float(r) == r.value
-
     def test_truncation_path_returns_python_scalars(self):
         r = q.integrate(ex.parse("exp(-x^2)"), -math.inf, math.inf)
         assert abs(r.value - math.sqrt(math.pi)) < 1e-10
@@ -443,15 +439,6 @@ class TestPhiSpecs:
             with pytest.raises(ValueError):
                 q.PhiSpec.beckner(p)
 
-    def test_custom_expression_matches_builtin(self):
-        custom = q.PhiSpec.custom(ex.parse("x*log(x)"), (0.0, math.inf))
-        builtin = q.PhiSpec.log_sobolev()
-        u = np.geomspace(1e-3, 1e3, 61)
-        for derivative in ("phi_dd_fn", "phi_ddd_fn"):
-            np.testing.assert_allclose(getattr(custom, derivative)(u),
-                                       getattr(builtin, derivative)(u), rtol=1e-14)
-        assert q.validate_phi(custom).ok
-
     def test_gaussian_isoperimetric_phi_rejected(self):
         # phi = -I with I(u) the isoperimetric profile pdf(ndtri(u)):
         # phi'' = 1/I > 0 but phi''' = -ndtri(u)/I^2 changes sign at 1/2,
@@ -484,7 +471,9 @@ class TestPhiSpecs:
         assert any("convex" in r for r in v.reasons)
 
     def test_nonpositive_second_derivative_rejected(self):
-        spec = q.PhiSpec.custom(ex.parse("-x^2"), (-math.inf, math.inf))
+        spec = q.PhiSpec(name="-x^2", interval=(-math.inf, math.inf),
+                         phi_dd_fn=lambda u: np.full_like(np.asarray(u, dtype=float), -2.0),
+                         phi_ddd_fn=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
         v = q.validate_phi(spec)
         assert not v.ok
         assert any("positive" in r for r in v.reasons)
