@@ -5,7 +5,9 @@ its killing rate V_a, and take an infimum (pointwise for the Chen-Wang
 route, harmonic-mean for the integrated route).  Upper bounds come from
 Rayleigh quotients of trial functions.  The Muckenhoupt product criterion
 closes the circle with a two-sided bracket built from tail and core
-integrals around the median.
+integrals around the median.  Each bound is a ``BoundReport``;
+``muckenhoupt`` returns its (lower, upper) pair, with B, the median and
+x_plus, x_minus in their params.
 
 Both parameter searches, the sup over weights (Chen-Wang, LSI) and the inf
 over trial functions (Rayleigh), go through one deterministic helper,
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -42,7 +44,6 @@ __all__ = [
     "rho_of_weight",
     "chen_wang_lower",
     "veysseire_lower",
-    "MuckenhouptResult",
     "muckenhoupt",
     "muckenhoupt_power_formula",
     "veysseire_power_formula",
@@ -587,41 +588,6 @@ def veysseire_lower(m: md.DiffusionModel, cfg: OptConfig | None = None) -> Bound
 # ---- Muckenhoupt two-sided criterion ------------------------------------
 
 
-@dataclass(frozen=True)
-class MuckenhouptResult:
-    b: float
-    b_plus: float
-    b_minus: float
-    lower: float
-    upper: float
-    median: float
-    x_plus: float
-    x_minus: float
-    error_budget: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-
-    @property
-    def diverging(self) -> bool:
-        return not math.isfinite(self.b)
-
-    def reports(self) -> tuple[BoundReport, BoundReport]:
-        params = {"B": self.b, "median": self.median,
-                  "x_plus": self.x_plus, "x_minus": self.x_minus}
-        if self.diverging:
-            reason = "B diverging on the scan window: no spectral gap detected"
-            return (
-                _infeasible("muckenhoupt", "lambda1", "lower", reason, **params),
-                _infeasible("muckenhoupt", "lambda1", "upper", reason, **params),
-            )
-        budget = dict(self.error_budget)
-        return (
-            BoundReport("muckenhoupt", "lambda1", "lower", self.lower, params,
-                        budget, self.notes),
-            BoundReport("muckenhoupt", "lambda1", "upper", self.upper, params,
-                        budget, self.notes),
-        )
-
-
 def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
     """sup over t > 0 of tail(med + sgn t) * core(med -> med + sgn t)."""
     lo, hi = m.support
@@ -668,7 +634,7 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
     edge_ratio = prod[-1] / prod[j] if prod[j] > 0 else math.inf
     if i == len(t) - 1 and not (math.isfinite(edge) and T >= edge):
         if edge_ratio > 1.02:
-            return math.inf, float(med + sgn * t[i]), 0.0, ("diverging",)
+            return math.inf, float(med + sgn * t[i]), 0.0, ()
         # supremum approached in the tail limit; the grid edge already sits
         # on the plateau
         return b_grid, float(med + sgn * t[i]), abs(b_grid - float(prod[j])), (
@@ -691,9 +657,11 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
     return b_best, x_best, abs(b_best - b_grid) + abs(prod_direct(float(t[i])) - b_grid), ()
 
 
-def muckenhoupt(m: md.DiffusionModel, cfg: OptConfig | None = None) -> MuckenhouptResult:
+def muckenhoupt(m: md.DiffusionModel,
+                cfg: OptConfig | None = None) -> tuple[BoundReport, BoundReport]:
     """Two-sided gap bracket 1/(4B) <= lambda1 <= 2/B from the product of
-    tail mass and reciprocal-density core integral around the median."""
+    tail mass and reciprocal-density core integral around the median: the
+    (lower, upper) reports, both infeasible when B diverges on the scan window."""
     cfg = cfg or OptConfig()
     if not md._sigma_is_one(m):
         raise BoundError("the Muckenhoupt criterion requires unit diffusion coefficient")
@@ -701,22 +669,17 @@ def muckenhoupt(m: md.DiffusionModel, cfg: OptConfig | None = None) -> Muckenhou
     bp, xp, ep, notes_p = _muck_side(m, med, +1, cfg)
     bm, xm, em, notes_m = _muck_side(m, med, -1, cfg)
     b = max(bp, bm)
-    notes = tuple(dict.fromkeys(notes_p + notes_m))
+    params = {"B": b if math.isfinite(b) else math.inf, "median": med,
+              "x_plus": xp, "x_minus": xm}
     if not math.isfinite(b):
-        return MuckenhouptResult(
-            b=math.inf, b_plus=bp, b_minus=bm, lower=0.0, upper=math.inf,
-            median=med, x_plus=xp, x_minus=xm, notes=notes or ("diverging",),
-        )
-    err = ep if bp >= bm else em
-    rel = err / b if b > 0 else 0.0
-    return MuckenhouptResult(
-        b=b, b_plus=bp, b_minus=bm,
-        lower=1.0 / (4.0 * b), upper=2.0 / b,
-        median=med, x_plus=xp, x_minus=xm,
-        error_budget={"quad_err": rel * (1.0 / (4.0 * b) + 2.0 / b),
-                      "opt_gap": 0.0, "truncation": 0.0},
-        notes=notes,
-    )
+        reason = "B diverging on the scan window: no spectral gap detected"
+        return (_infeasible("muckenhoupt", "lambda1", "lower", reason, **params),
+                _infeasible("muckenhoupt", "lambda1", "upper", reason, **params))
+    rel = (ep if bp >= bm else em) / b if b > 0 else 0.0
+    budget = {"quad_err": rel * (1.0 / (4.0 * b) + 2.0 / b), "opt_gap": 0.0, "truncation": 0.0}
+    notes = tuple(dict.fromkeys(notes_p + notes_m))
+    return (BoundReport("muckenhoupt", "lambda1", "lower", 1.0 / (4.0 * b), params, budget, notes),
+            BoundReport("muckenhoupt", "lambda1", "upper", 2.0 / b, params, budget, notes))
 
 
 def muckenhoupt_power_formula(alpha: float) -> float:
@@ -989,12 +952,12 @@ def lsi_lower(
 
 
 def assemble_report(m: md.DiffusionModel, reports, oracle=None) -> dict:
-    """Merge bound reports into brackets per target and flag violations."""
+    """Merge bound reports into brackets per target and flag violations,
+    also against ``oracle``, the FD reference ``GapEstimate``, when given."""
     reports = list(reports)
     doc: dict = {"model": m.name, "targets": {}, "violations": []}
     if oracle is not None:
-        o_val = float(getattr(oracle, "value", oracle))
-        o_err = float(getattr(oracle, "err_est", 0.0))
+        o_val, o_err = oracle.value, oracle.err_est
         doc["oracle"] = {"lambda1": o_val, "err_est": o_err}
     for target in ("lambda1", "cls"):
         rs = [r for r in reports if r.target == target]

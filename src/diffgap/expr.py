@@ -535,7 +535,9 @@ class _Lowering:
         what an earlier one left in any array, so a caller may share the
         arrays that hold no root with other kernels it runs in turn.  The
         operations and their order are those of ``source``, so the values
-        are bit-identical, and ``x`` is never written."""
+        are bit-identical, and ``x`` is never written.  An infix chain's
+        leading scalar operands are one scalar expression too, as in
+        ``source``: an array of their value may lose its NaN to x's."""
         last = self.last_reads()
         for r in roots:
             last[r] = len(self.steps)  # alive until the kernel returns
@@ -558,6 +560,10 @@ class _Lowering:
             if not any(v == "x" or v in slot for v in reads):
                 body.append(f"    {name} = {_text(kind, reads, arg)}")
                 continue
+            if kind in _CHAIN_UFUNCS:
+                k = next(j for j, v in enumerate(reads) if v == "x" or v in slot)
+                if k > 1:  # the leading scalars, as one operand
+                    reads = (_text(kind, reads[:k], arg), *reads[k:])
             dying = [v for v in dict.fromkeys(reads) if v in slot and last[v] == i]
             into = next((v for v in dying if v not in reads[2:]), None)
             slot[name] = slot[into] if into else take()

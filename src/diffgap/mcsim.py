@@ -88,8 +88,8 @@ class MCConfig:
     blow_up_radius: float = 1e6
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise MCConfigError(f"step must be positive, got {self.step}")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise MCConfigError(f"step must be finite and positive, got {self.step}")
         if not math.isfinite(self.horizon):
             raise MCConfigError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < self.step:
@@ -359,12 +359,11 @@ class FKEstimate:
 def _fk_group(d: md.DualModel, potential_scale: float = 1.0) -> tuple:
     """The ``_evolve`` group of one Feynman-Kac ensemble: one row under the
     dual dynamics, accumulating the killing rate times ``potential_scale``
-    as a tree, which the group's kernel computes with the drift."""
-    rate = d.v_expr
-    if potential_scale != 1.0:
-        # one tree per dual and scale: ``expr.kernel`` keeps kernels by tree identity
-        rate = d._scaled_v.setdefault(potential_scale, ex.mul(rate, ex.const(potential_scale)))
-    return (d, 1, rate)
+    as a tree, which the group's kernel computes with the drift.  A scaled
+    tree is new at each call; ``_run`` lowers and steps the same group."""
+    if potential_scale == 1.0:
+        return (d, 1, d.v_expr)
+    return (d, 1, ex.mul(d.v_expr, ex.const(potential_scale)))
 
 
 def _fk_paths(paths):
@@ -400,15 +399,12 @@ def _fk_estimate(paths, gfn, cfg: MCConfig) -> FKEstimate:
     )
 
 
-def feynman_kac(d: md.DualModel, g, x0: float, cfg: MCConfig,
-                potential_scale: float = 1.0) -> FKEstimate:
-    """E[g(X^a_t) exp(-int_0^t V_a(X^a_s) ds)] by pathwise weights.
-
-    potential_scale multiplies V_a (the convex inequality needs the doubled
-    rate).  The weight integral uses the trapezoidal rule on the same grid
-    as the paths."""
+def feynman_kac(d: md.DualModel, g, x0: float, cfg: MCConfig) -> FKEstimate:
+    """E[g(X^a_t) exp(-int_0^t V_a(X^a_s) ds)] by pathwise weights, with t
+    = ``cfg.horizon``; the weight integral uses the trapezoidal rule on the
+    same grid as the paths."""
     gfn = _payoff_fn(g)
-    paths, = _evolve([_fk_group(d, potential_scale)], [x0], cfg)
+    paths, = _evolve([_fk_group(d)], [x0], cfg)
     return _fk_estimate(paths, gfn, cfg)
 
 

@@ -377,7 +377,6 @@ class DualModel(WeightFamily):
     _log_a0: float | None = field(default=None, repr=False)
     _w_fn: Callable | None = field(default=None, repr=False)
     _z_cache: dict = field(default_factory=dict, repr=False)
-    _scaled_v: dict = field(default_factory=dict, init=False, repr=False)  # V_a times a scale
 
     @property
     def sigma(self) -> ex.Expr:

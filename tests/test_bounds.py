@@ -24,6 +24,7 @@ from diffgap import bounds as bd
 from diffgap import expr as ex
 from diffgap import gallery as gal
 from diffgap import model as md
+from diffgap import oracle as orc
 from diffgap import quad as q
 
 QUARTIC_GAP = 1.36859252
@@ -51,6 +52,11 @@ def dwell(beta):
 def ou_30():
     # U is anchored at 0, so the unnormalized density peaks near e^450
     return md.build_model(sigma="1", target_potential="(x-30)^2/2", name="ou-30")
+
+
+def heavy():
+    # tails like |x|^-3: no spectral gap
+    return md.build_model(sigma="1", target_potential="1.5*log(1+x^2)", name="heavy")
 
 
 def cauchy():
@@ -369,34 +375,82 @@ class TestVeysseire:
         assert r.value >= rho - 1e-9
 
 
+# Both reports' as_dict() on five models, floats as float.hex, frozen bit for
+# bit: (lower, upper, B, median, x_plus, x_minus, quad_err) per model, with
+# the scan radius R (None: the default) and the builder.
+MUCK_PINNED = {
+    "quartic": (None, quartic, (
+        "0x1.31bf3fe7175c0p-1", "0x1.31bf3fe7175c0p+2", "0x1.acb1b825add1bp-2", "0x0.0p+0",
+        "0x1.593a68f850730p-1", "-0x1.593a68f8424ffp-1", "0x1.c1e92ac8e18b3p-11")),
+    "smoothed-exponential": (60.0, lambda: gal.gallery_model("smoothed-exponential"), (
+        "0x1.fbdf865c59c20p-3", "0x1.fbdf865c59c20p+0", "0x1.021487a8222adp+0", "0x0.0p+0",
+        "0x1.d03829711ef3fp+5", "-0x1.d03829711ef3fp+5", "0x1.26bd182ab6f22p-6")),
+    "ou": (None, ou, (
+        "0x1.0b53eaff04606p-1", "0x1.0b53eaff04606p+2", "0x1.ea4ded745c419p-2", "0x0.0p+0",
+        "0x1.cc7d2836ced81p-1", "-0x1.cc7d283715fecp-1", "0x1.b51c10bb2fe59p-17")),
+    "ou-30": (None, ou_30, (
+        "0x1.0b53eafef9d25p-1", "0x1.0b53eafef9d25p+2", "0x1.ea4ded746f9d7p-2",
+        "0x1.e000000000a7ap+4", "0x1.ee63e95020d92p+4", "0x1.d19c16be6f7f6p+4",
+        "0x1.b175428b611ecp-16")),
+    "heavy": (None, heavy, (
+        None, None, "inf", "0x0.0p+0", "0x1.4000000000000p+5", "-0x1.4000000000000p+5",
+        "0x0.0p+0")),
+}
+
+
+def _hexed(v):
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, dict):
+        return {k: _hexed(x) for k, x in v.items()}
+    return v
+
+
 class TestMuckenhoupt:
+    @pytest.mark.parametrize("name", MUCK_PINNED)
+    def test_reports_pinned_bit_for_bit(self, name):
+        R, build, (lower, upper, b, med, xp, xm, quad_err) = MUCK_PINNED[name]
+        got = [_hexed(r.as_dict()) for r in bd.muckenhoupt(build(), bd.OptConfig(R=R))]
+        feasible = lower is not None
+        notes = [] if feasible else ["B diverging on the scan window: no spectral gap detected"]
+        assert got == [
+            {"method": "muckenhoupt", "target": "lambda1", "side": side, "value": value,
+             "params": {"B": b, "median": med, "x_plus": xp, "x_minus": xm},
+             "error_budget": {"quad_err": quad_err, "opt_gap": "0x0.0p+0",
+                              "truncation": "0x0.0p+0"},
+             "notes": notes, "feasible": feasible}
+            for side, value in (("lower", lower), ("upper", upper))]
+
     def test_quartic_frozen_product(self):
-        mk = bd.muckenhoupt(quartic())
-        assert abs(mk.b - MUCK_B[1]) < 5e-5
-        assert abs(abs(mk.x_plus - mk.median) - MUCK_B[0]) < 5e-3
-        assert abs(mk.b_plus - mk.b_minus) < 1e-6 * mk.b  # even density
-        assert abs(mk.lower - 1.0 / (4 * mk.b)) < 1e-15
-        assert abs(mk.upper - 2.0 / mk.b) < 1e-15
-        assert mk.lower <= QUARTIC_GAP <= mk.upper
+        m = quartic()
+        lo, hi = bd.muckenhoupt(m)
+        b, med = lo.params["B"], lo.params["median"]
+        assert abs(b - MUCK_B[1]) < 5e-5
+        assert abs(abs(lo.params["x_plus"] - med) - MUCK_B[0]) < 5e-3
+        b_plus, b_minus = (bd._muck_side(m, med, sgn, bd.OptConfig())[0] for sgn in (1, -1))
+        assert abs(b_plus - b_minus) < 1e-6 * b  # even density
+        assert abs(lo.value - 1.0 / (4 * b)) < 1e-15
+        assert abs(hi.value - 2.0 / b) < 1e-15
+        assert lo.value <= QUARTIC_GAP <= hi.value
 
     def test_gaussian_bracket(self):
-        mk = bd.muckenhoupt(ou())
-        assert mk.lower <= 1.0 <= mk.upper
+        lo, hi = bd.muckenhoupt(ou())
+        assert lo.value <= 1.0 <= hi.value
 
     def test_gaussian_bracket_far_from_the_origin(self):
-        mk = bd.muckenhoupt(ou_30())
-        assert abs(mk.median - 30.0) < 1e-9
-        assert mk.lower <= 1.0 <= mk.upper
+        lo, hi = bd.muckenhoupt(ou_30())
+        assert abs(lo.params["median"] - 30.0) < 1e-9
+        assert lo.value <= 1.0 <= hi.value
 
     def test_exponential_like_plateau(self):
         m = md.build_model(
             sigma="1", target_potential="sqrt(x^2 + 1e-6)", name="sexp"
         )
-        mk = bd.muckenhoupt(m)
+        lo, hi = bd.muckenhoupt(m)
         # the product climbs to its supremum near 1; the bracket straddles
         # the true gap which sits just above 1/4
-        assert 1.0 - 1e-6 <= mk.b <= 1.01
-        assert mk.lower <= 0.2516 <= mk.upper
+        assert 1.0 - 1e-6 <= lo.params["B"] <= 1.01
+        assert lo.value <= 0.2516 <= hi.value
 
     @pytest.mark.parametrize("R", [None, 60.0])
     def test_budget_covers_the_grid_error(self, R):
@@ -404,22 +458,24 @@ class TestMuckenhoupt:
         at R = 60), where the product computed directly at the reported point
         is 1.0000000: the budget covers the difference this makes to 2/B."""
         m = gal.gallery_model("smoothed-exponential")
-        mk = bd.muckenhoupt(m, bd.OptConfig(R=R))
-        x, med = (mk.x_plus if mk.b_plus >= mk.b_minus else mk.x_minus), mk.median
+        cfg = bd.OptConfig(R=R)
+        lo, hi = bd.muckenhoupt(m, cfg)
+        b, med = lo.params["B"], lo.params["median"]
+        # the point of the side whose product is B
+        (bp, xp, *_), (bm, xm, *_) = (bd._muck_side(m, med, sgn, cfg) for sgn in (1, -1))
+        x = xp if bp >= bm else xm
         qc = q.QuadConfig(abs_tol=0.0)
         core = q.integrate(lambda u: np.exp(np.asarray(m.U(u), dtype=float)),
                            min(x, med), max(x, med), qc).value
         tail = q.integrate(m.density, *((x, m.support[1]) if x > med else (m.support[0], x)),
                            qc).value
         b_direct = tail * core
-        assert abs(b_direct - 1.0) < 1e-6 < mk.b - b_direct
-        assert mk.error_budget["quad_err"] >= abs(2.0 / mk.b - 2.0 / b_direct)
+        assert abs(b_direct - 1.0) < 1e-6 < b - b_direct
+        assert hi.error_budget["quad_err"] >= abs(2.0 / b - 2.0 / b_direct)
 
     def test_no_gap_detected(self):
-        m = md.build_model(sigma="1", target_potential="1.5*log(1+x^2)", name="heavy")
-        mk = bd.muckenhoupt(m)
-        assert mk.diverging
-        lo, hi = mk.reports()
+        lo, hi = bd.muckenhoupt(heavy())
+        assert lo.params["B"] == math.inf
         assert not lo.feasible and not hi.feasible
 
     def test_unit_sigma_required(self):
@@ -427,7 +483,7 @@ class TestMuckenhoupt:
             bd.muckenhoupt(cauchy())
 
     def test_reports_sides(self):
-        lo, hi = bd.muckenhoupt(ou()).reports()
+        lo, hi = bd.muckenhoupt(ou())
         assert (lo.side, hi.side) == ("lower", "upper")
         assert lo.method == hi.method == "muckenhoupt"
 
@@ -442,8 +498,8 @@ class TestPowerFormulas:
         assert abs(bd.veysseire_power_formula(1.5) - ref) < 1e-15
 
     def test_relaxation_weaker_than_computed_bracket(self):
-        mk = bd.muckenhoupt(quartic())
-        assert bd.muckenhoupt_power_formula(4.0) <= mk.lower
+        lo, _ = bd.muckenhoupt(quartic())
+        assert bd.muckenhoupt_power_formula(4.0) <= lo.value
 
     def test_crossover_location(self):
         a = bd.power_crossover()
@@ -698,6 +754,12 @@ class TestLsiLower:
         assert not bd._symmetric_measure(asym, q.median(asym))
 
 
+def _reference(value, err_est=0.0):
+    """A finite-difference reference eigenvalue for ``assemble_report``."""
+    return orc.GapEstimate(value=value, err_est=err_est, coarse=value, fine=value,
+                           truncation_gap=0.0, R=0.0, n=0, boundary="neumann")
+
+
 class TestAssemble:
     def test_quartic_pipeline(self):
         m = quartic()
@@ -708,15 +770,10 @@ class TestAssemble:
             bd.rayleigh_upper(
                 m, ex.parse("x*(x^2)^((eps-1)/2)"),
                 bd.OptConfig(box={"eps": (0.55, 2.0)})),
-            *bd.muckenhoupt(m).reports(),
+            *bd.muckenhoupt(m),
             bd.lsi_lower(m, dec_family=md.WeightSpec.a_form(ex.parse("-(x-1)^2"))),
         ]
-
-        class Ref:
-            value = QUARTIC_GAP
-            err_est = 1e-6
-
-        doc = bd.assemble_report(m, reports, Ref())
+        doc = bd.assemble_report(m, reports, _reference(QUARTIC_GAP, 1e-6))
         assert doc["violations"] == []
         lam = doc["targets"]["lambda1"]
         assert lam["bracket"][0] <= QUARTIC_GAP <= lam["bracket"][1]
@@ -742,7 +799,7 @@ class TestAssemble:
     def test_oracle_ordering_flagged(self):
         mk = {"quad_err": 0.0, "opt_gap": 0.0, "truncation": 0.0}
         lo = bd.BoundReport("chen_wang", "lambda1", "lower", 2.0, {}, dict(mk))
-        doc = bd.assemble_report(ou(), [lo], oracle=1.0)
+        doc = bd.assemble_report(ou(), [lo], oracle=_reference(1.0))
         assert any("reference eigenvalue" in v for v in doc["violations"])
 
     def test_report_validation(self):

@@ -425,6 +425,33 @@ class TestCheckCommand:
         assert row["status"] == "pass" and row["zscore"] == 0.0
         assert row["lhs"] == row["rhs"]
 
+    def test_mc_horizon_is_neither_read_nor_checked(self, tmp_path):
+        # each ensemble runs to its own check's t: a horizon below the step
+        # (0.0001) or none at all gives the same report as any other
+        reports = []
+        for horizon in (None, 0.0001, 0.5, 4.0):
+            mc_sec = {"paths": 1000, "seed": 3, "step": 1.0e-3}
+            if horizon is not None:
+                mc_sec["horizon"] = horizon
+            cfg = write_cfg(tmp_path, {
+                "model": {"gallery": "quartic"}, "mc": mc_sec,
+                "check": {"intertwining": [{"weight": {"kind": "direct", "family": "1"},
+                                            "f": "tanh(x)", "x0": 0.5, "t": 0.05}]}})
+            reports.append(run(tmp_path, ["check", "--config", cfg, "--format", "json-like"]))
+        assert reports[0][0] == 0 and json.loads(reports[0][1])["checks"]
+        assert reports == [reports[0]] * 4
+
+    def test_step_above_the_default_horizon(self, tmp_path):
+        # no horizon set: MCConfig's default 1.0 is below the step 2.0, yet
+        # the check runs to its own t = 4 in two steps
+        cfg = write_cfg(tmp_path, {
+            "model": {"gallery": "ou"}, "mc": {"paths": 1000, "seed": 3, "step": 2.0},
+            "check": {"intertwining": [{"weight": {"kind": "direct", "family": "1"},
+                                        "f": "tanh(x)", "x0": 0.5, "t": 4.0}]}})
+        code, text = run(tmp_path, ["check", "--config", cfg, "--format", "json-like"])
+        assert code in (0, 1)
+        assert json.loads(text)["checks"][0]["t"] == 4.0
+
     def test_short_run_passes(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "model": {"gallery": "ou"},

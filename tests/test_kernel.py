@@ -85,8 +85,13 @@ def assert_kernel_matches(trees_, x, params, k, w):
         assert w[r].tobytes() == v.tobytes()
 
 
+# inf + -inf: the leading scalars' sum is a NaN whose sign differs from x's
+INF_MINUS_INF_PLUS_X = ex.add(ex.const(np.inf), ex.const(-np.inf), ex.X)
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(tree_lists(), xs_strategy, xs_strategy, st.booleans())
+@hypothesis.example([INF_MINUS_INF_PLUS_X], [np.nan] * 9, [np.nan] * 9, False)
 def test_kernel_equals_evaluate(trees_, xs1, xs2, bound):
     params = {"p": 0.75} if bound else {}  # unbound: the kernel raises as evaluate does
     k = ex.kernel(trees_)
@@ -96,6 +101,18 @@ def test_kernel_equals_evaluate(trees_, xs1, xs2, bound):
     assert_kernel_matches(trees_, np.array([xs1]), params, k, w)
     x2 = np.array([(xs2 * len(xs1))[:len(xs1)]])
     assert_kernel_matches(trees_, x2, params, k, w)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9,), (3, 2000)])
+def test_leading_scalars_combine_before_x(shape):
+    # an array filled with the scalars' NaN, plus the NaN x, kept x's NaN
+    # where evaluate's scalar sum keeps its own
+    k = ex.kernel([INF_MINUS_INF_PLUS_X])
+    x = np.full(shape, np.nan)
+    w = workspace(k, shape)
+    with np.errstate(all="ignore"):
+        k(x, {}, w)
+    assert w[k.roots[0]].tobytes() == ex.evaluate(INF_MINUS_INF_PLUS_X, x).tobytes()
 
 
 def test_log_of_a_negative_argument_raises_at_the_same_x():

@@ -57,6 +57,13 @@ class TestMCConfig:
         with pytest.raises(mc.MCConfigError):
             mc.MCConfig(**kw)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_step_must_be_finite(self, step):
+        # an infinite step was refused as above the horizon, naming a
+        # horizon that ``diffgap check`` never reads
+        with pytest.raises(mc.MCConfigError, match="step must be finite and positive"):
+            mc.MCConfig(step=step)
+
     @pytest.mark.parametrize("horizon", [math.nan, math.inf])
     def test_horizon_must_be_finite(self, horizon):
         with pytest.raises(mc.MCConfigError, match="finite"):
@@ -349,27 +356,6 @@ class TestFeynmanKac:
         with pytest.raises(mc.MCError, match="non-finite killing rate"):
             mc.check_intertwining(ou(), md.WeightSpec.exp_w("(x^2-4)^1.5"), "tanh(x)", 0.5,
                                   1.0, mc.MCConfig(paths=2000))
-
-    def test_one_rate_kernel_per_scale(self, monkeypatch):
-        # kernels are kept by tree identity, so the doubled rate is one tree
-        # per dual and scale: repeated calls lower no new kernel
-        lowered = []
-        lowering = ex._Lowering
-
-        class Counted(lowering):
-            def __init__(self):
-                lowered.append(self)
-                super().__init__()
-
-        monkeypatch.setattr(ex, "_Lowering", Counted)
-        d = md.realize_weight(quartic(), md.WeightSpec.z_form(ex.parse("1.2712293*x")))
-        cfg = mc.MCConfig(step=1e-2, horizon=0.1, paths=100, seed=3)
-        counts = []
-        for scale in (1.0, 1.0, 2.0, 2.0, 2.0):
-            mc.feynman_kac(d, np.tanh, 0.4, cfg, potential_scale=scale)
-            counts.append(len(lowered))
-        # the first call also compiles the trees its set-up evaluates
-        assert np.diff(counts).tolist() == [0, 1, 0, 0]
 
     def test_estimate_invariants(self):
         with pytest.raises(mc.MCError):
@@ -793,7 +779,8 @@ class TestSharedBasePaths:
 class TestSharedDualJob:
     """``run_checks`` steps the dual ensembles of every check at a horizon as
     one job on one stream; each dual row must come out as a lone
-    ``feynman_kac`` on that stream does, bit for bit."""
+    ``feynman_kac`` on that stream does (with the doubled rate for a
+    subintertwining check), bit for bit."""
 
     @staticmethod
     def fk_bits(fk) -> bytes:
@@ -838,7 +825,8 @@ class TestSharedDualJob:
             phi = kw["phi"]
             theta = lambda x: np.asarray(phi.phi_dd_fn(np.asarray(ffn(x), dtype=float)),
                                          dtype=float) * grad(x) ** 2
-            fk = mc.feynman_kac(d, theta, kw["x0"], cfg, potential_scale=2.0)
+            paths, = mc._evolve([mc._fk_group(d, 2.0)], [kw["x0"]], cfg)
+            fk = mc._fk_estimate(paths, theta, cfg)
             assert np.array([r.rhs, r.rhs_err]).tobytes() == np.array([fk.mean, fk.std_err]).tobytes()
 
     def test_one_dual_partly_blows_up(self):

@@ -475,7 +475,7 @@ def test_z_form_and_muckenhoupt_share_the_unit_sigma_test(sigma, unit):
     assert md._sigma_is_one(m) is unit
     if unit:
         md.derive_weight(m, md.WeightSpec.z_form(ex.parse("x")))
-        assert bd.muckenhoupt(m).b > 0
+        assert bd.muckenhoupt(m)[0].params["B"] > 0
     else:
         with pytest.raises(md.ModelError, match="z_form weights require sigma = 1"):
             md.derive_weight(m, md.WeightSpec.z_form(ex.parse("x")))
