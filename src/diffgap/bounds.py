@@ -640,15 +640,22 @@ def _muck_side(m: md.DiffusionModel, med: float, sgn: int, cfg: OptConfig):
         return b_grid, float(med + sgn * t[i]), abs(b_grid - float(prod[j])), (
             "supremum attained in the tail limit",)
 
+    # Brent refines on [a, b]: the tail beyond b and the core up to a are
+    # integrated once, and each step adds only the pieces between a and b
+    a, b = t[max(i - 1, 1)], t[min(i + 1, len(t) - 1)]
+    if sgn > 0:
+        tail_b = q.integrate(m.density, med + b, hi, qc).value
+    else:
+        tail_b = q.integrate(m.density, lo, med - b, qc).value
+    core_a = q.integrate(coref, 0.0, a, qc).value
+
     def prod_direct(tt: float) -> float:
         if sgn > 0:
-            tl = q.integrate(m.density, med + tt, hi, qc).value
+            tl = q.integrate(m.density, med + tt, med + b, qc).value
         else:
-            tl = q.integrate(m.density, lo, med - tt, qc).value
-        cr = q.integrate(coref, 0.0, tt, qc).value
-        return tl * cr
+            tl = q.integrate(m.density, med - b, med - tt, qc).value
+        return (tail_b + tl) * (core_a + q.integrate(coref, a, tt, qc).value)
 
-    a, b = t[max(i - 1, 1)], t[min(i + 1, len(t) - 1)]
     r = minimize_scalar(lambda tt: -prod_direct(float(tt)), bounds=(a, b), xatol=1e-9 * T)
     b_best, x_best = b_grid, float(med + sgn * t[i])
     if np.isfinite(r.fun) and -r.fun > b_best:

@@ -1,13 +1,22 @@
 """Deterministic adaptive quadrature against a measure.
 
-The integrator is a 7/15 Gauss-Kronrod pair with round-based bisection.
+The integrator is a 7/15 Gauss-Kronrod pair with round-based refinement.
 Each round sums the panel estimates and errors (``math.fsum``) and stops once
 the error meets max(abs_tol, rel_tol*|value|), the panel count reaches
 ``max_subdivisions``, or no panel can be halved above floating resolution.
-Otherwise it bisects the fewest largest-error panels (ties by position)
-whose removal would leave an error sum within the tolerance, at least one
-and no more than the budget left, and evaluates all their children in one
-integrand call.  Integrands must therefore be elementwise in x.  The final
+Otherwise it splits the fewest largest-error panels (ties by position)
+whose removal would leave an error sum within the tolerance, at least one,
+and evaluates all their children in one integrand call.  Integrands must
+therefore be elementwise in x.  A panel is bisected unless it is graded
+toward one of its ends: a child sharing an end with the panel it was split
+from is graded toward that end when its error fell, but by less than 2^-h
+over the h halvings that made it (h = 1 for a bisection), as an integrable
+singularity at that end makes it.  A graded panel is cut by 2h successive
+halvings toward its end in one round (geometric grading, QUADPACK's remedy
+for an endpoint singularity), and its innermost child is graded again by the
+same rule.  Every cut is 0.5*(lo + hi) of the panel it halves, as in
+bisection; halvings stop at floating resolution, and a round's new panels
+fill the budget left in error order.  The final
 value and error are summed in position order.  A result's ``edges`` are its
 final interior panel boundaries in x; passing them as ``breakpoints`` to a
 later call starts that call from the same partition and reproduces the
@@ -264,10 +273,12 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
     pts = np.sort(np.concatenate(([a], pts[(a < pts) & (pts < b)], [b])))
     pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
-    # panels in position order
+    # panels in position order; grade[i] is 0, or -h (+h) for a panel
+    # graded toward its lower (upper) end that h halvings made
     lo, hi = pts[:-1], pts[1:]
     k, e = _gk15_batch(fn, lo, hi)
     neval = 15 * len(lo)
+    grade = np.zeros(len(lo), dtype=np.int64)
     while len(lo) < cfg.max_subdivisions:
         value, err = math.fsum(k.tolist()), math.fsum(e.tolist())
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
@@ -280,20 +291,40 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
         # fewest largest-error panels whose removal leaves an error sum <= tol
         order = pickable[np.argsort(-e[pickable], kind="stable")]
         left = err - np.cumsum(e[order])
-        n_pick = int(np.searchsorted(-left, -tol)) + 1
-        n_pick = min(n_pick, len(order), cfg.max_subdivisions - len(lo))
-        picked = np.zeros(len(lo), dtype=bool)
-        picked[order[:n_pick]] = True
+        room = cfg.max_subdivisions - len(lo)
+        pick = order[:min(int(np.searchsorted(-left, -tol)) + 1, room)]
 
-        # each picked panel becomes its two halves, in place
-        rep = 1 + picked
-        lo, hi = np.repeat(lo, rep), np.repeat(hi, rep)
-        first = np.cumsum(rep)[picked] - 2
-        hi[first] = lo[first + 1] = mid[picked]
-        children = np.flatnonzero(np.repeat(picked, rep))
-        k, e = np.repeat(k, rep), np.repeat(e, rep)
+        # each picked panel becomes its n_in + 1 children, in place: a
+        # bisection, unless a picked panel is graded (``_graded_cuts``)
+        g = grade[pick]
+        n_in, owner, off, cut = 1, slice(None), 0, mid[pick]
+        if np.count_nonzero(g):
+            pick, g, n_in, owner, off, cut = _graded_cuts(lo, hi, mid, pick, g, room)
+        rep = np.ones(len(lo), dtype=np.int64)
+        rep[pick] += n_in
+        first = np.add.accumulate(rep)[pick] - rep[pick]
+        lo, hi = lo.repeat(rep), hi.repeat(rep)
+        at = first[owner] + off
+        hi[at] = lo[at + 1] = cut
+        children = (rep > 1).repeat(rep).nonzero()[0]
+        parent_e = e[pick]
+        k, e, grade = k.repeat(rep), e.repeat(rep), grade.repeat(rep)
         k[children], e[children] = _gk15_batch(fn, lo[children], hi[children])
         neval += 15 * len(children)
+
+        # the outer children share an end with their parent: each is graded
+        # toward it when its error fell, but by less than 2^-h over the h
+        # halvings that made it (n_in for the innermost child of a graded
+        # split, else 1), as near an integrable endpoint singularity.  An
+        # error that did not fall is a divergence or round-off, where grading
+        # would only reach floating resolution sooner
+        grade[children] = 0
+        outer = np.concatenate((first, first + n_in))
+        h = np.concatenate((np.where(g < 0, n_in, 1), np.where(g > 0, n_in, 1)))
+        pe = np.concatenate((parent_e, parent_e))
+        eo = e[outer]
+        slow = (eo > np.ldexp(pe, -h)) & (eo < pe)
+        grade[outer[slow]] = (h * np.repeat((-1, 1), len(first)))[slow]
 
     # deterministic final summation in segment-position order
     value = float(np.add.reduce(k))
@@ -302,6 +333,35 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
     edges = hi[:-1].tolist()
     return IntegrationResult(value, err, neval, err <= tol, len(lo), tuple(edges),
                              _coarsened(edges, e, _CARRY_MERGE * tol / len(lo)))
+
+
+def _graded_cuts(lo, hi, mid, pick, g, room):
+    """The cuts of the panels ``pick`` (in error order) with grades ``g``.
+
+    A graded panel (grade -h or +h) is cut by 2h halvings toward its lower
+    or upper end s, each moving the far end t to 0.5*(s + t), the bisection
+    midpoint of [s, t], while that lies strictly inside; any other panel is
+    bisected.  The panels keep no more new panels than ``room``, in error
+    order.  Returns the panels kept with their grades, cut counts, and each
+    cut's panel (an index into them), boundary offset within its panel and
+    value."""
+    want = np.abs(g) * 2
+    cuts = np.empty((len(pick), want.max()))
+    cuts[:, 0] = mid[pick]
+    n_in = np.ones(len(pick), dtype=np.int64)
+    s = np.where(g < 0, lo[pick], hi[pick])
+    for j in range(1, cuts.shape[1]):
+        t = cuts[:, j - 1]
+        cuts[:, j] = 0.5 * (s + t)
+        n_in += (n_in == j) & (j < want) & (cuts[:, j] != s) & (cuts[:, j] != t)
+    n_in = np.minimum(n_in, room - np.add.accumulate(n_in) + n_in)
+    m = int(np.count_nonzero(n_in > 0))
+    pick, g, cuts, n_in = pick[:m], g[:m], cuts[:m], n_in[:m]
+    # cut j of a panel graded downward is its (n_in - 1 - j)-th boundary
+    owner = np.arange(m).repeat(n_in)
+    j = np.arange(len(owner)) - (np.add.accumulate(n_in) - n_in)[owner]
+    off = np.where(g[owner] < 0, n_in[owner] - 1 - j, j)
+    return pick, g, n_in, owner, off, cuts[owner, j]
 
 
 def _coarsened(edges: list, e: np.ndarray, negligible: float) -> tuple:

@@ -231,6 +231,15 @@ class TestTailProbe:
         r = q.integrate(lambda x: 0.0, -math.inf, math.inf)
         assert r.value == 0.0 and r.err_est == 0.0 and r.converged
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: on the tan map the bump is about 0.001 wide in theta, and the first "
+        "15-point panels on [0, pi/2] step over it: 1.1e-26, converged, in 3 panels"))
+    def test_far_bump_is_found_or_not_converged(self):
+        r = q.integrate(lambda x: np.exp(-0.5 * (x - 30.0) ** 2), -math.inf, math.inf,
+                        breakpoints=(0.0,))
+        exact = math.sqrt(2.0 * math.pi)
+        assert not r.converged or abs(r.value - exact) <= 1e-8 * exact
+
 
 class TestBatchedRefinement:
     """Round-based refinement: every panel picked in a round is bisected and
@@ -253,10 +262,16 @@ class TestBatchedRefinement:
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 17, 2000])
     def test_subdivisions_within_budget(self, budget):
+        points = []
+
+        def f(x):
+            points.append(np.size(x))
+            return 1.0 / np.sqrt(x)
+
         cfg = q.QuadConfig(max_subdivisions=budget)
-        r = q.integrate(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, cfg)
+        r = q.integrate(f, 1e-300, 1.0, cfg)
         assert 1 <= r.subdivisions <= budget
-        assert r.neval == 15 * (2 * r.subdivisions - 1)
+        assert r.neval == sum(points)
         assert math.isfinite(r.value)
         if budget == 3:
             assert not r.converged
@@ -286,6 +301,58 @@ class TestBatchedRefinement:
         r = q.integrate(f, a, b)
         assert r.converged
         assert abs(r.value - ref) < 1e-9
+
+
+class TestGradedSplit:
+    """A child panel whose error fell by less than 2^-h over the h halvings
+    toward an end it shares with its parent is cut next by 2h halvings
+    toward that end, all in one round: geometric grading toward an endpoint
+    singularity, instead of one round per halving."""
+
+    @staticmethod
+    def counted(f, points):
+        def g(x):
+            points.append(np.size(x))
+            return f(x)
+        return g
+
+    def test_inverse_sqrt_in_few_rounds(self):
+        points = []
+        r = q.integrate(self.counted(lambda x: 1.0 / np.sqrt(x), points), 1e-300, 1.0)
+        assert r.converged
+        assert len(points) <= 10  # one round per halving took 45
+        assert abs(r.value - 2.0) <= r.err_est
+
+    @pytest.mark.parametrize("f, a, b, exact", [
+        (lambda x: np.abs(x) ** -0.8, -1.0, 2.0, 5.0 * (1.0 + 2.0 ** 0.2)),
+        # through the tan map: int |x|^(s-1)/(1+x^2) = pi/sin(pi s/2), s = 0.2
+        (lambda x: np.abs(x) ** -0.8 / (1.0 + x * x), -math.inf, math.inf,
+         math.pi / math.sin(0.1 * math.pi)),
+    ])
+    def test_singular_breakpoint_converges(self, f, a, b, exact):
+        r = q.integrate(f, a, b, breakpoints=(0.0,))
+        assert r.converged
+        assert abs(r.value - exact) <= q.QuadConfig().rel_tol * exact
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 17])
+    def test_graded_cuts_within_budget(self, budget):
+        # both ends singular: two graded panels compete for the budget left
+        points = []
+        f = self.counted(lambda x: x ** -0.8 * (1.0 - x) ** -0.8, points)
+        r = q.integrate(f, 0.0, 1.0, q.QuadConfig(max_subdivisions=budget))
+        assert 1 <= r.subdivisions <= budget
+        assert r.neval == sum(points)
+        assert not r.converged
+
+    def test_restart_from_graded_edges(self):
+        f = lambda x: np.abs(x) ** -0.8
+        points = []
+        r = q.integrate(self.counted(f, points), -1.0, 2.0, breakpoints=(0.0,))
+        assert len(points) > 1 and r.converged
+        points.clear()
+        again = q.integrate(self.counted(f, points), -1.0, 2.0, breakpoints=r.edges)
+        assert len(points) == 1
+        assert (again.value, again.subdivisions) == (r.value, r.subdivisions)
 
 
 class TestQuadConfig:
