@@ -582,10 +582,10 @@ def reproduce_rows() -> list[dict]:
     jobs = {
         "ray_q": lambda: bd.rayleigh_upper(m_q, ex.parse("x*(x^2)^((eps-1)/2)"),
                                            bd.OptConfig(box={"eps": (0.55, 2.0)})),
-        "mk_s": lambda: bd.muckenhoupt(m_s, bd.OptConfig(R=60.0)),
         **{("cw_dw", beta): functools.partial(slope, m_dw[beta]) for beta in betas},
         "cw_q": lambda: slope(m_q),
         "g_s": lambda: orc.spectral_gap_fd(m_s, R=60.0, n=4096),
+        "mk_s": lambda: bd.muckenhoupt(m_s, bd.OptConfig(R=60.0)),
         "mk_q": lambda: bd.muckenhoupt(m_q),
         "g_ou": lambda: orc.spectral_gap_fd(m_ou, n=2048),
         "g_q": lambda: orc.spectral_gap_fd(m_q, n=2048),
