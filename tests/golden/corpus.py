@@ -87,7 +87,6 @@ def _sampled(text: str) -> str:
 def generate() -> tuple[dict[str, str], dict[str, int]]:
     """Every report of the corpus as stored (file name -> text), and each
     report's exit code."""
-    sys.path.insert(0, str(ROOT / "src"))
     from diffgap import cli
 
     texts, codes = {}, {}
