@@ -3,21 +3,26 @@
 The integrator is a 7/15 Gauss-Kronrod pair with round-based refinement.
 Each round sums the panel estimates and errors (``math.fsum``) and stops once
 the error meets max(abs_tol, rel_tol*|value|), the panel count reaches
-``max_subdivisions``, or no panel can be halved above floating resolution.
-Otherwise it splits the fewest largest-error panels (ties by position)
-whose removal would leave an error sum within the tolerance, at least one,
-and evaluates all their children in one integrand call.  Integrands must
-therefore be elementwise in x.  A panel is bisected unless it is graded
-toward one of its ends: a child sharing an end with the panel it was split
-from is graded toward that end when its error fell, but by less than 2^-h
-over the h halvings that made it (h = 1 for a bisection), as an integrable
-singularity at that end makes it.  A graded panel is cut by 2h successive
-halvings toward its end in one round (geometric grading, QUADPACK's remedy
-for an endpoint singularity), and its innermost child is graded again by the
-same rule.  Every cut is 0.5*(lo + hi) of the panel it halves, as in
-bisection; halvings stop at floating resolution, and a round's new panels
-fill the budget left in error order.  The final
-value and error are summed in position order.  A result's ``edges`` are its
+``max_subdivisions``, or the error of the panels above floating resolution
+meets the tolerance.  A panel is at floating resolution once its 15 nodes are
+no longer distinct floats: its |kronrod - gauss| then measures nothing, so it
+carries its parent's error instead (a starting panel, its whole |kronrod|)
+and is never split, and an integral whose error sits below floating
+resolution, as that of a singularity away from 0 can, ends unconverged.
+Otherwise it splits the fewest largest-error panels above resolution (ties
+by position) whose removal would leave their error sum within the
+tolerance, at least one, and evaluates all their children in one integrand
+call.  Integrands must therefore be elementwise in x.  A panel is bisected
+unless it is graded toward one of its ends: a child sharing an end with the
+panel it was split from is graded toward that end when its error fell, but
+by less than 2^-h over the h halvings that made it (h = 1 for a bisection),
+as an integrable singularity at that end makes it.  A graded panel is cut by
+2h successive halvings toward its end in one round (geometric grading,
+QUADPACK's remedy for an endpoint singularity), and its innermost child is
+graded again by the same rule.  Every cut is 0.5*(lo + hi) of the panel it
+halves, as in bisection; halvings stop where that midpoint no longer lies
+inside, and a round's new panels fill the budget left in error order.  The
+final value and error are summed in position order.  A result's ``edges`` are its
 final interior panel boundaries in x; passing them as ``breakpoints`` to a
 later call starts that call from the same partition and reproduces the
 result.  Its ``carry`` is that partition coarsened for a nearby integrand (a
@@ -248,9 +253,9 @@ def integrate(
 def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Kronrod passes on the panels [lo[i], hi[i]] in one integrand
     call on the flattened (m, 15) node array: returns (kronrod, |kronrod -
-    gauss|) per panel.  The weighted sums use ``np.add.reduce`` along each
-    row rather than a matrix product, so no value depends on the BLAS
-    kernel."""
+    gauss|, whether the 15 nodes are distinct floats) per panel.  The
+    weighted sums use ``np.add.reduce`` along each row rather than a matrix
+    product, so no value depends on the BLAS kernel."""
     half = 0.5 * (hi - lo)
     xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     ys = np.asarray(fn(xs.ravel()), dtype=float)
@@ -263,7 +268,7 @@ def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
         raise _NonFinite(f"integrand is {kind} at x = {node}", kind, node)
     k = half * np.add.reduce(ys * _WK, axis=1)
     g = half * np.add.reduce(ys * _WGFULL, axis=1)
-    return k, np.abs(k - g)
+    return k, np.abs(k - g), np.all(xs[:, 1:] > xs[:, :-1], axis=1)
 
 
 def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> IntegrationResult:
@@ -274,9 +279,11 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
     pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
     # panels in position order; grade[i] is 0, or -h (+h) for a panel
-    # graded toward its lower (upper) end that h halvings made
+    # graded toward its lower (upper) end that h halvings made; fine[i] is
+    # whether it is above floating resolution, its error its own
     lo, hi = pts[:-1], pts[1:]
-    k, e = _gk15_batch(fn, lo, hi)
+    k, e, fine = _gk15_batch(fn, lo, hi)
+    e = np.where(fine, e, np.abs(k))
     neval = 15 * len(lo)
     grade = np.zeros(len(lo), dtype=np.int64)
     while len(lo) < cfg.max_subdivisions:
@@ -284,19 +291,20 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
         if err <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        pickable = np.flatnonzero((mid > lo) & (mid < hi))  # above floating resolution
-        if not len(pickable):
+        pickable = np.flatnonzero(fine)
+        reach = err if len(pickable) == len(lo) else math.fsum(e[pickable].tolist())
+        if reach <= tol:  # what is left lies below floating resolution
             break
         # fewest largest-error panels whose removal leaves an error sum <= tol
         order = pickable[np.argsort(-e[pickable], kind="stable")]
-        left = err - np.cumsum(e[order])
+        left = reach - np.cumsum(e[order])
         room = cfg.max_subdivisions - len(lo)
         pick = order[:min(int(np.searchsorted(-left, -tol)) + 1, room)]
 
         # each picked panel becomes its n_in + 1 children, in place: a
         # bisection, unless a picked panel is graded (``_graded_cuts``)
         g = grade[pick]
+        mid = 0.5 * (lo + hi)
         n_in, owner, off, cut = 1, slice(None), 0, mid[pick]
         if np.count_nonzero(g):
             pick, g, n_in, owner, off, cut = _graded_cuts(lo, hi, mid, pick, g, room)
@@ -308,8 +316,9 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
         hi[at] = lo[at + 1] = cut
         children = (rep > 1).repeat(rep).nonzero()[0]
         parent_e = e[pick]
-        k, e, grade = k.repeat(rep), e.repeat(rep), grade.repeat(rep)
-        k[children], e[children] = _gk15_batch(fn, lo[children], hi[children])
+        k, e, grade, fine = k.repeat(rep), e.repeat(rep), grade.repeat(rep), fine.repeat(rep)
+        k[children], ec, fine[children] = _gk15_batch(fn, lo[children], hi[children])
+        e[children] = np.where(fine[children], ec, e[children])  # else the parent's
         neval += 15 * len(children)
 
         # the outer children share an end with their parent: each is graded

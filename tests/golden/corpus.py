@@ -3,7 +3,6 @@ inputs, checked in byte for byte, so that a change which moves a printed
 digit shows as a diff of ``tests/golden/``.
 
     PYTHONPATH=src python tests/golden/corpus.py          # rewrite the corpus
-    PYTHONPATH=src python tests/golden/corpus.py --dry    # compare, write nothing
     PYTHONPATH=src python tests/golden/corpus.py --out D  # write the reports to D
 
 Without ``--out``, every changed report is printed with its changed cells:
@@ -76,6 +75,22 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
+def version_changes(recorded: dict) -> list[str]:
+    """One line per version in ``recorded`` that differs from this one."""
+    now = versions()
+    return [f"{k}: corpus {v}, now {now.get(k)}" for k, v in recorded.items()
+            if now.get(k) != v]
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports diffgap from
+    this checkout's ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 def _sampled(text: str) -> str:
     lines = text.splitlines()
     digest = hashlib.sha256(text.encode()).hexdigest()
@@ -100,11 +115,8 @@ def generate() -> tuple[dict[str, str], dict[str, int]]:
                 text, ext = _sampled(text), "csv.sampled"
             texts[f"{stem}.{ext}"] = text
             codes[f"{stem}.{ext}"] = report.code
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for demo in demos():
-        proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+        proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=child_env(),
                               capture_output=True, text=True, timeout=300)
         name = f"demo.{demo.stem}.txt"
         texts[name], codes[name] = proc.stdout, proc.returncode
@@ -190,8 +202,7 @@ def compare(directory: Path, texts: dict[str, str], codes: dict[str, int]) -> li
     path = directory / "manifest.json"
     manifest = (json.loads(path.read_text()) if path.exists()
                 else {"versions": versions(), "codes": {}})
-    lines = [f"{k}: corpus {v}, now {versions()[k]}" for k, v in manifest["versions"].items()
-             if versions().get(k) != v]
+    lines = version_changes(manifest["versions"])
     for name in sorted(set(texts) | set(manifest["codes"])):
         path = directory / "reports" / name
         if name not in texts:
@@ -210,7 +221,6 @@ def compare(directory: Path, texts: dict[str, str], codes: dict[str, int]) -> li
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--dry", action="store_true", help="compare only; write nothing")
     p.add_argument("--out", type=Path, help="write the reports here, compare nothing")
     args = p.parse_args(argv)
     texts, codes = generate()
@@ -219,8 +229,7 @@ def main(argv=None) -> int:
         return 0
     changes = compare(HERE, texts, codes)
     print("\n".join(changes) if changes else "no report changed")
-    if not args.dry:
-        write(HERE, texts, codes)
+    write(HERE, texts, codes)
     return 0
 
 

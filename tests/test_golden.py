@@ -12,7 +12,6 @@ lines for every report.
 
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,19 +29,15 @@ MANIFEST = json.loads(corpus.MANIFEST.read_text())
 @pytest.fixture(scope="session")
 def generated(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("golden")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(corpus.ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(GOLDEN / "corpus.py"), "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=600)
+                          env=corpus.child_env(), capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return out
 
 
 def _version_note() -> str:
-    moved = [f"{k} {v} in the corpus, {corpus.versions().get(k)} here"
-             for k, v in MANIFEST["versions"].items() if corpus.versions().get(k) != v]
-    return ("; versions differ: " + ", ".join(moved)) if moved else ""
+    moved = corpus.version_changes(MANIFEST["versions"])
+    return ("; versions differ: " + "; ".join(moved)) if moved else ""
 
 
 def test_same_reports(generated):

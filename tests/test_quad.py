@@ -354,6 +354,17 @@ class TestGradedSplit:
         assert len(points) == 1
         assert (again.value, again.subdivisions) == (r.value, r.subdivisions)
 
+    def test_singularity_below_resolution_is_not_converged(self):
+        # an ulp at 0.3 is 5.6e-17, and the mass within it on either side,
+        # 5 * 5.6e-17^0.2 = 2.8e-3, is out of reach: grading reaches that
+        # ulp, where the nodes collapse onto two floats and |K - G| is 0
+        f = lambda x: np.abs(x - 0.3) ** -0.8
+        exact = 5.0 * (0.3 ** 0.2 + 0.7 ** 0.2)
+        r = q.integrate(f, 0.0, 1.0, breakpoints=(0.3,))
+        for res in (r, q.integrate(f, 0.0, 1.0, breakpoints=r.edges)):
+            assert not res.converged
+            assert abs(res.value - exact) <= res.err_est
+
 
 class TestQuadConfig:
     @pytest.mark.parametrize("kw, field", [
