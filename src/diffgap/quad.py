@@ -4,11 +4,12 @@ The integrator is a 7/15 Gauss-Kronrod pair with round-based refinement.
 Each round sums the panel estimates and errors (``math.fsum``) and stops once
 the error meets max(abs_tol, rel_tol*|value|), the panel count reaches
 ``max_subdivisions``, or the error of the panels above floating resolution
-meets the tolerance.  A panel is at floating resolution once its 15 nodes are
-no longer distinct floats: its |kronrod - gauss| then measures nothing, so it
-carries its parent's error instead (a starting panel, its whole |kronrod|)
-and is never split, and an integral whose error sits below floating
-resolution, as that of a singularity away from 0 can, ends unconverged.
+meets the tolerance.  A panel is at floating resolution once its closest
+nodes, the outer two at either end, are no longer distinct floats: its
+|kronrod - gauss| then measures nothing, so it carries its parent's error
+instead (a starting panel, its whole |kronrod|) and is never split, and an
+integral whose error sits below floating resolution, as that of a
+singularity away from 0 can, ends unconverged.
 Otherwise it splits the fewest largest-error panels above resolution (ties
 by position) whose removal would leave their error sum within the
 tolerance, at least one, and evaluates all their children in one integrand
@@ -253,7 +254,7 @@ def integrate(
 def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Kronrod passes on the panels [lo[i], hi[i]] in one integrand
     call on the flattened (m, 15) node array: returns (kronrod, |kronrod -
-    gauss|, whether the 15 nodes are distinct floats) per panel.  The
+    gauss|, whether its closest nodes are distinct floats) per panel.  The
     weighted sums use ``np.add.reduce`` along each row rather than a matrix
     product, so no value depends on the BLAS kernel."""
     half = 0.5 * (hi - lo)
@@ -268,7 +269,7 @@ def _gk15_batch(fn, lo: np.ndarray, hi: np.ndarray):
         raise _NonFinite(f"integrand is {kind} at x = {node}", kind, node)
     k = half * np.add.reduce(ys * _WK, axis=1)
     g = half * np.add.reduce(ys * _WGFULL, axis=1)
-    return k, np.abs(k - g), np.all(xs[:, 1:] > xs[:, :-1], axis=1)
+    return k, np.abs(k - g), (xs[:, 1] > xs[:, 0]) & (xs[:, -1] > xs[:, -2])
 
 
 def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> IntegrationResult:
