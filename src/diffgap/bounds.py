@@ -431,9 +431,11 @@ def _minimize_box(names: list[str], cfg: OptConfig, objective, polish=None):
     minimum wins), then a box-penalised Nelder-Mead polish of ``polish``
     (default ``objective``, else re-evaluated at the grid argmin for the
     start value).  Returns (theta, value, start), keeping the grid point
-    unless the polish does better; None when no grid value is below +inf."""
-    if cfg.box is None or any(n not in cfg.box for n in names):
-        missing = [n for n in names if not cfg.box or n not in cfg.box]
+    unless the polish does better; None when no grid value is below +inf.
+    With no ``names`` the box is the one point (): it is scanned and
+    re-evaluated by ``polish`` alike, and there is nothing to polish."""
+    missing = [n for n in names if not cfg.box or n not in cfg.box]
+    if missing:
         raise BoundError(f"parameter box required for {missing}")
     axes = [np.linspace(cfg.box[n][0], cfg.box[n][1], cfg.grid_points) for n in names]
     best_theta, best_val = None, math.inf
@@ -447,6 +449,8 @@ def _minimize_box(names: list[str], cfg: OptConfig, objective, polish=None):
         polish, start = objective, best_val
     else:
         start = polish(best_theta)
+    if not names:
+        return best_theta, start, start
 
     def boxed(theta):
         for n, t in zip(names, theta):
@@ -500,12 +504,6 @@ def _maximize_rho(
         if key not in refined:
             refined[key] = rho_at(theta, refine=True)
         return refined[key]
-
-    if not names:
-        r, d = rho_refined(())
-        if d is None or r == -math.inf:
-            return None
-        return _RhoOpt(params={}, rho=r, opt_gap=0.0, dual=d)
 
     # the grid scans unrefined infima; the polish refines every point
     found = _minimize_box(names, cfg, lambda theta: -rho_at(theta, refine=False)[0],
@@ -771,8 +769,9 @@ def _rayleigh_quotient(m: md.DiffusionModel, fam: ex.Expr, names: list[str], qc:
 
     Each integral continues from the carried (coarsened) panels of its own
     integral at the previously evaluated theta; only the first starts cold.
-    A warm start that does not converge (carried panels can fill
-    max_subdivisions) is redone cold, and later calls continue from that.
+    A warm start that ends unconverged at max_subdivisions, which carried
+    panels count against and can fill, is redone cold, and later calls
+    continue from that; one that stops short of the budget is kept.
     Values therefore depend on the order of the calls."""
     f = ex.simplify(fam)
     df = ex.simplify(ex.differentiate(f))
@@ -786,7 +785,7 @@ def _rayleigh_quotient(m: md.DiffusionModel, fam: ex.Expr, names: list[str], qc:
     def mu_integral(i, p):
         g = integrands[i]
         r = q._mu_integral(m, g, qc, breakpoints=starts[i], params=p)
-        if not r.converged and starts[i] is not cold:
+        if not r.converged and r.subdivisions >= qc.max_subdivisions and starts[i] is not cold:
             r = q._mu_integral(m, g, qc, breakpoints=cold, params=p)
         starts[i] = (anchor, *r.carry)
         return r
@@ -821,15 +820,6 @@ def rayleigh_upper(
     names = _family_params(fam, "trial family")
     # one sweep: grid, then Nelder-Mead, then theta*
     quotient = _rayleigh_quotient(m, fam, names, cfg.quad_cfg())
-
-    if not names:
-        val, err = quotient(())
-        if not math.isfinite(val):
-            return _infeasible("rayleigh", "lambda1", "upper",
-                               "trial function is degenerate (zero variance)")
-        return BoundReport("rayleigh", "lambda1", "upper", val, {},
-                           {"quad_err": err, "opt_gap": 0.0, "truncation": 0.0})
-
     found = _minimize_box(names, cfg, lambda theta: quotient(theta)[0])
     if found is None:
         return _infeasible("rayleigh", "lambda1", "upper",

@@ -163,7 +163,6 @@ class QuadConfig:
 class IntegrationResult:
     value: float
     err_est: float
-    neval: int
     converged: bool
     subdivisions: int
     # final interior panel boundaries in x; breakpoints=edges restarts there
@@ -211,7 +210,7 @@ def integrate(
     if math.isnan(a) or math.isnan(b):
         raise QuadError("domain endpoint is NaN")
     if a == b:
-        return IntegrationResult(0.0, 0.0, 0, True, 0)
+        return IntegrationResult(0.0, 0.0, True, 0)
     if a > b:
         r = integrate(f, b, a, cfg, breakpoints)
         return replace(r, value=-r.value)
@@ -285,7 +284,6 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
     lo, hi = pts[:-1], pts[1:]
     k, e, fine = _gk15_batch(fn, lo, hi)
     e = np.where(fine, e, np.abs(k))
-    neval = 15 * len(lo)
     grade = np.zeros(len(lo), dtype=np.int64)
     while len(lo) < cfg.max_subdivisions:
         value, err = math.fsum(k.tolist()), math.fsum(e.tolist())
@@ -320,7 +318,6 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
         k, e, grade, fine = k.repeat(rep), e.repeat(rep), grade.repeat(rep), fine.repeat(rep)
         k[children], ec, fine[children] = _gk15_batch(fn, lo[children], hi[children])
         e[children] = np.where(fine[children], ec, e[children])  # else the parent's
-        neval += 15 * len(children)
 
         # the outer children share an end with their parent: each is graded
         # toward it when its error fell, but by less than 2^-h over the h
@@ -341,7 +338,7 @@ def _integrate_finite(fn, a: float, b: float, cfg: QuadConfig, breakpoints) -> I
     err = float(np.add.reduce(e))
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
     edges = hi[:-1].tolist()
-    return IntegrationResult(value, err, neval, err <= tol, len(lo), tuple(edges),
+    return IntegrationResult(value, err, err <= tol, len(lo), tuple(edges),
                              _coarsened(edges, e, _CARRY_MERGE * tol / len(lo)))
 
 

@@ -5,7 +5,8 @@ An AST check over ``src/diffgap``:
 - every name a module lists in ``__all__`` is referenced somewhere in
   ``src/``, ``demos/`` or ``perfbench/`` outside its own definition,
 - so is every method, property and staticmethod of every class in the
-  package, dunders apart, and
+  package, dunders apart, and every field of its dataclasses and
+  NamedTuples, and
 - every module-level import of a package module is used in that module.
 
 A reference to a public name is a bare name in the defining module, an
@@ -147,9 +148,24 @@ def test_allowlist_names_exist():
         assert name in _all_names(_parse(PACKAGE / f"{module}.py")), (module, name)
 
 
+def _ends_in(node, name: str) -> bool:
+    """Whether node names ``name``, bare or as a module attribute, or calls it."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple: its annotated class-body names are fields."""
+    return (any(_ends_in(d, "dataclass") for d in cls.decorator_list)
+            or any(_ends_in(b, "NamedTuple") for b in cls.bases))
+
+
 def _members() -> list[tuple[str, str, str]]:
     """(module, class, member) for every non-dunder function defined in a
-    class body of the package: methods, properties and staticmethods."""
+    class body of the package (methods, properties and staticmethods) and
+    every field of a dataclass or NamedTuple."""
     out = []
     for module in _modules():
         for cls in ast.walk(_parse(PACKAGE / f"{module}.py")):
@@ -157,6 +173,9 @@ def _members() -> list[tuple[str, str, str]]:
                 out += [(module, cls.name, f.name) for f in cls.body
                         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not (f.name.startswith("__") and f.name.endswith("__"))]
+                if _is_record(cls):
+                    out += [(module, cls.name, f.target.id) for f in cls.body
+                            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
     return out
 
 

@@ -79,15 +79,24 @@ class TestIntegrate:
         assert v1 == v2
 
     def test_breakpoint_resolves_kink(self):
-        r = q.integrate(ex.absval(ex.X), -1.0, 2.0, breakpoints=(0.0,))
+        kink = ex.absval(ex.X)
+
+        def counted(points):
+            def f(x):
+                points.append(np.size(x))
+                return ex.evaluate(kink, x)
+            return f
+
+        hinted, plain = [], []
+        r = q.integrate(counted(hinted), -1.0, 2.0, breakpoints=(0.0,))
         assert r.converged
         assert abs(r.value - 2.5) < 1e-13
         # without the hint the same value is reached within the requested
         # tolerance (rel_tol 1e-8 on a value of 2.5), just less directly
-        r2 = q.integrate(ex.absval(ex.X), -1.0, 2.0)
+        r2 = q.integrate(counted(plain), -1.0, 2.0)
         assert r2.converged
         assert abs(r2.value - 2.5) < 3e-8
-        assert r2.neval > r.neval
+        assert sum(plain) > sum(hinted)
 
     def test_budget_exhaustion_flags_not_raises(self):
         cfg = q.QuadConfig(max_subdivisions=3)
@@ -169,10 +178,10 @@ class TestRestartFromEdges:
             assert abs(again.value - r.value) <= rtol * abs(r.value)
 
     def test_edges_left_out_of_repr_and_equality(self):
-        r = q.IntegrationResult(0.0, 0.0, 0, True, 0)
+        r = q.IntegrationResult(0.0, 0.0, True, 0)
         assert r.edges == ()
         assert "edges" not in repr(r)
-        assert q.IntegrationResult(0.0, 0.0, 0, True, 0, (0.5,)) == r
+        assert q.IntegrationResult(0.0, 0.0, True, 0, (0.5,)) == r
         assert "edges" not in repr(q.integrate(ex.X, 0.0, 2.0))
 
 
@@ -219,9 +228,9 @@ class TestCarriedPartition:
         assert max(abs(p) for p in r.carry) > 0.5 * math.pi
 
     def test_carry_left_out_of_repr_and_equality(self):
-        r = q.IntegrationResult(0.0, 0.0, 0, True, 0)
+        r = q.IntegrationResult(0.0, 0.0, True, 0)
         assert r.carry == () and "carry" not in repr(r)
-        assert q.IntegrationResult(0.0, 0.0, 0, True, 0, (0.5,), (0.5,)) == r
+        assert q.IntegrationResult(0.0, 0.0, True, 0, (0.5,), (0.5,)) == r
 
 
 class TestTailProbe:
@@ -258,20 +267,13 @@ class TestBatchedRefinement:
         assert abs(r.value) < 1e-10
         assert r.subdivisions >= 40
         assert len(calls) <= r.subdivisions / 4
-        assert sum(calls) >= r.neval
+        assert sum(calls) >= 15 * r.subdivisions  # every final panel's nodes
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 17, 2000])
     def test_subdivisions_within_budget(self, budget):
-        points = []
-
-        def f(x):
-            points.append(np.size(x))
-            return 1.0 / np.sqrt(x)
-
         cfg = q.QuadConfig(max_subdivisions=budget)
-        r = q.integrate(f, 1e-300, 1.0, cfg)
+        r = q.integrate(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0, cfg)
         assert 1 <= r.subdivisions <= budget
-        assert r.neval == sum(points)
         assert math.isfinite(r.value)
         if budget == 3:
             assert not r.converged
@@ -337,11 +339,9 @@ class TestGradedSplit:
     @pytest.mark.parametrize("budget", [1, 2, 3, 17])
     def test_graded_cuts_within_budget(self, budget):
         # both ends singular: two graded panels compete for the budget left
-        points = []
-        f = self.counted(lambda x: x ** -0.8 * (1.0 - x) ** -0.8, points)
+        f = lambda x: x ** -0.8 * (1.0 - x) ** -0.8
         r = q.integrate(f, 0.0, 1.0, q.QuadConfig(max_subdivisions=budget))
         assert 1 <= r.subdivisions <= budget
-        assert r.neval == sum(points)
         assert not r.converged
 
     def test_restart_from_graded_edges(self):
